@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .discovery import discover_order
 from .fasteval import schreier_zeckendorf_count
-from .formats import FORMATS, format_window
+from .formats import FORMATS, format_window, render_int
 from .identities import (
     IdentityReport,
     check_bijection_round_trip,
@@ -30,14 +30,12 @@ from .identities import (
 )
 from .recurrences import (
     fibonacci_seq,
+    gap_parity_count,
     gen_fib_seq,
     gen_h_seq,
     h_seq,
     k_seq,
-    min_size_odd_gap_count,
     min_size_odd_gap_seq,
-    odd_gap_counts,
-    even_gap_counts,
     schreier_zeckendorf_seq,
 )
 from .subsets import (
@@ -250,39 +248,39 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _recurrence_count(n: int, cond: Condition):
-    # Closed-form/recurrence routes for conditions the engines cover;
-    # None means no engine exists for this condition shape.
-    if n < 1:
-        return None
-    if cond.forced_max is not None and cond.forced_max != n:
-        return None
-    if (
-        cond.alpha is not None
-        and cond.beta is not None
-        and cond.gap_parity == GAP_ANY
-        and cond.min_size == 0
-        and cond.forced_max is None
-    ):
-        return schreier_zeckendorf_count(cond.alpha, cond.beta, n)
+def _free_count(n: int, cond: Condition):
+    # Count for a condition without forced_max, from the closed forms and
+    # fast recurrence evaluation; None means no engine covers its shape.
+    if n == 0:
+        return int(cond.min_size == 0)  # only the empty set
+    if cond.gap_parity == GAP_ANY:
+        if cond.alpha is None or cond.min_size:
+            return None
+        # Every gap is already >= 1, so alpha alone is beta = 1.
+        return schreier_zeckendorf_count(cond.alpha, cond.beta or 1, n)
     if cond.alpha is not None or cond.beta is not None:
         return None
-    if cond.gap_parity == GAP_ALL_ODD:
-        if cond.forced_max is None:
-            return min_size_odd_gap_count(n, cond.min_size)
-        if cond.min_size <= 1:
-            return odd_gap_counts(n)[0]
-    if cond.gap_parity == GAP_ALL_EVEN:
-        if cond.forced_max is None and cond.min_size == 0:
-            return even_gap_counts(n)[1]
-        if cond.forced_max == n and cond.min_size <= 1:
-            return even_gap_counts(n)[0]
-    return None
+    return gap_parity_count(n, cond.gap_parity, cond.min_size)
+
+
+def _recurrence_count(n: int, cond: Condition):
+    # The int `count` prints, or None when no engine covers the shape.
+    # Subsets of {1..n} with maximum m are those of {1..m} less those of
+    # {1..m-1}.
+    if cond.forced_max is None:
+        return _free_count(n, cond)
+    free = replace(cond, forced_max=None)
+    top = _free_count(cond.forced_max, free)
+    if top is None:
+        return None
+    return top - _free_count(cond.forced_max - 1, free)
 
 
 def _cmd_count(cfg: RunConfig) -> int:
     params = cfg.params
     n = _require(params, "n", "--n")
+    if n < 0:
+        raise UsageError("n must be >= 0")
     limit = _resolve_limit(params["enum_limit"])
     cond = _build_condition(params)
     if cond.forced_max is not None and cond.forced_max > n:
@@ -296,13 +294,10 @@ def _cmd_count(cfg: RunConfig) -> int:
     else:
         value = _recurrence_count(n, cond)
         if value is None:
-            print(
-                f"error: n={n} exceeds the enumeration limit {limit} and no "
-                "recurrence engine covers this condition",
-                file=sys.stderr,
-            )
+            beyond = f"n={n} exceeds the enumeration limit {limit} and " if n > limit else ""
+            print(f"error: {beyond}no recurrence engine covers this condition", file=sys.stderr)
             return LIMIT
-    _emit(f"{value}\n", cfg.output)
+    _emit(render_int(value) + "\n", cfg.output)
     return OK
 
 

@@ -2,14 +2,17 @@
 coefficients, exact or modular.
 
 The default fast path raises x to the n-th power modulo the characteristic
-polynomial (O(k^2 log n) coefficient operations); a companion-matrix power
-is kept behind a switch as an independent second implementation for
-differential testing. No floating point anywhere.
+polynomial by square-and-shift: one symmetric squaring (k(k+1)/2
+coefficient products) per bit of n, a reduction that visits only the
+nonzero recurrence coefficients, and a shift for each 1-bit. A
+companion-matrix power is kept behind a switch as an independent second
+implementation for differential testing. No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .subsets import BigCount
 
@@ -95,44 +98,39 @@ def eval_iterative(rec: LinearRecurrence, n: int, mode: EvalMode = EXACT) -> Big
     return window[-1]
 
 
-def _poly_mul_mod(a: list, b: list, coeffs: list, mode: EvalMode) -> list:
-    # Schoolbook product of two little-endian polynomials of degree < k,
-    # then reduction by x^k = c_1 x^(k-1) + ... + c_k.
-    k = len(coeffs)
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] += ai * bj
-    for d in range(len(prod) - 1, k - 1, -1):
-        top = prod[d]
-        if top == 0:
-            continue
-        prod[d] = 0
-        for i, c in enumerate(coeffs, start=1):
-            prod[d - i] += c * top
-    out = prod[:k]
-    if mode.modulus is not None:
-        out = [v % mode.modulus for v in out]
-    return out
-
-
 def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount:
+    # x^j modulo the characteristic polynomial, by square-and-shift over the
+    # bits of j from the top; the term is then sum(q_i * initials[i]) over
+    # the coefficients q_i of the remainder.
     k = len(coeffs)
+    modulus = mode.modulus
+    taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
+    # Degree d of a square is 2 * sum(a_i * a_(d-i) for lo <= i < half),
+    # plus a_(d/2)^2 for even d: k(k+1)/2 coefficient products in all. The
+    # partners a_(d-i) are read forward from the reversed list.
+    slices = []
+    for d in range(2 * k - 1):
+        lo, half, off = max(0, d - k + 1), (d + 1) // 2, k - 1 - d
+        slices.append((lo, half, lo + off, half + off))
     result = [1] + [0] * (k - 1)  # x^0
-    base = [0, 1] + [0] * (k - 2) if k > 1 else [mode.reduce(coeffs[0])]  # x mod f
-    e = j
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, coeffs, mode)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod(base, base, coeffs, mode)
-    total = 0
-    for q, a in zip(result, initials):
-        total += q * a
-    return mode.reduce(total)
+    for bit in bin(j)[2:]:
+        rev = result[::-1]
+        prod = [2 * sum(map(mul, result[lo:hi], rev[rlo:rhi])) for lo, hi, rlo, rhi in slices]
+        for i, v in enumerate(result):
+            prod[2 * i] += v * v
+        if bit == "1":
+            prod.insert(0, 0)  # times x
+        # Fold each degree >= k down with x^k = c_1 x^(k-1) + ... + c_k,
+        # visiting only the nonzero coefficients.
+        for d in range(len(prod) - 1, k - 1, -1):
+            top = prod.pop()
+            if modulus is not None:
+                top %= modulus
+            if top:
+                for i, c in taps:
+                    prod[d - i] += c * top
+        result = prod if modulus is None else [v % modulus for v in prod]
+    return mode.reduce(sum(map(mul, result, initials)))
 
 
 def _mat_mul(a: list, b: list, mode: EvalMode) -> list:
@@ -177,7 +175,7 @@ def _eval_matrix(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCou
 def eval_fast(
     rec: LinearRecurrence, n: int, mode: EvalMode = EXACT, method: str = "poly"
 ) -> BigCount:
-    """Term at absolute index n in O(order^2 log n) operations.
+    """Term at absolute index n in O(order^2 log n) coefficient operations.
 
     Agrees with eval_iterative on every input; method="matrix" selects the
     companion-matrix implementation instead of polynomial powering.

@@ -12,7 +12,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .recurrences import (
+    even_gap_family_size,
     fibonacci_seq,
+    gap_parity_count,
     gen_fib_seq,
     gen_h_seq,
     h_seq,
@@ -276,15 +278,7 @@ def check_bijection_round_trip(
 
 def odd_gap_family_size(n: int) -> int:
     """Subsets of {1..n} whose gaps are all odd (closed form)."""
-    fib = fibonacci_seq(n + 3)
-    return fib.term(n + 3) - 1
-
-
-def even_gap_family_size(n: int) -> int:
-    """Subsets of {1..n} whose gaps are all even (closed form)."""
-    if n % 2 == 1:
-        return 3 * (1 << ((n - 1) // 2)) - 1
-    return 2 * (1 << (n // 2)) - 1
+    return gap_parity_count(n, GAP_ALL_ODD)
 
 
 def either_parity_family_size(n: int) -> int:

@@ -1,5 +1,5 @@
 """Named integer sequences: piecewise recurrences, partial sums, closed
-forms, and a gap-parity counting DP.
+forms for the gap-parity counts, and a gap-parity counting DP.
 
 Every term is an exact Python int. Window names double as the CLI family
 identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
@@ -8,10 +8,11 @@ identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import comb
 from typing import Iterator
 
-from .subsets import BigCount
+from .subsets import GAP_ALL_EVEN, GAP_ALL_ODD, BigCount
 
 
 @dataclass(frozen=True)
@@ -146,27 +147,83 @@ def gen_h_seq(n: int, m_max: int) -> SequenceWindow:
     return partial_sum(k_seq(n, m_max), name=f"genh[{n}]")
 
 
+def even_gap_family_size(n: int) -> BigCount:
+    """Subsets of {1..n} whose gaps are all even: 3*2^((n-1)/2) - 1 for odd
+    n, 2*2^(n/2) - 1 for even n."""
+    if n % 2 == 1:
+        return 3 * (1 << ((n - 1) // 2)) - 1
+    return 2 * (1 << (n // 2)) - 1
+
+
+def _size_classes(n: int, step: int, first: int) -> Iterator[BigCount]:
+    # c_m, the number of m-element subsets of {1..n} whose gaps are
+    # step + 2h (h >= 0), for m = first, first + 1, ... while any exist;
+    # step is 1 for odd gaps, 2 for even. With H the sum of the h, the span
+    # is step*(m-1) + 2H, leaving room - 2H places for the minimum, where
+    # room = n - step*(m-1). C(H+m-2, m-2) gap lists share each H, and the
+    # sum over H <= t = (room-1)//2 telescopes (hockey stick) to
+    # c_m = room*C(a, m-1) - 2(m-1)*C(a, m), a = t+m-1.
+    # From one m to the next, a stays or grows by one, so each binomial
+    # follows from the last with one small multiply and divide.
+    if first == 0:
+        yield 1
+    m = max(first, 1)
+    room = n - step * (m - 1)
+    if room <= 0:
+        return
+    t = (room - 1) // 2
+    below = comb(t + m - 1, m - 1)  # C(a, m-1)
+    while room > 0:
+        at = below * t // m  # C(a, m) = C(a, m-1) * (a-m+1) / m
+        yield room * below - 2 * (m - 1) * at
+        m, room = m + 1, room - step
+        next_t = (room - 1) // 2
+        below = at if next_t < t else at + below  # Pascal's rule when a grows
+        t = next_t
+
+
+def gap_parity_count(n: int, parity: str, min_size: int = 0) -> BigCount:
+    """Number of subsets of {1..n} with at least min_size elements whose
+    consecutive gaps all have one parity (GAP_ALL_ODD or GAP_ALL_EVEN).
+
+    The whole family has F_{n+3} - 1 members for odd gaps (fast doubling)
+    and even_gap_family_size(n) for even gaps. A size bound removes the
+    size classes below it, each one closed form (_size_classes); past half
+    the largest possible size, the classes from min_size up are added
+    instead. Fixing the maximum at n is this count at n minus it at n - 1.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if min_size < 0:
+        raise ValueError("min_size must be >= 0")
+    if parity == GAP_ALL_ODD:
+        step, largest = 1, n
+    elif parity == GAP_ALL_EVEN:
+        step, largest = 2, (n + 1) // 2
+    else:
+        raise ValueError(f"parity must be {GAP_ALL_ODD!r} or {GAP_ALL_EVEN!r}")
+    if min_size > largest // 2:
+        return sum(_size_classes(n, step, min_size))
+    total = fibonacci(n + 3) - 1 if step == 1 else even_gap_family_size(n)
+    return total - sum(islice(_size_classes(n, step, 0), min_size))
+
+
 def odd_gap_counts(n: int) -> tuple[BigCount, BigCount]:
     """(count containing n, total count) of subsets of {1..n} whose gaps are
     all odd: F_{n+1} and F_{n+3} - 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = fibonacci_seq(n + 3)
-    return f.term(n + 1), f.term(n + 3) - 1
+    total = gap_parity_count(n, GAP_ALL_ODD)
+    return total - gap_parity_count(n - 1, GAP_ALL_ODD), total
 
 
 def even_gap_counts(n: int) -> tuple[BigCount, BigCount]:
     """(count containing n, total count) of subsets of {1..n} whose gaps are
-    all even: 2^floor((n-1)/2), and 3*2^((n-1)/2) - 1 for odd n or
-    2*2^(n/2) - 1 for even n."""
+    all even: 2^floor((n-1)/2), and even_gap_family_size(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    contain = 1 << ((n - 1) // 2)
-    if n % 2 == 1:
-        total = 3 * (1 << ((n - 1) // 2)) - 1
-    else:
-        total = 2 * (1 << (n // 2)) - 1
-    return contain, total
+    total = gap_parity_count(n, GAP_ALL_EVEN)
+    return total - gap_parity_count(n - 1, GAP_ALL_EVEN), total
 
 
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
@@ -177,7 +234,8 @@ def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     saturates (meaning "size >= cap"), so memory stays O(k). A gap is odd
     exactly when the two endpoints have different parities, so extending a
     subset with maximum i by a new maximum j only needs the bucket totals of
-    the opposite parity class, kept as running sums.
+    the opposite parity class, kept as running sums. Single counts come
+    from gap_parity_count; this DP builds windows and cross-checks it.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -209,4 +267,4 @@ def min_size_odd_gap_count(n: int, k: int) -> BigCount:
     """Number of subsets of {1..n} with >= k elements and all gaps odd."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return min_size_odd_gap_seq(n, k).term(n)
+    return gap_parity_count(n, GAP_ALL_ODD, k)

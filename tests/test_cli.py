@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
+import tracemalloc
 
 from seqforge.cli import main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import parse_bfile
 from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
-from seqforge.subsets import Condition, count_subsets
+from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +27,7 @@ class TestCount:
 
     def test_exit_3_without_engine(self, capsys):
         code, out, err = run_cli(
-            capsys, "count", "--n", "40", "--gap-parity", "even", "--min-size", "2"
+            capsys, "count", "--n", "40", "--beta", "2"
         )
         assert code == 3 and out == "" and "recurrence engine" in err
 
@@ -70,6 +73,63 @@ class TestCount:
             capsys, "count", "--n", "200", "--gap-parity", "odd", "--min-size", "3"
         )
         assert code == 0 and int(out) == min_size_odd_gap_count(200, 3)
+
+    def test_alpha_alone_is_beta_one(self, capsys):
+        for alpha in (1, 2, 3):
+            for n in range(1, 19):
+                code, out, _ = run_cli(
+                    capsys, "count", "--n", str(n), "--alpha", str(alpha), "--engine", "recurrence"
+                )
+                assert (code, int(out)) == (0, count_subsets(n, Condition(alpha=alpha)))
+        code, out, _ = run_cli(capsys, "count", "--n", "60", "--alpha", "2")
+        assert (code, int(out)) == (0, schreier_zeckendorf_seq(2, 1, 60).term(60))
+
+    def test_parity_shapes_with_size_bound_and_forced_max(self, capsys):
+        for parity, flag in ((GAP_ALL_ODD, "odd"), (GAP_ALL_EVEN, "even")):
+            for min_size in (1, 2, 4):
+                for n in (1, 6, 11):
+                    for forced in (None, n, (n + 1) // 2):
+                        extra = () if forced is None else ("--forced-max", str(forced))
+                        code, out, _ = run_cli(
+                            capsys, "count", "--n", str(n), "--gap-parity", flag,
+                            "--min-size", str(min_size), *extra, "--engine", "recurrence",
+                        )
+                        cond = Condition(gap_parity=parity, min_size=min_size, forced_max=forced)
+                        assert (code, int(out)) == (0, count_subsets(n, cond)), (flag, min_size, n, forced)
+        code, _, _ = run_cli(
+            capsys, "count", "--n", "40", "--gap-parity", "even", "--min-size", "2",
+            "--forced-max", "40",
+        )
+        assert code == 0
+
+    def test_empty_ambient_set(self, capsys):
+        for shape in ([], ["--alpha", "2"], ["--gap-parity", "odd"], ["--gap-parity", "even"]):
+            assert run_cli(capsys, "count", "--n", "0", *shape, "--engine", "recurrence") == (0, "1\n", "")
+            assert run_cli(
+                capsys, "count", "--n", "0", *shape, "--min-size", "1", "--engine", "recurrence"
+            )[:2] == (0, "0\n")
+
+    def test_uncovered_shape_within_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--n", "5", "--beta", "2", "--engine", "recurrence")
+        assert code == 3 and out == "" and "exceeds" not in err and "recurrence engine" in err
+        code, _, err = run_cli(capsys, "count", "--n", "-1", "--alpha", "2", "--engine", "recurrence")
+        assert code == 2 and "n must be >= 0" in err
+
+    def test_odd_gap_count_memory_is_linear_in_the_output(self):
+        argv = ["count", "--n", "300000", "--gap-parity", "odd", "--engine", "recurrence"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv[:2] + ["5"] + argv[3:])  # warm up parser and lazy imports
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The count has 62,698 digits. An O(n*k) DP over Fibonacci windows
+        # held Theta(n^2) bits here and ran out of memory.
+        assert peak <= 6 * len(out.getvalue())
 
     def test_env_var_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQFORGE_ENUM_LIMIT", "10")

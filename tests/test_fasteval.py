@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,44 @@ class TestEvalFast:
         rec = LinearRecurrence(coeffs=tuple(coeffs), initials=tuple(initials))
         n = data.draw(st.integers(min_value=0, max_value=120))
         assert eval_fast(rec, n) == eval_iterative(rec, n)
+
+
+class TestSquareAndShift:
+    # Each index from valid_from to valid_from + order + 1 covers the initial
+    # window, the first powered index, and the first 1-bit shifts past it.
+    @pytest.mark.parametrize("modulus", [None, 2, 97, 1_000_000_007, 2**61 - 1])
+    def test_agrees_with_iterative_at_every_order(self, modulus):
+        rng = random.Random(f"square-and-shift:{modulus}")
+        mode = EvalMode(modulus)
+        for order in range(1, 9):
+            for _ in range(3):
+                coeffs = [rng.randint(-50, 50) for _ in range(order)]
+                coeffs[-1] = coeffs[-1] or -7
+                initials = [rng.randint(-10**6, 10**6) for _ in range(order)]
+                rec = LinearRecurrence(
+                    coeffs=tuple(coeffs), initials=tuple(initials),
+                    valid_from=rng.randint(-5, 5),
+                )
+                lo = rec.valid_from
+                for n in [*range(lo, lo + order + 2), lo + rng.randint(order + 2, 300)]:
+                    assert eval_fast(rec, n, mode) == eval_iterative(rec, n, mode), (rec, n)
+
+    def test_rational_coefficients(self):
+        rec = LinearRecurrence(
+            coeffs=(Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)),
+            initials=(Fraction(1), Fraction(-3, 4), 2),
+            valid_from=1,
+        )
+        for n in range(1, 80):
+            assert eval_fast(rec, n) == eval_iterative(rec, n)
+
+    def test_matrix_twin_at_dense_order(self):
+        rng = random.Random(41)
+        coeffs = tuple(rng.randrange(1, 2**61) for _ in range(24))
+        rec = LinearRecurrence(coeffs=coeffs, initials=tuple(range(24)))
+        mode = EvalMode(2**61 - 1)
+        for n in (10**12 + 3, 10**18):
+            assert eval_fast(rec, n, mode) == eval_fast(rec, n, mode, method="matrix")
 
 
 class TestTailRecurrenceOf:

@@ -1,16 +1,20 @@
 import json
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqforge.formats import (
+    STR_MAX_BITS,
     format_bfile,
     format_csv,
     format_json,
     format_table,
     format_window,
     parse_bfile,
+    render_int,
 )
 from seqforge.recurrences import SequenceWindow, h_seq
 
@@ -84,3 +88,48 @@ class TestOtherFormats:
         digits = str(10**50 + 7)
         for fmt in ("bfile", "csv", "json", "table"):
             assert digits in format_window(window, fmt)
+
+
+@pytest.fixture
+def unlimited_str():
+    # Lift the interpreter's int-to-str digit cap so str() can serve as the
+    # reference for big values.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+class TestRenderInt:
+    def test_powers_of_ten_and_their_neighbours(self, unlimited_str):
+        assert render_int(0) == "0"
+        for d in (1, 19, 300, 15_000, 15_100, 15_200, 40_000):
+            for value in (10**d - 1, 10**d, 10**d + 1):
+                assert render_int(value) == str(value), d
+                assert render_int(-value) == str(-value), d
+
+    def test_random_values_around_the_threshold(self, unlimited_str):
+        rng = random.Random(7)
+        for bits in (1, 64, STR_MAX_BITS - 1, STR_MAX_BITS, STR_MAX_BITS + 1, 2 * STR_MAX_BITS + 5):
+            for _ in range(3):
+                value = rng.getrandbits(bits) | (1 << (bits - 1))
+                assert render_int(value) == str(value), bits
+
+    def test_million_bit_value(self):
+        # 30104 repeats of a ten-digit block: just over 10^6 bits, with a
+        # decimal expansion known without calling str() on it.
+        m = 30_104
+        value = 1234567890 * (10 ** (10 * m) - 1) // (10**10 - 1)
+        assert value.bit_length() > 10**6
+        assert render_int(value) == "1234567890" * m
+        assert render_int(value + 1) == "1234567890" * (m - 1) + "1234567891"
+
+    def test_windows_with_big_terms(self, unlimited_str):
+        big = 3**40_000
+        window = SequenceWindow("big", 5, (1, big, -big))
+        expected = "".join(f"{i} {v}\n" for i, v in window.items())
+        assert format_bfile(window) == expected
+        assert json.loads(format_json(window))["terms"] == ["1", str(big), str(-big)]

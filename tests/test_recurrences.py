@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from seqforge.recurrences import (
     even_gap_counts,
     fibonacci,
     fibonacci_seq,
+    gap_parity_count,
     gen_fib_seq,
     gen_h_seq,
     h_seq,
@@ -264,3 +267,49 @@ def test_even_family_is_not_odd_family():
         )
         assert both == 0
         assert odd_only + even_only <= count_subsets(n, Condition(min_size=2))
+
+
+class TestGapParityClosedForm:
+    def test_matches_dp(self):
+        for k in range(9):
+            dp = min_size_odd_gap_seq(300, k)
+            for n in range(1, 301):
+                assert gap_parity_count(n, GAP_ALL_ODD, k) == dp.term(n), (n, k)
+
+    @pytest.mark.parametrize("parity", [GAP_ALL_ODD, GAP_ALL_EVEN])
+    def test_matches_oracle(self, parity):
+        for n in range(17):
+            for min_size in range(7):
+                free = gap_parity_count(n, parity, min_size)
+                assert free == count_subsets(n, Condition(gap_parity=parity, min_size=min_size))
+                if n:
+                    forced = count_subsets(
+                        n, Condition(gap_parity=parity, min_size=min_size, forced_max=n)
+                    )
+                    assert free - gap_parity_count(n - 1, parity, min_size) == forced
+
+    @pytest.mark.parametrize("parity, step", [(GAP_ALL_ODD, 1), (GAP_ALL_EVEN, 2)])
+    def test_branches_meet_at_half_the_largest_size(self, parity, step):
+        # Up to half the largest size the count subtracts small classes from
+        # the total; past it, it adds the large classes. Their difference at
+        # the seam is one class, checked against its binomial form directly.
+        n = 3001
+        m = (n if step == 1 else (n + 1) // 2) // 2
+        room = n - step * (m - 1)
+        t = (room - 1) // 2
+        size_class = room * comb(t + m - 1, m - 1) - 2 * (m - 1) * comb(t + m - 1, m)
+        assert gap_parity_count(n, parity, m) - gap_parity_count(n, parity, m + 1) == size_class
+
+    def test_size_bound_past_the_largest_size(self):
+        assert gap_parity_count(5, GAP_ALL_ODD, 6) == 0
+        assert gap_parity_count(5, GAP_ALL_EVEN, 4) == 0
+        assert gap_parity_count(5, GAP_ALL_EVEN, 3) == 1  # {1, 3, 5}
+        assert gap_parity_count(0, GAP_ALL_ODD) == 1
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            gap_parity_count(-1, GAP_ALL_ODD)
+        with pytest.raises(ValueError):
+            gap_parity_count(5, GAP_ALL_EVEN, -1)
+        with pytest.raises(ValueError):
+            gap_parity_count(5, "any")
