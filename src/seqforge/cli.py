@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .discovery import discover_order
@@ -26,7 +26,8 @@ from .identities import (
     check_gen_sum,
     check_odd_gap_h,
     decimal_string,
-    ratio_report,
+    either_parity_family_size,
+    even_gap_family_size,
 )
 from .recurrences import (
     fibonacci_seq,
@@ -57,9 +58,6 @@ INCONCLUSIVE = 4
 
 ENUM_LIMIT_ENV = "SEQFORGE_ENUM_LIMIT"
 
-FAMILIES = ("fib", "H", "schreier-zeckendorf", "genfib", "genk", "genh", "minsize-oddgap")
-VERIFY_IDS = ("fib-h", "gen-sum", "gen-shift", "oddgap-h", "bijection", "ratio", "all")
-
 _PARITY_FLAGS = {"any": GAP_ANY, "odd": GAP_ALL_ODD, "even": GAP_ALL_EVEN}
 
 
@@ -67,55 +65,114 @@ class UsageError(Exception):
     """Bad flags, bad config, or an unknown family/identity id."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: subcommand, parameters merged from explicit
-    flags over config-file values over hard defaults, and the output sink
-    (a path, or stdout when None)."""
-
-    command: str
-    params: dict
-    output: str | None
-
-
-_CONDITION_DEFAULTS = {
-    "alpha": None,
-    "beta": None,
-    "gap_parity": "any",
-    "min_size": 0,
-    "forced_max": None,
-    "enum_limit": None,
+# family -> (builder, the flags it takes before --to). Builders look their
+# generator up at call time, so a wrapper installed on the module function
+# (as the benchmark's tracer does) sees every call.
+FAMILIES = {
+    "fib": (lambda to: fibonacci_seq(to), ()),
+    "H": (lambda to: h_seq(to), ()),
+    "schreier-zeckendorf": (
+        lambda alpha, beta, to: schreier_zeckendorf_seq(alpha, beta, to),
+        ("alpha", "beta"),
+    ),
+    "genfib": (lambda n, to: gen_fib_seq(n, to), ("n",)),
+    "genk": (lambda n, to: k_seq(n, to), ("n",)),
+    "genh": (lambda n, to: gen_h_seq(n, to), ("n",)),
+    "minsize-oddgap": (lambda k, to: min_size_odd_gap_seq(to, k), ("k",)),
 }
 
-COMMAND_DEFAULTS = {
-    "count": {"n": None, "engine": "auto", **_CONDITION_DEFAULTS},
-    "seq": {
-        "family": None,
-        "alpha": None,
-        "beta": None,
-        "n": None,
-        "k": None,
-        "start": None,
-        "to": None,
-        "fmt": "table",
-    },
-    "verify": {
-        "identity": None,
-        "n": None,
-        "to": None,
-        "oracle_to": None,
-        "threshold": None,
-        "enum_limit": None,
-        "fmt": "table",
-    },
-    "discover": {
-        "alpha": None,
-        "beta": None,
-        "probe": None,
-        "expect_order": None,
-        "fmt": "table",
-    },
-    "enumerate": {"n": None, **_CONDITION_DEFAULTS},
+
+def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
+    # 1 - r_to: the either-parity family less its odd-gap part is the
+    # even-gap family less the to + 1 subsets of size <= 1.
+    if to < 1:
+        raise UsageError("--to must be >= 1")
+    gap = Fraction(even_gap_family_size(to) - (to + 1), either_parity_family_size(to))
+    shown, bound = decimal_string(gap), decimal_string(args.threshold)
+    if gap < args.threshold:
+        report = IdentityReport("ratio", (1, to), True)
+    else:
+        report = IdentityReport("ratio", (1, to), False, (to, shown, bound))
+    return [report, f"  1 - r_{to} = {shown}  (threshold {bound})"]
+
+
+def _orders(args: argparse.Namespace):
+    return range(2, 9) if args.n is None else [args.n]
+
+
+# identity -> (stock --to, check). A check takes (to, args, limit) and
+# returns its reports, each optionally followed by an extra table row.
+# `--id all` runs every check in this order. Checks look their functions
+# up at call time, as FAMILIES' builders do.
+IDENTITIES = {
+    "fib-h": (200, lambda to, args, limit: [check_fib_h(to)]),
+    "gen-sum": (300, lambda to, args, limit: [check_gen_sum(k, to) for k in _orders(args)]),
+    "gen-shift": (300, lambda to, args, limit: [check_gen_shift(k, to) for k in _orders(args)]),
+    "oddgap-h": (500, lambda to, args, limit: [check_odd_gap_h(args.oracle_to, to, limit)]),
+    "bijection": (
+        12,
+        lambda to, args, limit: [
+            check_bijection_round_trip(alpha, beta, to, limit)
+            for alpha in (1, 2, 3)
+            for beta in (1, 2, 3)
+        ],
+    ),
+    "ratio": (60, _ratio_check),
+}
+
+
+# The only declaration of every subcommand parameter: command -> (summary,
+# flag -> argparse spec). Config-file keys are the flags' dests.
+_CONDITION = {
+    "--alpha": {"type": int},
+    "--beta": {"type": int},
+    "--gap-parity": {"choices": sorted(_PARITY_FLAGS), "default": "any"},
+    "--min-size": {"type": int, "default": 0},
+    "--forced-max": {"type": int},
+    "--enum-limit": {"type": int},
+}
+_REPORT_FORMAT = {"dest": "fmt", "choices": ("table", "json"), "default": "table"}
+
+SCHEMA = {
+    "count": ("count subsets of {1..n} under a condition", {
+        "--n": {"type": int},
+        **_CONDITION,
+        "--engine": {"choices": ("auto", "oracle", "recurrence"), "default": "auto"},
+    }),
+    "seq": ("emit a sequence window", {
+        "--family": {"help": f"one of {', '.join(FAMILIES)}"},
+        "--alpha": {"type": int},
+        "--beta": {"type": int},
+        "--n": {"type": int, "help": "order parameter for genfib/genk/genh"},
+        "--k": {"type": int, "help": "minimum size for minsize-oddgap"},
+        "--from": {"dest": "start", "type": int},
+        "--to": {"type": int},
+        "--format": {"dest": "fmt", "choices": FORMATS, "default": "table"},
+    }),
+    "verify": ("run identity checks", {
+        "--id": {"dest": "identity", "help": f"one of {', '.join(IDENTITIES)}, or all"},
+        "--n": {"type": int, "help": "family order for gen-sum/gen-shift"},
+        "--to": {"type": int},
+        "--oracle-to": {"type": int, "default": 12},
+        "--threshold": {
+            "type": Fraction,
+            "default": Fraction(1, 1000),
+            "help": "bound on 1 - r_to for the ratio check",
+        },
+        "--enum-limit": {"type": int},
+        "--format": _REPORT_FORMAT,
+    }),
+    "discover": ("recover a minimal recurrence empirically", {
+        "--alpha": {"type": int},
+        "--beta": {"type": int},
+        "--probe": {"type": int},
+        "--expect-order": {"type": int},
+        "--format": _REPORT_FORMAT,
+    }),
+    "enumerate": ("list matching subsets (debug, n <= limit)", {
+        "--n": {"type": int},
+        **_CONDITION,
+    }),
 }
 
 
@@ -125,91 +182,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact subset counting, integer sequences, and recurrence tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="JSON file with default parameter values")
-        p.add_argument("--output", default=None, help="write output to this path instead of stdout")
-
-    def add_condition_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=int, default=None)
-        p.add_argument("--beta", type=int, default=None)
-        p.add_argument("--gap-parity", dest="gap_parity", choices=sorted(_PARITY_FLAGS), default=None)
-        p.add_argument("--min-size", dest="min_size", type=int, default=None)
-        p.add_argument("--forced-max", dest="forced_max", type=int, default=None)
-        p.add_argument("--enum-limit", dest="enum_limit", type=int, default=None)
-
-    count = sub.add_parser("count", help="count subsets of {1..n} under a condition")
-    count.add_argument("--n", type=int, default=None)
-    add_condition_flags(count)
-    count.add_argument("--engine", choices=("auto", "oracle", "recurrence"), default=None)
-    add_common(count)
-
-    seq = sub.add_parser("seq", help="emit a sequence window")
-    seq.add_argument("--family", default=None)
-    seq.add_argument("--alpha", type=int, default=None)
-    seq.add_argument("--beta", type=int, default=None)
-    seq.add_argument("--n", type=int, default=None, help="order parameter for genfib/genk/genh")
-    seq.add_argument("--k", type=int, default=None, help="minimum size for minsize-oddgap")
-    seq.add_argument("--from", dest="start", type=int, default=None)
-    seq.add_argument("--to", type=int, default=None)
-    seq.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
-    add_common(seq)
-
-    verify = sub.add_parser("verify", help="run identity checks")
-    verify.add_argument("--id", dest="identity", default=None)
-    verify.add_argument("--n", type=int, default=None, help="family order for gen-sum/gen-shift")
-    verify.add_argument("--to", type=int, default=None)
-    verify.add_argument("--oracle-to", dest="oracle_to", type=int, default=None)
-    verify.add_argument("--threshold", default=None, help="bound on 1 - r_to for the ratio check")
-    verify.add_argument("--enum-limit", dest="enum_limit", type=int, default=None)
-    verify.add_argument("--format", dest="fmt", choices=("table", "json"), default=None)
-    add_common(verify)
-
-    discover = sub.add_parser("discover", help="recover a minimal recurrence empirically")
-    discover.add_argument("--alpha", type=int, default=None)
-    discover.add_argument("--beta", type=int, default=None)
-    discover.add_argument("--probe", type=int, default=None)
-    discover.add_argument("--expect-order", dest="expect_order", type=int, default=None)
-    discover.add_argument("--format", dest="fmt", choices=("table", "json"), default=None)
-    add_common(discover)
-
-    enum = sub.add_parser("enumerate", help="list matching subsets (debug, n <= limit)")
-    enum.add_argument("--n", type=int, default=None)
-    add_condition_flags(enum)
-    add_common(enum)
-
+    for command, (summary, flags) in SCHEMA.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
+        p.add_argument("--config", help="JSON file of parameter values; flags win over it")
+        p.add_argument("--output", help="write output to this path instead of stdout")
     return parser
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    config = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(config) - set(defaults))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {}
-    for key, hard_default in defaults.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in config:
-            merged[key] = config[key]
-        else:
-            merged[key] = hard_default
-    return merged
+def _config_tokens(command: str, path: str) -> list[str]:
+    # The config file's values as --flag=value tokens. Numbers keep their
+    # literal text, so the flag's type reads them exactly; null is unset.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh, parse_float=str)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = {
+        spec.get("dest", flag[2:].replace("-", "_")): flag
+        for flag, spec in SCHEMA[command][1].items()
+    }
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    return [
+        f"{flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in config.items()
+        if value is not None
+    ]
 
 
-def _require(params: dict, key: str, flag: str):
-    if params[key] is None:
-        raise UsageError(f"missing required flag {flag}")
-    return params[key]
+def _require(args: argparse.Namespace, dest: str, flag: str | None = None):
+    value = getattr(args, dest)
+    if value is None:
+        raise UsageError(f"missing required flag {flag or '--' + dest}")
+    return value
 
 
 def _resolve_limit(explicit: int | None) -> int:
@@ -224,20 +234,14 @@ def _resolve_limit(explicit: int | None) -> int:
     return DEFAULT_ENUM_LIMIT
 
 
-def _build_condition(params: dict) -> Condition:
-    parity = _PARITY_FLAGS.get(params["gap_parity"])
-    if parity is None:
-        raise UsageError(f"gap-parity must be one of {sorted(_PARITY_FLAGS)}")
-    try:
-        return Condition(
-            alpha=params["alpha"],
-            beta=params["beta"],
-            gap_parity=parity,
-            min_size=params["min_size"],
-            forced_max=params["forced_max"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _build_condition(args: argparse.Namespace) -> Condition:
+    return Condition(
+        alpha=args.alpha,
+        beta=args.beta,
+        gap_parity=_PARITY_FLAGS[args.gap_parity],
+        min_size=args.min_size,
+        forced_max=args.forced_max,
+    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -276,20 +280,16 @@ def _recurrence_count(n: int, cond: Condition):
     return top - _free_count(cond.forced_max - 1, free)
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    params = cfg.params
-    n = _require(params, "n", "--n")
+def _cmd_count(args: argparse.Namespace) -> int:
+    n = _require(args, "n")
     if n < 0:
         raise UsageError("n must be >= 0")
-    limit = _resolve_limit(params["enum_limit"])
-    cond = _build_condition(params)
+    limit = _resolve_limit(args.enum_limit)
+    cond = _build_condition(args)
     if cond.forced_max is not None and cond.forced_max > n:
         raise UsageError(f"forced_max {cond.forced_max} exceeds n={n}")
-    engine = params["engine"]
-    if engine not in ("auto", "oracle", "recurrence"):
-        raise UsageError("engine must be auto, oracle, or recurrence")
 
-    if engine == "oracle" or (engine == "auto" and n <= limit):
+    if args.engine == "oracle" or (args.engine == "auto" and n <= limit):
         value = count_subsets(n, cond, limit)
     else:
         value = _recurrence_count(n, cond)
@@ -297,44 +297,22 @@ def _cmd_count(cfg: RunConfig) -> int:
             beyond = f"n={n} exceeds the enumeration limit {limit} and " if n > limit else ""
             print(f"error: {beyond}no recurrence engine covers this condition", file=sys.stderr)
             return LIMIT
-    _emit(render_int(value) + "\n", cfg.output)
+    _emit(render_int(value) + "\n", args.output)
     return OK
 
 
-def _family_window(family: str, params: dict):
-    to = _require(params, "to", "--to")
-    try:
-        if family == "fib":
-            return fibonacci_seq(to)
-        if family == "H":
-            return h_seq(to)
-        if family == "schreier-zeckendorf":
-            alpha = _require(params, "alpha", "--alpha")
-            beta = _require(params, "beta", "--beta")
-            return schreier_zeckendorf_seq(alpha, beta, to)
-        if family == "genfib":
-            return gen_fib_seq(_require(params, "n", "--n"), to)
-        if family == "genk":
-            return k_seq(_require(params, "n", "--n"), to)
-        if family == "genh":
-            return gen_h_seq(_require(params, "n", "--n"), to)
-        if family == "minsize-oddgap":
-            return min_size_odd_gap_seq(to, _require(params, "k", "--k"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-
-
-def _cmd_seq(cfg: RunConfig) -> int:
-    params = cfg.params
-    family = _require(params, "family", "--family")
-    window = _family_window(family, params)
-    if params["start"] is not None:
+def _cmd_seq(args: argparse.Namespace) -> int:
+    family, to = _require(args, "family"), _require(args, "to")
+    if family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    build, needs = FAMILIES[family]
+    window = build(*(_require(args, dest) for dest in needs), to)
+    if args.start is not None:
         try:
-            window = window.clip(params["start"])
+            window = window.clip(args.start)
         except IndexError as exc:
             raise UsageError(str(exc)) from exc
-    _emit(format_window(window, params["fmt"]), cfg.output)
+    _emit(format_window(window, args.fmt), args.output)
     return OK
 
 
@@ -360,95 +338,45 @@ def _report_json(report: IdentityReport) -> dict:
     }
 
 
-def _ratio_as_report(to: int, threshold: Fraction) -> tuple[IdentityReport, str]:
-    conv = ratio_report(to)
-    gap = conv.final_gap_exact
-    if gap < threshold:
-        report = IdentityReport("ratio", (1, to), True)
-    else:
-        report = IdentityReport(
-            "ratio", (1, to), False, (to, conv.final_gap, decimal_string(threshold))
-        )
-    detail = f"  1 - r_{to} = {conv.final_gap}  (threshold {decimal_string(threshold)})"
-    return report, detail
+def _cmd_verify(args: argparse.Namespace) -> int:
+    identity = _require(args, "identity", "--id")
+    if identity != "all" and identity not in IDENTITIES:
+        known = ", ".join([*IDENTITIES, "all"])
+        raise UsageError(f"unknown identity {identity!r}; known: {known}")
+    limit = _resolve_limit(args.enum_limit)
+    results = []
+    for name in IDENTITIES if identity == "all" else [identity]:
+        stock, check = IDENTITIES[name]
+        # --to retargets only the identity asked for; the "all" battery
+        # keeps every check at its stock range (the bijection check in
+        # particular enumerates 2**n subsets per step).
+        to = stock if identity == "all" or args.to is None else args.to
+        results += check(to, args, limit)
+    reports = [r for r in results if isinstance(r, IdentityReport)]
 
-
-def _cmd_verify(cfg: RunConfig) -> int:
-    params = cfg.params
-    identity = _require(params, "identity", "--id")
-    if identity not in VERIFY_IDS:
-        raise UsageError(f"unknown identity {identity!r}; known: {', '.join(VERIFY_IDS)}")
-    if params["fmt"] not in ("table", "json"):
-        raise UsageError("format must be table or json")
-    limit = _resolve_limit(params["enum_limit"])
-    orders = [params["n"]] if params["n"] is not None else list(range(2, 9))
-    try:
-        threshold = Fraction(params["threshold"] if params["threshold"] is not None else "1e-3")
-    except ValueError as exc:
-        raise UsageError(f"bad threshold: {exc}") from exc
-
-    def reach(default: int) -> int:
-        # Range flags only retarget the identity they were asked for; the
-        # "all" battery keeps every check at its stock range (the bijection
-        # check in particular enumerates 2**n subsets per step).
-        if identity != "all" and params["to"] is not None:
-            return params["to"]
-        return default
-
-    reports: list[IdentityReport] = []
-    details: dict[str, str] = {}
-    if identity in ("fib-h", "all"):
-        reports.append(check_fib_h(reach(200)))
-    if identity in ("gen-sum", "all"):
-        for order in orders:
-            reports.append(check_gen_sum(order, reach(300)))
-    if identity in ("gen-shift", "all"):
-        for order in orders:
-            reports.append(check_gen_shift(order, reach(300)))
-    if identity in ("oddgap-h", "all"):
-        oracle_to = params["oracle_to"] if params["oracle_to"] is not None else 12
-        reports.append(check_odd_gap_h(oracle_to, reach(500), limit))
-    if identity in ("bijection", "all"):
-        for alpha in (1, 2, 3):
-            for beta in (1, 2, 3):
-                reports.append(check_bijection_round_trip(alpha, beta, reach(12), limit))
-    if identity in ("ratio", "all"):
-        report, detail = _ratio_as_report(reach(60), threshold)
-        reports.append(report)
-        details[report.identity_id] = detail
-
-    if params["fmt"] == "json":
+    if args.fmt == "json":
         payload = {"schema": 1, "reports": [_report_json(r) for r in reports]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         rows = []
-        for report in reports:
-            rows.extend(_report_rows(report))
-            if report.identity_id in details:
-                rows.append(details[report.identity_id])
+        for item in results:
+            rows += _report_rows(item) if isinstance(item, IdentityReport) else [item]
         text = "\n".join(rows) + "\n"
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return OK if all(r.passed for r in reports) else VERIFY_FAIL
 
 
-def _cmd_discover(cfg: RunConfig) -> int:
-    params = cfg.params
-    alpha = _require(params, "alpha", "--alpha")
-    beta = _require(params, "beta", "--beta")
-    if params["fmt"] not in ("table", "json"):
-        raise UsageError("format must be table or json")
-    probe = params["probe"] if params["probe"] is not None else 8 * (alpha + beta)
-    try:
-        report = discover_order(alpha, beta, probe)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _cmd_discover(args: argparse.Namespace) -> int:
+    alpha, beta = _require(args, "alpha"), _require(args, "beta")
+    probe = 8 * (alpha + beta) if args.probe is None else args.probe
+    report = discover_order(alpha, beta, probe)
 
     if report.found is None:
-        _emit(f"inconclusive: {report.note}\n", cfg.output)
+        _emit(f"inconclusive: {report.note}\n", args.output)
         return INCONCLUSIVE
 
     rec = report.found
-    if params["fmt"] == "json":
+    if args.fmt == "json":
         payload = {
             "schema": 1,
             "order": rec.order,
@@ -466,27 +394,26 @@ def _cmd_discover(cfg: RunConfig) -> int:
             f"verified_upto: {report.verified_upto}\n"
             f"minimal: {'true' if report.minimal else 'false'}\n"
         )
-    _emit(text, cfg.output)
+    _emit(text, args.output)
 
-    if params["expect_order"] is not None and rec.order != params["expect_order"]:
+    if args.expect_order is not None and rec.order != args.expect_order:
         print(
-            f"error: discovered order {rec.order}, expected {params['expect_order']}",
+            f"error: discovered order {rec.order}, expected {args.expect_order}",
             file=sys.stderr,
         )
         return VERIFY_FAIL
     return OK
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
-    params = cfg.params
-    n = _require(params, "n", "--n")
-    limit = _resolve_limit(params["enum_limit"])
-    cond = _build_condition(params)
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    n = _require(args, "n")
+    limit = _resolve_limit(args.enum_limit)
+    cond = _build_condition(args)
     lines = [
         "{" + ",".join(str(e) for e in s.elements) + "}"
         for s in enumerate_subsets(n, cond, limit)
     ]
-    _emit("".join(line + "\n" for line in lines), cfg.output)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return OK
 
 
@@ -504,25 +431,23 @@ def main(argv: list[str] | None = None) -> int:
     # cap (4300 digits); full decimal rendering is part of the contract.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config values go in as flags ahead of the real ones, so one
+            # parser checks both and a real flag wins.
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.command, args.config)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
-    try:
-        cfg = RunConfig(
-            command=args.command,
-            params=_merge_config(args, COMMAND_DEFAULTS[args.command]),
-            output=args.output,
-        )
-        return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return LIMIT
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

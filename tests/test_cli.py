@@ -3,7 +3,11 @@ import io
 import json
 import tracemalloc
 
-from seqforge.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import parse_bfile
 from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
@@ -360,6 +364,14 @@ class TestPipelines:
         assert payload["schema"] == 1 and payload["reports"][0]["passed"] is True
 
 
+CONFIG_NAMES = {
+    "gap_parity": ["any", "odd", "even"],
+    "engine": ["auto", "oracle", "recurrence"],
+    "fmt": ["table", "csv", "json", "bfile"],
+    "family": ["fib", "H", "schreier-zeckendorf", "genfib", "genk", "genh", "minsize-oddgap"],
+}
+
+
 class TestConfigAndUsage:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -391,3 +403,70 @@ class TestConfigAndUsage:
     def test_unknown_subcommand_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+
+    def test_null_means_unset(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "gap_parity": None, "alpha": None}))
+        assert run_cli(capsys, "count", "--config", str(cfg)) == (0, "16\n", "")
+        cfg.write_text(json.dumps({"n": None}))
+        code, _, err = run_cli(capsys, "count", "--config", str(cfg))
+        assert code == 2 and "--n" in err
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("count", {"n": True}),
+            ("count", {"n": 5.0}),
+            ("count", {"n": [3]}),
+            ("count", {"n": 5, "alpha": 2.5}),
+            ("count", {"n": 4, "engine": "fast"}),
+            ("verify", {"identity": "fib-h", "fmt": "xml"}),
+            ("discover", {"alpha": 1, "beta": 1, "probe": "x"}),
+        ],
+    )
+    def test_config_values_get_the_flags_checks(self, capsys, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "") and "Traceback" not in err
+
+    def test_config_string_reads_like_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "5"}))
+        assert run_cli(capsys, "count", "--config", str(cfg)) == run_cli(capsys, "count", "--n", "5")
+
+    def test_config_decimal_is_exact(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"identity": "ratio", "to": 60, "threshold": 0.001}')
+        from_config = run_cli(capsys, "verify", "--config", str(cfg))
+        from_flag = run_cli(capsys, "verify", "--id", "ratio", "--to", "60", "--threshold", "0.001")
+        assert from_config == from_flag and from_config[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_no_config_ends_in_a_traceback(self, tmp_path_factory, data):
+        # Values stay small (ints in [-3, 12], strings without digits), so no
+        # oracle scan passes 2**12 and no verify battery runs. Half the
+        # examples give every key a value of its flag's kind and add no
+        # unknown key.
+        command = data.draw(st.sampled_from(["count", "seq", "discover", "enumerate"]))
+        keys = sorted(set(vars(build_parser().parse_args([command]))) - {"command", "config", "output"})
+        junk = (
+            st.none()
+            | st.booleans()
+            | st.integers(-3, 12)
+            | st.text("abdefhiknoqrvyz-", max_size=6)
+            | st.lists(st.integers(-3, 12), max_size=2)
+        )
+        careful = data.draw(st.booleans())
+        optional = {} if careful else {"gamma": junk}
+        for key in keys:
+            plausible = st.sampled_from(CONFIG_NAMES[key]) if key in CONFIG_NAMES else st.integers(-3, 12)
+            optional[key] = plausible if careful else plausible | junk
+        config = data.draw(st.fixed_dictionaries({}, optional=optional))
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        assert code in range(5) and "Traceback" not in err.getvalue(), (command, config)

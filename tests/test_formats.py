@@ -118,6 +118,23 @@ class TestRenderInt:
                 value = rng.getrandbits(bits) | (1 << (bits - 1))
                 assert render_int(value) == str(value), bits
 
+    def test_values_under_the_default_digit_cap(self):
+        # Below 50,000 bits but above 4300 digits: render_int must not hand
+        # these to str() while the interpreter's default cap is in force.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int-to-str digit cap on this interpreter")
+        rng = random.Random(11)
+        values = [rng.getrandbits(bits) | (1 << (bits - 1)) for bits in (20_000, 49_000)]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        expected = [str(v) for v in values]
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert [render_int(v) for v in values] == expected
+            assert [render_int(-v) for v in values] == ["-" + e for e in expected]
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_million_bit_value(self):
         # 30104 repeats of a ten-digit block: just over 10^6 bits, with a
         # decimal expansion known without calling str() on it.

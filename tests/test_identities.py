@@ -206,6 +206,16 @@ class TestRatioReport:
         assert report.final_gap_exact == 1 - report.samples[-1].value
         assert report.final_gap_exact < Fraction(1, 1000)
         assert report.final_gap == decimal_string(report.final_gap_exact)
+        # `verify --id ratio` computes 1 - r_n from the closed forms alone:
+        # the union less the odd-gap family is the even-gap family less the
+        # n + 1 subsets of size <= 1.
+        for sample in ratio_report(300).samples:
+            n = sample.n
+            gap = Fraction(even_gap_family_size(n) - (n + 1), either_parity_family_size(n))
+            assert gap == 1 - sample.value, n
+        for n in (1, 2, 3, 10, 60, 250, 2000):
+            gap = Fraction(even_gap_family_size(n) - (n + 1), either_parity_family_size(n))
+            assert gap == ratio_report(n).final_gap_exact, n
 
     def test_even_share_decays_to_zero(self):
         values = [even_to_odd_ratio(n) for n in range(5, 61)]
