@@ -1,9 +1,11 @@
 """Command-line front end: subset counting, sequence generation, identity
 verification, recurrence discovery, and debug enumeration.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource limit,
-4 inconclusive. Every command is deterministic: identical invocations
-produce byte-identical output.
+Exit codes: 0 ok, 1 verification failure, 2 usage error (including an
+`--output` path that cannot be written), 3 resource limit, 4 inconclusive,
+5 internal error. Every failure prints one `error: ...` line to stderr and
+no traceback. Every command is deterministic: identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ VERIFY_FAIL = 1
 USAGE = 2
 LIMIT = 3
 INCONCLUSIVE = 4
+INTERNAL = 5
 
 ENUM_LIMIT_ENV = "SEQFORGE_ENUM_LIMIT"
 
@@ -248,8 +251,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _free_count(n: int, cond: Condition):
@@ -450,6 +456,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        # Anything else is a defect; report it on one line, not as a traceback.
+        detail = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return INTERNAL
 
 
 def run() -> None:

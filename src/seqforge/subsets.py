@@ -2,14 +2,17 @@
 
 Everything here is pure and exact: subsets are immutable, counts are plain
 Python ints (arbitrary precision), and enumeration order is deterministic.
-The brute-force scan over all 2**n subsets is the ground truth that every
-closed form and recurrence in the rest of the package is tested against.
+The exhaustive search is the ground truth that every closed form and
+recurrence in the rest of the package is tested against. It walks the
+subsets of {1..n} from the top element down and skips only branches that
+provably hold no match, so it costs O(n) per subset that passes every
+clause except min_size instead of scanning all 2**n subsets; every subset
+it yields is still checked against the clauses' definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 # Counts are exact and unbounded; Python ints never saturate or wrap.
@@ -164,45 +167,68 @@ def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
         )
 
 
-def count_subsets(n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> BigCount:
-    """Exact number of subsets of {1..n} satisfying cond, by brute force.
+def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
+    # Every matching subset of {1..n} as a sorted tuple, in characteristic-
+    # vector order. The walk is a preorder over subsets built from the top
+    # down: a node is yielded first, then extended by each next-lower
+    # element in ascending order. Extending a node adds only bits below
+    # its minimum, so a node precedes its subtree and the subtree of a
+    # smaller extension precedes that of a larger one.
+    #
+    # Pruning is sound because the alpha, beta and parity clauses survive
+    # dropping the minimum: if S passes them, so does S less min(S) (its
+    # minimum grows, its size shrinks and its gaps are a subset of S's).
+    # Every descendant of a node has the node as its top part, so a node
+    # that fails one of those clauses has no matching descendant. Hence a
+    # node with minimum m and size k is only extended by an e that keeps
+    # them: m - e >= beta (>= 1 unset), m - e of the parity (stride 2,
+    # aligned), and e >= alpha * (k + 1); the top element must be
+    # forced_max when one is given. min_size is not pruned on. Every tuple
+    # still goes through _passes, so what is yielded is matched by
+    # definition; the cost is O(n) per subset that passes every clause
+    # except min_size.
+    alpha = cond.alpha or 0
+    step = 1 if cond.gap_parity == GAP_ANY else 2
+    gap = cond.beta or 1
+    if step == 2 and gap % 2 != (cond.gap_parity == GAP_ALL_ODD):
+        gap += 1
+    if _passes((), cond):
+        yield ()
+    tops = range(1, n + 1) if cond.forced_max is None else (cond.forced_max,)
+    stack = [((), iter(tops))]
+    while stack:
+        node, extensions = stack[-1]
+        for e in extensions:
+            child = (e,) + node
+            if _passes(child, cond):
+                yield child
+            floor = alpha * (len(child) + 1) or 1
+            if e - gap >= floor:
+                stack.append((child, reversed(range(e - gap, floor - 1, -step))))
+                break
+        else:
+            stack.pop()
 
-    Scans every cardinality class of the power set; refuses n > limit
-    because the work is O(2**n).
+
+def count_subsets(n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> BigCount:
+    """Exact number of subsets of {1..n} satisfying cond, by exhaustive search.
+
+    Counts what `enumerate_subsets` would yield; refuses n > limit because
+    the work can reach O(2**n * n).
     """
     _check_enum_bounds(n, cond, limit)
-    universe = range(1, n + 1)
-    total = 0
-    for k in range(n + 1):
-        for elems in combinations(universe, k):
-            if _passes(elems, cond):
-                total += 1
-    return total
+    return sum(1 for _ in _search(n, cond))
 
 
 def enumerate_subsets(
     n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Iterator[Subset]:
-    """Yield each matching subset of {1..n} exactly once.
+    """Lazily yield each matching subset of {1..n} exactly once.
 
     Order is by characteristic vector read as an n-bit integer (bit i-1 set
     iff element i present), in increasing numeric order, so output is
-    reproducible byte for byte.
+    reproducible byte for byte. The bounds are checked before the first
+    subset is asked for.
     """
     _check_enum_bounds(n, cond, limit)
-
-    def gen() -> Iterator[Subset]:
-        for mask in range(1 << n):
-            elems = []
-            m = mask
-            i = 1
-            while m:
-                if m & 1:
-                    elems.append(i)
-                m >>= 1
-                i += 1
-            t = tuple(elems)
-            if _passes(t, cond):
-                yield Subset(t)
-
-    return gen()
+    return map(Subset, _search(n, cond))

@@ -1,7 +1,7 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: raw bitmask
-enumeration instead of the combinations-based counter, a definitional
+enumeration instead of the library's pruned search, a definitional
 weighted sum for the twice-accumulated Fibonacci values, fast doubling for
 modular Fibonacci, and exact Gaussian elimination for recurrence fitting.
 """

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import cli
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import parse_bfile
@@ -363,6 +364,26 @@ class TestPipelines:
         payload = json.loads(path.read_text())
         assert payload["schema"] == 1 and payload["reports"][0]["passed"] is True
 
+
+
+class TestErrors:
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "count", "--n", "5", "--alpha", "2", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_internal_error_exits_5_on_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setitem(cli._COMMANDS, "count", broken)
+        code, out, err = run_cli(capsys, "count", "--n", "5")
+        assert (code, out) == (5, "")
+        assert err == "error: internal error: RuntimeError: first line second line\n"
+        assert "Traceback" not in err
 
 CONFIG_NAMES = {
     "gap_parity": ["any", "odd", "even"],

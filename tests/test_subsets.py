@@ -211,9 +211,64 @@ class TestEnumerateSubsets:
     def test_limit_raises_eagerly(self):
         with pytest.raises(EnumerationLimitError):
             enumerate_subsets(31, Condition())
+        with pytest.raises(EnumerationLimitError):
+            enumerate_subsets(8, Condition(alpha=2), limit=7)
+        subsets = enumerate_subsets(30, Condition())
+        assert iter(subsets) is subsets
+        assert next(subsets) == Subset()  # the first of 2**30, without the rest
 
     def test_yields_unique_matching_subsets(self):
         cond = Condition(alpha=1, beta=2)
         seen = set(enumerate_subsets(9, cond))
         assert len(seen) == count_subsets(9, cond)
         assert all(matches(s, cond, 9) for s in seen)
+
+
+PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
+
+
+def satisfies(elems, alpha, beta, parity, min_size):
+    """Every clause but forced_max from its definition, without the library."""
+    gaps = gaps_of(elems)
+    return (
+        len(elems) >= min_size
+        and (alpha is None or not elems or min(elems) >= alpha * len(elems))
+        and (beta is None or all(g >= beta for g in gaps))
+        and (parity == GAP_ANY or all(g % 2 == (parity == GAP_ALL_ODD) for g in gaps))
+    )
+
+
+class TestSearch:
+    """The pruned search against the raw bitmask scan, filtered by definition."""
+
+    @staticmethod
+    def check(n, raw, alpha, beta, parity, min_size, forced_maxes):
+        free = [t for t in raw if satisfies(t, alpha, beta, parity, min_size)]
+        for forced_max in forced_maxes:
+            cond = Condition(alpha, beta, parity, min_size, forced_max)
+            expected = [t for t in free if forced_max is None or (t and t[-1] == forced_max)]
+            assert [s.elements for s in enumerate_subsets(n, cond)] == expected, cond
+            assert count_subsets(n, cond) == len(expected), cond
+
+    def test_every_shape_up_to_ten(self):
+        for n in range(11):
+            raw = list(iter_subsets_raw(n))
+            for alpha in (None, 1, 2, 3):
+                for beta in (None, 1, 2, 3):
+                    for parity in PARITIES:
+                        for min_size in range(4):
+                            self.check(n, raw, alpha, beta, parity, min_size, (None, *range(1, n + 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_conditions_up_to_fourteen(self, data):
+        n = data.draw(st.integers(0, 14))
+        self.check(
+            n,
+            iter_subsets_raw(n),
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.sampled_from(PARITIES)),
+            data.draw(st.integers(0, 6)),
+            [data.draw(st.none() if n == 0 else st.none() | st.integers(1, n))],
+        )
