@@ -2,17 +2,27 @@
 coefficients, exact or modular.
 
 The default fast path raises x to the n-th power modulo the characteristic
-polynomial by square-and-shift: one symmetric squaring (k(k+1)/2
-coefficient products) per bit of n, a reduction that visits only the
-nonzero recurrence coefficients, and a shift for each 1-bit. A
-companion-matrix power is kept behind a switch as an independent second
+polynomial by square-and-shift: one squaring per bit of n, a fold of the
+high half back below degree k, and a shift for each 1-bit.
+
+- Exact ints and Fractions square by k(k+1)/2 coefficient products and fold
+  by a loop over the nonzero recurrence coefficients only.
+- Residues mod p square as one big int: the k residues are packed into one
+  int, W = ceil((2 bits(p) + bits(2k)) / 8) bytes a slot, so that CPython's
+  own multiply does the product (Kronecker substitution). The high half
+  folds by the same loop when at most two coefficients are nonzero mod p,
+  else as one packed dot product with the rows x^(k+i) mod the
+  characteristic polynomial, built once per call.
+
+A companion-matrix power is kept behind a switch as an independent second
 implementation for differential testing. No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import mod, mul
 
 from .subsets import BigCount
 
@@ -59,7 +69,11 @@ class EvalMode:
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus < 2:
+        if self.modulus is None:
+            return
+        if not isinstance(self.modulus, int) or isinstance(self.modulus, bool):
+            raise ValueError(f"modulus must be an int, got {type(self.modulus).__name__}")
+        if self.modulus < 2:
             raise ValueError("modulus must be >= 2 when present")
 
     def reduce(self, value: int) -> int:
@@ -103,34 +117,118 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
     # bits of j from the top; the term is then sum(q_i * initials[i]) over
     # the coefficients q_i of the remainder.
     k = len(coeffs)
-    modulus = mode.modulus
+    step = _slice_step(coeffs) if mode.modulus is None else _packed_step(coeffs, mode.modulus)
+    result = [1] + [0] * (k - 1)  # x^0
+    for bit in bin(j)[2:]:
+        result = step(result, bit == "1")
+    return mode.reduce(sum(map(mul, result, initials)))
+
+
+def _fold_taps(prod: list, k: int, taps: list, modulus: int | None) -> list:
+    # Fold each degree >= k down with x^k = c_1 x^(k-1) + ... + c_k,
+    # visiting only the nonzero coefficients.
+    for d in range(len(prod) - 1, k - 1, -1):
+        top = prod.pop()
+        if modulus is not None:
+            top %= modulus
+        if top:
+            for i, c in taps:
+                prod[d - i] += c * top
+    return prod if modulus is None else list(map(mod, prod, repeat(modulus)))
+
+
+def _slice_step(coeffs: list):
+    # Exact ints and Fractions: degree d of a square is
+    # 2 * sum(a_i * a_(d-i) for lo <= i < half), plus a_(d/2)^2 for even d:
+    # k(k+1)/2 coefficient products in all. The partners a_(d-i) are read
+    # forward from the reversed list. Packing exact values into one int was
+    # measured slower (sz[4,4] at n = 10^6: 339 -> 462 ms): they are big ints
+    # already, multiplied by Karatsuba one by one, and every slot must fit
+    # the widest.
+    k = len(coeffs)
     taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
-    # Degree d of a square is 2 * sum(a_i * a_(d-i) for lo <= i < half),
-    # plus a_(d/2)^2 for even d: k(k+1)/2 coefficient products in all. The
-    # partners a_(d-i) are read forward from the reversed list.
     slices = []
     for d in range(2 * k - 1):
         lo, half, off = max(0, d - k + 1), (d + 1) // 2, k - 1 - d
         slices.append((lo, half, lo + off, half + off))
-    result = [1] + [0] * (k - 1)  # x^0
-    for bit in bin(j)[2:]:
+
+    def step(result: list, shift: bool) -> list:
         rev = result[::-1]
         prod = [2 * sum(map(mul, result[lo:hi], rev[rlo:rhi])) for lo, hi, rlo, rhi in slices]
         for i, v in enumerate(result):
             prod[2 * i] += v * v
-        if bit == "1":
+        if shift:
             prod.insert(0, 0)  # times x
-        # Fold each degree >= k down with x^k = c_1 x^(k-1) + ... + c_k,
-        # visiting only the nonzero coefficients.
-        for d in range(len(prod) - 1, k - 1, -1):
-            top = prod.pop()
-            if modulus is not None:
-                top %= modulus
-            if top:
-                for i, c in taps:
-                    prod[d - i] += c * top
-        result = prod if modulus is None else [v % modulus for v in prod]
-    return mode.reduce(sum(map(mul, result, initials)))
+        return _fold_taps(prod, k, taps, None)
+
+    return step
+
+
+# At most this many nonzero taps fold with the Python tap loop, k * t steps
+# a bit; more fold as one packed dot product with the rows x^(k+i) mod the
+# characteristic polynomial, k big-int products a bit. Measured mod 10^9+7
+# at n = 10^18: with 2 taps (the Schreier-Zeckendorf, genfib and Fibonacci
+# shapes) the loop takes 13 ms against the rows' 31 at k = 200 and 54
+# against 175 at k = 500; dense, the rows take 1.7 ms against the loop's 3.1
+# at k = 16 and 8.9 against 32 at k = 64. Between the two, 3 to about k / 10
+# taps, the loop is still the cheaper fold (66 against 191 ms at k = 500
+# with 3 taps), but no catalog family has such a shape.
+MAX_LOOP_TAPS = 2
+
+
+def _packed_step(coeffs: list, modulus: int):
+    # Residues mod p: pack the k coefficients of the power into one int, W
+    # bytes a slot, square it with CPython's own big-int multiply (Kronecker
+    # substitution), and cut the 2k - 1 product coefficients back out. A
+    # product coefficient is a sum of at most k products below p^2, and the
+    # row fold adds at most k more, so 2k * p^2 bounds every slot and no slot
+    # carries into the next.
+    k = len(coeffs)
+    width = (2 * modulus.bit_length() + (2 * k).bit_length() + 7) // 8
+    slot_bits = 8 * width
+    cuts = [slice(i * width, (i + 1) * width) for i in range(2 * k)]
+
+    # Both directions map C functions over the slots. Cutting the slots from
+    # bytes is faster than from a memoryview (int.from_bytes copies a view
+    # into bytes first), and positional arguments by repeat() are faster
+    # than a functools.partial with keywords: at k = 40, 9-byte slots, a
+    # pack took 5.5 against 16 us and cutting 80 slots 13 against 22 us.
+    def pack(values) -> int:
+        slots = map(int.to_bytes, values, repeat(width), repeat("little"))
+        return int.from_bytes(b"".join(slots), "little")
+
+    def square(result: list, shift: bool) -> int:
+        packed = pack(result)
+        return packed * packed << (slot_bits if shift else 0)
+
+    def unpack(packed: int, lo: int, hi: int):
+        raw = packed.to_bytes(hi * width, "little")
+        return map(int.from_bytes, map(raw.__getitem__, cuts[lo:hi]), repeat("little"))
+
+    taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
+    if len(taps) <= MAX_LOOP_TAPS:
+        def step(result: list, shift: bool) -> list:
+            prod = list(unpack(square(result, shift), 0, 2 * k - 1 + shift))
+            return _fold_taps(prod, k, taps, modulus)
+
+        return step
+
+    # rows[i] = x^(k+i) mod the characteristic polynomial, reduced and packed.
+    base = coeffs[::-1]  # x^k, lowest degree first
+    row, rows = base, []
+    for _ in range(k):
+        rows.append(pack(row))
+        top = row[-1]
+        row = [(a + top * c) % modulus for a, c in zip([0] + row[:-1], base)]
+    low_mask = (1 << (slot_bits * k)) - 1
+
+    def step(result: list, shift: bool) -> list:
+        packed = square(result, shift)
+        highs = map(mod, unpack(packed, k, 2 * k - 1 + shift), repeat(modulus))
+        folded = (packed & low_mask) + sum(map(mul, highs, rows))
+        return list(map(mod, unpack(folded, 0, k), repeat(modulus)))
+
+    return step
 
 
 def _mat_mul(a: list, b: list, mode: EvalMode) -> list:
@@ -175,8 +273,12 @@ def _eval_matrix(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCou
 def eval_fast(
     rec: LinearRecurrence, n: int, mode: EvalMode = EXACT, method: str = "poly"
 ) -> BigCount:
-    """Term at absolute index n in O(order^2 log n) coefficient operations.
+    """Term at absolute index n by square-and-shift over the bits of n.
 
+    Exact: k(k+1)/2 coefficient products per bit of n for order k, plus a
+    fold visiting only the nonzero coefficients. Modular: one big-int square
+    per bit, of k packed slots of 2 bits(p) + bits(2k) bits or more, plus a
+    fold by the nonzero taps (at most two) or by k products with packed rows.
     Agrees with eval_iterative on every input; method="matrix" selects the
     companion-matrix implementation instead of polynomial powering.
     """

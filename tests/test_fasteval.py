@@ -61,6 +61,11 @@ class TestEvalMode:
         with pytest.raises(ValueError):
             EvalMode(1)
 
+    @pytest.mark.parametrize("modulus", [1e9 + 7, True, "97"])
+    def test_rejects_non_int_modulus(self, modulus):
+        with pytest.raises(ValueError, match="modulus must be an int"):
+            EvalMode(modulus)
+
 
 class TestEvalIterative:
     def test_fibonacci_ten(self):
@@ -189,6 +194,121 @@ class TestSquareAndShift:
         mode = EvalMode(2**61 - 1)
         for n in (10**12 + 3, 10**18):
             assert eval_fast(rec, n, mode) == eval_fast(rec, n, mode, method="matrix")
+
+
+PACKED_MODULI = [2, 3, 97, 1_000_000_007, 2**61 - 1, 2**64, 2**127 - 1]
+PACKED_IDS = ["2", "3", "97", "1e9+7", "2^61-1", "2^64", "2^127-1"]
+
+
+def packed_recurrence(rng, order, p, dense, trailing_zero=False):
+    """Order-`order` recurrence whose coefficients reduce mod p to all nonzero
+    residues (dense, the row fold from three taps up) or to at most two
+    nonzero taps (the tap loop). Residues appear as integers of either sign;
+    zero residues as multiples of p, the trailing one too when asked."""
+
+    def nonzero():
+        return rng.randrange(1, p) + p * rng.randint(-2, 1)
+
+    if dense:
+        coeffs = [nonzero() for _ in range(order)]
+    else:
+        coeffs = [p * rng.randint(-2, 2) for _ in range(order)]
+        coeffs[rng.randrange(order)] = nonzero()
+        coeffs[-1] = nonzero()
+    if trailing_zero:
+        coeffs[-1] = p * rng.choice((-1, 1, 2))
+    initials = [rng.randrange(-2 * p, 2 * p) for _ in range(order)]
+    return LinearRecurrence(
+        coeffs=tuple(coeffs), initials=tuple(initials), valid_from=rng.randint(-5, 5)
+    )
+
+
+def assert_residue(value, p):
+    assert type(value) is int and 0 <= value < p, value
+
+
+class TestPackedPowering:
+    """Modular eval_fast squares by one packed big-int product per bit and
+    folds by the tap loop (at most two nonzero taps) or the packed rows."""
+
+    def check_window(self, rec, p):
+        mode = EvalMode(p)
+        lo = rec.valid_from
+        for n in range(lo, lo + rec.order + 3):
+            got = eval_fast(rec, n, mode)
+            assert_residue(got, p)
+            assert got == eval_iterative(rec, n, mode), (rec, n)
+
+    def check_matrix(self, rec, p):
+        mode = EvalMode(p)
+        for n in (10**12 + 3, 10**18):
+            got = eval_fast(rec, n, mode)
+            assert_residue(got, p)
+            assert got == eval_fast(rec, n, mode, method="matrix"), (rec, n)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["taps", "rows"])
+    @pytest.mark.parametrize("p", PACKED_MODULI, ids=PACKED_IDS)
+    def test_window_and_matrix(self, p, dense):
+        rng = random.Random(f"packed:{p}:{dense}")
+        for order in [*range(1, 11), 17, 33, 64]:
+            for trailing_zero in (False, True):
+                rec = packed_recurrence(rng, order, p, dense, trailing_zero)
+                self.check_window(rec, p)
+                if order <= 10:
+                    self.check_matrix(rec, p)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["taps", "rows"])
+    def test_every_order_to_64(self, dense):
+        p = 1_000_000_007
+        rng = random.Random(f"packed-orders:{dense}")
+        for order in range(1, 65):
+            self.check_window(packed_recurrence(rng, order, p, dense), p)
+
+    @pytest.mark.parametrize("p, dense", [(97, True), (2**127 - 1, False)], ids=["97-rows", "2^127-1-taps"])
+    def test_matrix_at_order_40(self, p, dense):
+        rng = random.Random(f"packed-40:{p}:{dense}")
+        self.check_matrix(packed_recurrence(rng, 40, p, dense), p)
+
+    def test_wide_family_near_three_k(self):
+        rec = tail_recurrence_of("schreier-zeckendorf", alpha=100, beta=100)
+        mode = EvalMode(MOD)
+        for n in (598, 599, 600, 601, 603):
+            got = eval_fast(rec, n, mode)
+            assert_residue(got, MOD)
+            assert got == eval_iterative(rec, n, mode)
+
+    @pytest.mark.parametrize(
+        "coeffs, p",
+        [((1, 97), 97), ((97,), 97), ((0, -194), 97), ((3, 5, 7, 97), 97), ((2, 4), 2)],
+    )
+    def test_coefficients_zero_mod_p(self, coeffs, p):
+        initials = tuple(range(-3, len(coeffs) - 3))
+        rec = LinearRecurrence(coeffs=coeffs, initials=initials, valid_from=2)
+        mode = EvalMode(p)
+        for n in [*range(2, 40), 10**18]:
+            got = eval_fast(rec, n, mode)
+            assert_residue(got, p)
+            want = eval_iterative(rec, n, mode) if n < 40 else eval_fast(rec, n, mode, method="matrix")
+            assert got == want, (coeffs, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_modular_recurrences(self, data):
+        p = data.draw(st.integers(min_value=2, max_value=2**130), label="p")
+        order = data.draw(st.integers(min_value=1, max_value=24), label="order")
+        terms = st.integers(min_value=-2 * p, max_value=2 * p)
+        coeffs = data.draw(
+            st.lists(terms, min_size=order, max_size=order).filter(lambda c: c[-1] != 0),
+            label="coeffs",
+        )
+        initials = data.draw(st.lists(terms, min_size=order, max_size=order), label="initials")
+        valid_from = data.draw(st.integers(min_value=-5, max_value=5), label="valid_from")
+        rec = LinearRecurrence(coeffs=tuple(coeffs), initials=tuple(initials), valid_from=valid_from)
+        n = data.draw(st.integers(min_value=valid_from, max_value=200), label="n")
+        mode = EvalMode(p)
+        got = eval_fast(rec, n, mode)
+        assert_residue(got, p)
+        assert got == eval_iterative(rec, n, mode)
 
 
 class TestTailRecurrenceOf:
