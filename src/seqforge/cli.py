@@ -1,9 +1,13 @@
 """Command-line front end: subset counting, sequence generation, identity
 verification, recurrence discovery, and debug enumeration.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error (including an
-`--output` path that cannot be written), 3 resource limit, 4 inconclusive,
-5 internal error. Every failure prints one `error: ...` line to stderr and
+`count` answers every condition at every n from its rational generating
+function (recurrences.condition_count) unless `--engine oracle` asks for
+the exhaustive search. Exit codes: 0 ok, 1 verification failure, 2 usage
+error (including an `--output` path that cannot be written), 3 the
+enumeration limit of an exhaustive search (`count --engine oracle`,
+`enumerate`, the enumerating `verify` checks), 4 inconclusive, 5 internal
+error. Every failure prints one `error: ...` line to stderr and
 no traceback. Every command is deterministic: identical invocations produce
 byte-identical output.
 """
@@ -14,11 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .discovery import discover_order
-from .fasteval import schreier_zeckendorf_count
 from .formats import FORMATS, format_window, render_int
 from .identities import (
     IdentityReport,
@@ -32,8 +34,8 @@ from .identities import (
     even_gap_family_size,
 )
 from .recurrences import (
+    condition_count,
     fibonacci_seq,
-    gap_parity_count,
     gen_fib_seq,
     gen_h_seq,
     h_seq,
@@ -258,32 +260,10 @@ def _emit(text: str, output: str | None) -> None:
             raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _free_count(n: int, cond: Condition):
-    # Count for a condition without forced_max, from the closed forms and
-    # fast recurrence evaluation; None means no engine covers its shape.
-    if n == 0:
-        return int(cond.min_size == 0)  # only the empty set
-    if cond.gap_parity == GAP_ANY:
-        if cond.alpha is None or cond.min_size:
-            return None
-        # Every gap is already >= 1, so alpha alone is beta = 1.
-        return schreier_zeckendorf_count(cond.alpha, cond.beta or 1, n)
-    if cond.alpha is not None or cond.beta is not None:
-        return None
-    return gap_parity_count(n, cond.gap_parity, cond.min_size)
-
-
 def _recurrence_count(n: int, cond: Condition):
-    # The int `count` prints, or None when no engine covers the shape.
-    # Subsets of {1..n} with maximum m are those of {1..m} less those of
-    # {1..m-1}.
-    if cond.forced_max is None:
-        return _free_count(n, cond)
-    free = replace(cond, forced_max=None)
-    top = _free_count(cond.forced_max, free)
-    if top is None:
-        return None
-    return top - _free_count(cond.forced_max - 1, free)
+    # The int `count` prints unless --engine oracle. The benchmark's tracer
+    # (bench/tracing.py) captures it by this name to time its rendering.
+    return condition_count(n, cond)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -295,14 +275,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if cond.forced_max is not None and cond.forced_max > n:
         raise UsageError(f"forced_max {cond.forced_max} exceeds n={n}")
 
-    if args.engine == "oracle" or (args.engine == "auto" and n <= limit):
+    if args.engine == "oracle":
         value = count_subsets(n, cond, limit)
     else:
         value = _recurrence_count(n, cond)
-        if value is None:
-            beyond = f"n={n} exceeds the enumeration limit {limit} and " if n > limit else ""
-            print(f"error: {beyond}no recurrence engine covers this condition", file=sys.stderr)
-            return LIMIT
     _emit(render_int(value) + "\n", args.output)
     return OK
 
@@ -415,10 +391,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = _require(args, "n")
     limit = _resolve_limit(args.enum_limit)
     cond = _build_condition(args)
-    lines = [
-        "{" + ",".join(str(e) for e in s.elements) + "}"
-        for s in enumerate_subsets(n, cond, limit)
-    ]
+    lines = ["{" + ",".join(map(str, s.elements)) + "}" for s in enumerate_subsets(n, cond, limit)]
     _emit("".join(line + "\n" for line in lines), args.output)
     return OK
 

@@ -5,14 +5,15 @@ The default fast path raises x to the n-th power modulo the characteristic
 polynomial by square-and-shift: one squaring per bit of n, a fold of the
 high half back below degree k, and a shift for each 1-bit.
 
-- Exact ints and Fractions square by k(k+1)/2 coefficient products and fold
-  by a loop over the nonzero recurrence coefficients only.
-- Residues mod p square as one big int: the k residues are packed into one
-  int, W = ceil((2 bits(p) + bits(2k)) / 8) bytes a slot, so that CPython's
-  own multiply does the product (Kronecker substitution). The high half
-  folds by the same loop when at most two coefficients are nonzero mod p,
-  else as one packed dot product with the rows x^(k+i) mod the
-  characteristic polynomial, built once per call.
+- Exact ints and Fractions, and residues mod p at orders 1 and 2, square by
+  k(k+1)/2 coefficient products and fold by a loop over the nonzero
+  recurrence coefficients only.
+- Residues mod p at order 3 and up square as one big int: the k residues
+  are packed into one int, W = ceil((2 bits(p) + bits(2k)) / 8) bytes a
+  slot, so that CPython's own multiply does the product (Kronecker
+  substitution). The high half folds by the same loop when at most two
+  coefficients are nonzero mod p, else as one packed dot product with the
+  rows x^(k+i) mod the characteristic polynomial, built once per call.
 
 A companion-matrix power is kept behind a switch as an independent second
 implementation for differential testing. No floating point anywhere.
@@ -117,7 +118,10 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
     # bits of j from the top; the term is then sum(q_i * initials[i]) over
     # the coefficients q_i of the remainder.
     k = len(coeffs)
-    step = _slice_step(coeffs) if mode.modulus is None else _packed_step(coeffs, mode.modulus)
+    if mode.modulus is None or k < MIN_PACKED_ORDER:
+        step = _slice_step(coeffs, mode.modulus)
+    else:
+        step = _packed_step(coeffs, mode.modulus)
     result = [1] + [0] * (k - 1)  # x^0
     for bit in bin(j)[2:]:
         result = step(result, bit == "1")
@@ -137,8 +141,10 @@ def _fold_taps(prod: list, k: int, taps: list, modulus: int | None) -> list:
     return prod if modulus is None else list(map(mod, prod, repeat(modulus)))
 
 
-def _slice_step(coeffs: list):
-    # Exact ints and Fractions: degree d of a square is
+def _slice_step(coeffs: list, modulus: int | None):
+    # Exact ints and Fractions, and residues mod p below MIN_PACKED_ORDER
+    # (modulus set: the fold reduces every coefficient into [0, p)).
+    # Degree d of a square is
     # 2 * sum(a_i * a_(d-i) for lo <= i < half), plus a_(d/2)^2 for even d:
     # k(k+1)/2 coefficient products in all. The partners a_(d-i) are read
     # forward from the reversed list. Packing exact values into one int was
@@ -159,9 +165,17 @@ def _slice_step(coeffs: list):
             prod[2 * i] += v * v
         if shift:
             prod.insert(0, 0)  # times x
-        return _fold_taps(prod, k, taps, None)
+        return _fold_taps(prod, k, taps, modulus)
 
     return step
+
+
+# Modular powering below this order squares by slices, as exact mode does:
+# at order 2 the packing, to_bytes and three slot cuts cost more per bit
+# than three products of residues. Mod 10^9+7 at n = 10^18, Fibonacci took
+# 0.46 ms packed against 0.39 ms by slices, an order-1 recurrence 0.35
+# against 0.22 ms.
+MIN_PACKED_ORDER = 3
 
 
 # At most this many nonzero taps fold with the Python tap loop, k * t steps
@@ -276,8 +290,9 @@ def eval_fast(
     """Term at absolute index n by square-and-shift over the bits of n.
 
     Exact: k(k+1)/2 coefficient products per bit of n for order k, plus a
-    fold visiting only the nonzero coefficients. Modular: one big-int square
-    per bit, of k packed slots of 2 bits(p) + bits(2k) bits or more, plus a
+    fold visiting only the nonzero coefficients; modular orders 1 and 2 do
+    the same on residues. Modular from order 3: one big-int square per bit,
+    of k packed slots of 2 bits(p) + bits(2k) bits or more, plus a
     fold by the nonzero taps (at most two) or by k products with packed rows.
     Agrees with eval_iterative on every input; method="matrix" selects the
     companion-matrix implementation instead of polynomial powering.

@@ -68,6 +68,14 @@ class Subset:
         return self.elements[-1] if self.elements else None
 
 
+def _trusted_subset(elems: tuple[int, ...]) -> Subset:
+    # A Subset of a tuple already strictly increasing and >= 1, such as the
+    # search yields, without the public constructor's sort and checks.
+    subset = object.__new__(Subset)
+    object.__setattr__(subset, "elements", elems)
+    return subset
+
+
 @dataclass(frozen=True)
 class Condition:
     """Conjunction of subset predicates; absent fields impose nothing.
@@ -93,6 +101,15 @@ class Condition:
             raise ValueError("min_size must be >= 0")
         if self.forced_max is not None and self.forced_max < 1:
             raise ValueError("forced_max must be >= 1 when present")
+
+    @property
+    def least_gap(self) -> int:
+        """Smallest consecutive gap the condition allows: beta (1 when
+        unset), raised by one when the gap parity rules that value out."""
+        gap = self.beta or 1
+        if self.gap_parity != GAP_ANY and gap % 2 != (self.gap_parity == GAP_ALL_ODD):
+            gap += 1
+        return gap
 
 
 def difference_set(s: Subset) -> GapList:
@@ -189,9 +206,7 @@ def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
     # except min_size.
     alpha = cond.alpha or 0
     step = 1 if cond.gap_parity == GAP_ANY else 2
-    gap = cond.beta or 1
-    if step == 2 and gap % 2 != (cond.gap_parity == GAP_ALL_ODD):
-        gap += 1
+    gap = cond.least_gap
     if _passes((), cond):
         yield ()
     tops = range(1, n + 1) if cond.forced_max is None else (cond.forced_max,)
@@ -231,4 +246,4 @@ def enumerate_subsets(
     subset is asked for.
     """
     _check_enum_bounds(n, cond, limit)
-    return map(Subset, _search(n, cond))
+    return map(_trusted_subset, _search(n, cond))

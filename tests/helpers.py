@@ -97,3 +97,33 @@ def fits_linear_recurrence(seq, order):
     return not any(
         all(v == 0 for v in row[:width]) and row[width] != 0 for row in rows
     )
+
+
+def truncated_product(a, b, count):
+    """The first count coefficients of a(x) * b(x); coefficient lists are
+    lowest degree first. A sequence s has generating function P/Q exactly
+    when s * Q agrees with P term by term."""
+    return [
+        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
+        for k in range(count)
+    ]
+
+
+def poly_gcd_degree(p, q):
+    """Degree of gcd(p, q) over the rationals, by Euclid's algorithm."""
+
+    def trimmed(poly):
+        poly = [Fraction(c) for c in poly]
+        while poly and poly[-1] == 0:
+            poly.pop()
+        return poly
+
+    a, b = trimmed(p), trimmed(q)
+    while b:
+        while len(a) >= len(b):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            a = trimmed(a)
+        a, b = b, a
+    return len(a) - 1

@@ -14,6 +14,8 @@ from seqforge.formats import parse_bfile
 from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
+from helpers import fib_list
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -31,10 +33,17 @@ class TestCount:
         assert (code, out) == (0, "7\n")
 
     def test_exit_3_without_engine(self, capsys):
-        code, out, err = run_cli(
-            capsys, "count", "--n", "40", "--beta", "2"
-        )
-        assert code == 3 and out == "" and "recurrence engine" in err
+        # Every shape has an engine now: --beta 2 alone, which exited 3
+        # beyond the enumeration limit, counts the subsets with gaps >= 2,
+        # F_{n+2}.
+        for n in range(13):
+            code, out, err = run_cli(capsys, "count", "--n", str(n), "--beta", "2")
+            assert (code, int(out), err) == (0, count_subsets(n, Condition(beta=2)), "")
+        series = [1, 2]  # a(n) = a(n-1) + a(n-2): the largest element is n or not
+        while len(series) <= 40:
+            series.append(series[-1] + series[-2])
+        assert series[40] == fib_list(42)[42]
+        assert run_cli(capsys, "count", "--n", "40", "--beta", "2") == (0, f"{series[40]}\n", "")
 
     def test_forced_oracle_beyond_limit_exits_3(self, capsys):
         code, _, err = run_cli(
@@ -115,13 +124,29 @@ class TestCount:
             )[:2] == (0, "0\n")
 
     def test_uncovered_shape_within_the_limit(self, capsys):
-        code, out, err = run_cli(capsys, "count", "--n", "5", "--beta", "2", "--engine", "recurrence")
-        assert code == 3 and out == "" and "exceeds" not in err and "recurrence engine" in err
+        # The shapes the closed forms left uncovered, through the engine.
+        shapes = [
+            ["--beta", "2"],
+            ["--alpha", "2", "--gap-parity", "odd"],
+            ["--alpha", "2", "--min-size", "3"],
+            ["--beta", "3", "--gap-parity", "even", "--min-size", "2"],
+            ["--alpha", "1", "--beta", "2", "--gap-parity", "odd", "--min-size", "1"],
+        ]
+        for shape in shapes:
+            for n in range(13):
+                fast = run_cli(capsys, "count", "--n", str(n), *shape, "--engine", "recurrence")
+                slow = run_cli(capsys, "count", "--n", str(n), *shape, "--engine", "oracle")
+                assert fast == slow and fast[0] == 0, (shape, n)
+        # Bounds far beyond n leave the empty set and the singletons.
+        for shape, want in ((["--alpha", "1000000000"], "1\n"), (["--beta", "1000000000"], "11\n")):
+            assert run_cli(capsys, "count", "--n", "10", *shape) == (0, want, "")
+            assert run_cli(capsys, "count", "--n", "10", *shape, "--engine", "oracle") == (0, want, "")
         code, _, err = run_cli(capsys, "count", "--n", "-1", "--alpha", "2", "--engine", "recurrence")
         assert code == 2 and "n must be >= 0" in err
 
-    def test_odd_gap_count_memory_is_linear_in_the_output(self):
-        argv = ["count", "--n", "300000", "--gap-parity", "odd", "--engine", "recurrence"]
+    @staticmethod
+    def count_peak(argv):
+        """(peak traced bytes, stdout) of one `count` run."""
         with contextlib.redirect_stdout(io.StringIO()):
             main(argv[:2] + ["5"] + argv[3:])  # warm up parser and lazy imports
         out = io.StringIO()
@@ -132,17 +157,29 @@ class TestCount:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, out.getvalue()
+
+    def test_odd_gap_count_memory_is_linear_in_the_output(self):
+        argv = ["count", "--n", "300000", "--gap-parity", "odd", "--engine", "recurrence"]
+        peak, out = self.count_peak(argv)
         # The count has 62,698 digits. An O(n*k) DP over Fibonacci windows
         # held Theta(n^2) bits here and ran out of memory.
-        assert peak <= 6 * len(out.getvalue())
+        assert peak <= 6 * len(out)
+
+    def test_generating_function_count_memory_is_linear_in_the_output(self):
+        peak, out = self.count_peak(["count", "--n", "300000", "--beta", "2"])
+        assert len(out) == 62_698  # F_300002, with its newline
+        assert peak <= 6 * len(out)
 
     def test_env_var_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQFORGE_ENUM_LIMIT", "10")
-        code, _, err = run_cli(capsys, "count", "--n", "12")
+        code, _, err = run_cli(capsys, "count", "--n", "12", "--engine", "oracle")
         assert code == 3 and "limit 10" in err
         # an explicit flag takes precedence over the environment
-        code, out, _ = run_cli(capsys, "count", "--n", "12", "--enum-limit", "12")
+        code, out, _ = run_cli(capsys, "count", "--n", "12", "--enum-limit", "12", "--engine", "oracle")
         assert (code, out) == (0, "4096\n")
+        # the engine does not enumerate, so the limit does not bind it
+        assert run_cli(capsys, "count", "--n", "12") == (0, "4096\n", "")
 
     def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQFORGE_ENUM_LIMIT", "lots")
@@ -152,6 +189,36 @@ class TestCount:
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count")
         assert code == 2 and "--n" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_count_argv(self, data):
+        # --enum-limit stays at most 14, so no oracle scan passes 2**14.
+        n = data.draw(st.integers(-2, 40), label="n")
+        argv = ["count", "--n", str(n), "--enum-limit", str(data.draw(st.integers(-1, 14)))]
+        for flag, values in (
+            ("--alpha", st.integers(-1, 5)),
+            ("--beta", st.integers(-1, 5)),
+            ("--gap-parity", st.sampled_from(["any", "odd", "even"])),
+            ("--min-size", st.integers(-1, 6)),
+            ("--forced-max", st.integers(-1, 42)),
+            ("--engine", st.sampled_from(["auto", "oracle", "recurrence"])),
+        ):
+            value = data.draw(st.none() | values, label=flag)
+            if value is not None:
+                argv += [flag, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        errors = err.getvalue()
+        assert code in (0, 2, 3), (argv, errors)
+        assert errors.count("error:") <= 1 and "Traceback" not in errors, argv
+        assert (code == 0) == (errors == ""), argv
+        if code == 0 and n <= 12:
+            oracle = io.StringIO()
+            with contextlib.redirect_stdout(oracle):
+                assert main([*argv, "--engine", "oracle", "--enum-limit", "12"]) == 0
+            assert out.getvalue() == oracle.getvalue(), argv
 
 
 class TestSeq:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import fasteval
 from seqforge.fasteval import (
     EXACT,
     EvalMode,
@@ -228,8 +229,9 @@ def assert_residue(value, p):
 
 
 class TestPackedPowering:
-    """Modular eval_fast squares by one packed big-int product per bit and
-    folds by the tap loop (at most two nonzero taps) or the packed rows."""
+    """Modular eval_fast from order 3 squares by one packed big-int product
+    per bit and folds by the tap loop (at most two nonzero taps) or the
+    packed rows; orders 1 and 2 square by slices and fold mod p."""
 
     def check_window(self, rec, p):
         mode = EvalMode(p)
@@ -268,6 +270,27 @@ class TestPackedPowering:
     def test_matrix_at_order_40(self, p, dense):
         rng = random.Random(f"packed-40:{p}:{dense}")
         self.check_matrix(packed_recurrence(rng, 40, p, dense), p)
+
+    @pytest.mark.parametrize("p", PACKED_MODULI, ids=PACKED_IDS)
+    def test_orders_one_and_two_square_by_slices(self, p, monkeypatch):
+        def refuse(coeffs, modulus):
+            raise AssertionError(f"order {len(coeffs)} packed")
+
+        monkeypatch.setattr(fasteval, "_packed_step", refuse)
+        mode = EvalMode(p)
+        for n in (2, 3, 10**12 + 3, 10**18):
+            got = eval_fast(FIB, n, mode)
+            assert_residue(got, p)
+            assert got == fib_mod(n, p)
+        rng = random.Random(f"slices:{p}")
+        for order in (1, 2):
+            for dense in (False, True):
+                for trailing_zero in (False, True):
+                    rec = packed_recurrence(rng, order, p, dense, trailing_zero)
+                    self.check_window(rec, p)
+                    self.check_matrix(rec, p)
+        with pytest.raises(AssertionError, match="order 3 packed"):
+            eval_fast(tail_recurrence_of("schreier-zeckendorf", alpha=2, beta=1), 10**6, mode)
 
     def test_wide_family_near_three_k(self):
         rec = tail_recurrence_of("schreier-zeckendorf", alpha=100, beta=100)

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge.fasteval import schreier_zeckendorf_count
 from seqforge.recurrences import (
     SequenceWindow,
+    _series,
+    _size_classes,
+    condition_count,
+    condition_gf,
     even_gap_counts,
     fibonacci,
     fibonacci_seq,
@@ -20,9 +25,11 @@ from seqforge.recurrences import (
     partial_sum,
     schreier_zeckendorf_seq,
 )
-from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
+from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, Condition, count_subsets
 
-from helpers import brute_count, fib_list, gaps_of, h_definitional
+from helpers import brute_count, fib_list, gaps_of, h_definitional, poly_gcd_degree, truncated_product
+
+PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
 
 # Row values of the published order-3 table, indices 0..12.
 TABLE_GENFIB_3 = (0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41)
@@ -313,3 +320,153 @@ class TestGapParityClosedForm:
             gap_parity_count(5, GAP_ALL_EVEN, -1)
         with pytest.raises(ValueError):
             gap_parity_count(5, "any")
+
+
+class TestConditionCount:
+    """The generating-function engine against the exhaustive oracle, and
+    against the closed forms at large n."""
+
+    def test_every_shape_up_to_twelve(self):
+        for n in range(13):
+            for alpha in (None, 1, 2, 3):
+                for beta in (None, 1, 2, 3):
+                    for parity in PARITIES:
+                        for min_size in range(5):
+                            for forced_max in (None, *range(1, n + 1)):
+                                cond = Condition(alpha, beta, parity, min_size, forced_max)
+                                assert condition_count(n, cond) == count_subsets(n, cond), (n, cond)
+
+    def test_generating_function_in_lowest_terms(self):
+        for alpha in (None, 1, 2, 3):
+            for beta in (None, 1, 2, 3):
+                for parity in PARITIES:
+                    for min_size in range(5):
+                        cond = Condition(alpha, beta, parity, min_size)
+                        p, q = condition_gf(cond)
+                        assert q[0] == 1 and q[-1] != 0 and poly_gcd_degree(p, q) == 0, cond
+                        assert min_size > 0 or len(p) < len(q), cond  # proper without a size bound
+                        counts = [count_subsets(n, cond) for n in range(13)]
+                        assert truncated_product(counts, q, 13) == (list(p) + [0] * 13)[:13], cond
+
+    def test_every_shape_at_two_hundred(self):
+        # At small n many shapes have few enough size classes to be summed
+        # directly; at n = 200 each takes its total (closed form or
+        # generating function) less the classes, checked against the series
+        # of the sized generating function, itself checked against the
+        # oracle above.
+        n = 200
+        for alpha in (None, 1, 2, 3):
+            for beta in (None, 1, 2, 3):
+                for parity in PARITIES:
+                    for min_size in range(5):
+                        cond = Condition(alpha, beta, parity, min_size)
+                        assert condition_count(n, cond) == _series(*condition_gf(cond), n + 1)[n], cond
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_conditions_up_to_fourteen(self, data):
+        n = data.draw(st.integers(0, 14))
+        cond = Condition(
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.sampled_from(PARITIES)),
+            data.draw(st.integers(0, 6)),
+            data.draw(st.none() if n == 0 else st.none() | st.integers(1, n)),
+        )
+        assert condition_count(n, cond) == count_subsets(n, cond)
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (1, 3), (3, 4), (5, 2)])
+    def test_schreier_zeckendorf_at_ten_thousand(self, alpha, beta):
+        # The reduced denominator is the catalog recurrence's, order alpha + beta.
+        p, q = condition_gf(Condition(alpha=alpha, beta=beta))
+        assert q == (1, -1, *[0] * (alpha + beta - 2), -1)
+        n = 10**4
+        assert condition_count(n, Condition(alpha=alpha, beta=beta)) == schreier_zeckendorf_count(alpha, beta, n)
+
+    @pytest.mark.parametrize("parity", [GAP_ALL_ODD, GAP_ALL_EVEN])
+    @pytest.mark.parametrize("min_size", [0, 1, 3])
+    def test_gap_parity_at_ten_thousand(self, parity, min_size):
+        # The closed forms at every n up to 10^4, times Q, give P.
+        n = 10**4
+        p, q = condition_gf(Condition(gap_parity=parity, min_size=min_size))
+        counts = [gap_parity_count(m, parity, min_size) for m in range(n + 1)]
+        assert truncated_product(counts, q, n + 1) == list(p) + [0] * (n + 1 - len(p))
+
+    def test_mixed_shapes_at_ten_thousand(self):
+        # The engine (eval_fast on the size-free denominator, less the size
+        # classes) against the series of the sized generating function.
+        n = 10**4
+        for cond in (
+            Condition(beta=2),
+            Condition(alpha=2, gap_parity=GAP_ALL_ODD),
+            Condition(alpha=2, min_size=3),
+            Condition(beta=3, gap_parity=GAP_ALL_EVEN, min_size=2),
+            Condition(alpha=1, beta=2, gap_parity=GAP_ALL_ODD, forced_max=n),
+        ):
+            free = Condition(cond.alpha, cond.beta, cond.gap_parity, cond.min_size)
+            want = _series(*condition_gf(free), n + 1)
+            if cond.forced_max is not None:
+                want[n] -= want[n - 1]
+            assert condition_count(n, cond) == want[n], cond
+
+    @pytest.mark.parametrize("parity", PARITIES)
+    def test_branches_meet_at_half_the_largest_size(self, parity):
+        # Below half the largest size the engine subtracts the small classes
+        # from the total; past it, it adds the large ones. Their difference
+        # at the seam is one class, summed here over the gap excess 2H.
+        alpha, n = 2, 301
+        gap = Condition(gap_parity=parity).least_gap
+        largest = (n + gap) // (alpha + gap)
+        k = largest // 2
+        rest = n - alpha * k - gap * (k - 1)
+        if parity == GAP_ANY:
+            size_class = comb(rest + k, k)
+        else:
+            size_class = sum(comb(h + k - 2, k - 2) * (rest - 2 * h + 1) for h in range(rest // 2 + 1))
+        counts = [condition_count(n, Condition(alpha=alpha, gap_parity=parity, min_size=m)) for m in (k, k + 1)]
+        assert counts[0] - counts[1] == size_class
+
+    @pytest.mark.parametrize(
+        "cond, want",
+        [
+            (Condition(alpha=10**9), 1),
+            (Condition(beta=10**9), 11),
+            (Condition(beta=10**9, gap_parity=GAP_ALL_EVEN, min_size=1), 10),
+            (Condition(alpha=10**9, beta=10**9, forced_max=10), 0),
+        ],
+    )
+    def test_huge_bounds_at_small_n(self, cond, want):
+        # Only the empty set and singletons fit: the size classes answer,
+        # with no generating function of order about alpha + beta built.
+        assert condition_count(10, cond) == count_subsets(10, cond) == want
+
+    @pytest.mark.parametrize("parity", [False, True])
+    def test_size_classes_follow_their_closed_forms(self, parity):
+        # The incremental binomial updates against each class's closed form
+        # computed afresh: C(rest+k, k), or under a parity the sum over
+        # the gap excess 2H of (rest - 2H + 1) gap-list choices.
+        def closed(n, k, alpha, gap):
+            if k == 0:
+                return 1
+            rest = n - max(1, alpha * k) - gap * (k - 1)
+            if not parity:
+                return comb(rest + k, k)
+            lists = (lambda h: comb(h + k - 2, k - 2)) if k > 1 else (lambda h: int(h == 0))
+            return sum((rest - 2 * h + 1) * lists(h) for h in range(rest // 2 + 1))
+
+        n = 150
+        for alpha in (0, 1, 3, 40):
+            for gap in (1, 2, 5, 30):
+                largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
+                want = [closed(n, k, alpha, gap) for k in range(largest + 1)]
+                for first in (0, 1, 2, largest // 2, largest, largest + 1):
+                    got = list(_size_classes(n, first, alpha, gap, parity))
+                    assert got == want[first:], (alpha, gap, first)
+
+    def test_rejects_bad_queries(self):
+        with pytest.raises(ValueError):
+            condition_count(-1, Condition())
+        with pytest.raises(ValueError):
+            condition_count(3, Condition(forced_max=4))
+        with pytest.raises(ValueError):
+            condition_gf(Condition(forced_max=4))
