@@ -97,22 +97,6 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
     return j, coeffs, initials
 
 
-def eval_iterative(rec: LinearRecurrence, n: int, mode: EvalMode = EXACT) -> BigCount:
-    """Term at absolute index n by straight linear iteration."""
-    j, coeffs, window = _prepared(rec, n, mode)
-    k = rec.order
-    if j < k:
-        return window[j]
-    for _ in range(k, j + 1):
-        nxt = 0
-        for i, c in enumerate(coeffs):
-            nxt += c * window[k - 1 - i]
-        nxt = mode.reduce(nxt)
-        window.pop(0)
-        window.append(nxt)
-    return window[-1]
-
-
 def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount:
     # x^j modulo the characteristic polynomial, by square-and-shift over the
     # bits of j from the top; the term is then sum(q_i * initials[i]) over
@@ -294,8 +278,8 @@ def eval_fast(
     the same on residues. Modular from order 3: one big-int square per bit,
     of k packed slots of 2 bits(p) + bits(2k) bits or more, plus a
     fold by the nonzero taps (at most two) or by k products with packed rows.
-    Agrees with eval_iterative on every input; method="matrix" selects the
-    companion-matrix implementation instead of polynomial powering.
+    method="matrix" selects the companion-matrix implementation instead of
+    polynomial powering.
     """
     if method not in ("poly", "matrix"):
         raise ValueError('method must be "poly" or "matrix"')

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable
 
-from .recurrences import (
-    even_gap_family_size,
-    fibonacci_seq,
-    gap_parity_count,
-    gen_fib_seq,
-    gen_h_seq,
-    h_seq,
-    min_size_odd_gap_seq,
-)
+from .recurrences import _order_gf, _series, condition_gf, even_gap_family_size, gap_parity_count
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
@@ -48,22 +41,6 @@ class IdentityReport:
     def __post_init__(self) -> None:
         if self.passed != (self.first_counterexample is None):
             raise ValueError("passed must mirror the absence of a counterexample")
-
-
-class RatioSample(NamedTuple):
-    n: int
-    value: Fraction
-    decimal: str
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Exact odd-gap share r_n = |odd-gap families| / |either-parity families|
-    per n, with rendered decimals and the final gap 1 - r_{n_max}."""
-
-    samples: tuple[RatioSample, ...]
-    final_gap_exact: Fraction
-    final_gap: str
 
 
 def scan_identity(
@@ -124,10 +101,9 @@ def check_fib_h(n_max: int) -> IdentityReport:
     plus n + 3, exactly, for n = 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    fib = fibonacci_seq(n_max + 4)
-    acc = h_seq(n_max)
+    fib, acc = _series(*_order_gf(2, 0)), _series(*_order_gf(2, 2))
     triples = (
-        (n, fib.term(n + 4), acc.term(n) + n + 3) for n in range(n_max + 1)
+        (n, f, h + n + 3) for n, f, h in zip(range(n_max + 1), islice(fib, 4, None), acc)
     )
     return scan_identity("fib-h", (0, n_max), triples)
 
@@ -139,16 +115,12 @@ def check_gen_sum(n: int, k_max: int) -> IdentityReport:
         raise ValueError("n must be >= 2")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    w = gen_fib_seq(n, k_max + 1 + n)
-
-    def triples():
-        running = w.term(0) + w.term(1)
-        for k in range(k_max + 1):
-            yield (k, running, w.term(k + 1 + n) - 1)
-            if k + 2 <= w.last_index:
-                running += w.term(k + 2)
-
-    return scan_identity(f"gen-sum[n={n}]", (0, k_max), triples())
+    sums, terms = _series(*_order_gf(n, 1)), _series(*_order_gf(n, 0))
+    triples = (
+        (k, s, t - 1)
+        for k, s, t in zip(range(k_max + 1), islice(sums, 1, None), islice(terms, n + 1, None))
+    )
+    return scan_identity(f"gen-sum[n={n}]", (0, k_max), triples)
 
 
 def check_gen_shift(n: int, m_max: int) -> IdentityReport:
@@ -158,37 +130,34 @@ def check_gen_shift(n: int, m_max: int) -> IdentityReport:
         raise ValueError("n must be >= 2")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    w = gen_fib_seq(n, m_max + 2 * n)
-    acc = gen_h_seq(n, m_max)
+    terms, acc = _series(*_order_gf(n, 0)), _series(*_order_gf(n, 2))
     triples = (
-        (m, w.term(m + 2 * n), acc.term(m) + m + n + 1) for m in range(m_max + 1)
+        (m, t, h + m + n + 1)
+        for m, t, h in zip(range(m_max + 1), islice(terms, 2 * n, None), acc)
     )
     return scan_identity(f"gen-shift[n={n}]", (0, m_max), triples)
 
 
 def check_odd_gap_h(
-    n_max_oracle: int, n_max_dp: int, limit: int = DEFAULT_ENUM_LIMIT
+    n_max_oracle: int, n_max_gf: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> IdentityReport:
     """Subsets of {1..n} with >= 2 elements and all-odd gaps are counted by
     the twice-accumulated Fibonacci value at n - 1.
 
-    The exhaustive oracle carries the check to n_max_oracle; the DP carries
-    it to n_max_dp.
+    The exhaustive oracle carries the check to n_max_oracle; the series of
+    the condition's generating function carries it to n_max_gf.
     """
-    if n_max_oracle < 1 or n_max_dp < 1:
+    if n_max_oracle < 1 or n_max_gf < 1:
         raise ValueError("ranges must be >= 1")
-    hi = max(n_max_oracle, n_max_dp)
-    acc = h_seq(hi - 1)
     cond = Condition(gap_parity=GAP_ALL_ODD, min_size=2)
-    dp = min_size_odd_gap_seq(n_max_dp, 2)
 
     def triples():
-        for n in range(1, n_max_oracle + 1):
-            yield (n, count_subsets(n, cond, limit), acc.term(n - 1))
-        for n in range(1, n_max_dp + 1):
-            yield (n, dp.term(n), acc.term(n - 1))
+        oracle = (count_subsets(n, cond, limit) for n in range(1, n_max_oracle + 1))
+        yield from zip(range(1, n_max_oracle + 1), oracle, _series(*_order_gf(2, 2)))
+        series = islice(_series(*condition_gf(cond)), 1, None)
+        yield from zip(range(1, n_max_gf + 1), series, _series(*_order_gf(2, 2)))
 
-    return scan_identity("oddgap-h", (1, hi), triples())
+    return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), triples())
 
 
 def _require_member(s: Subset, alpha: int, beta: int, role: str) -> None:
@@ -238,6 +207,8 @@ def check_bijection_round_trip(
     (n, |with max n|, |shrunken ambient|) for equinumerosity.
     """
     lag = alpha + beta
+    if n_max < lag:
+        raise ValueError(f"n_max must be >= alpha + beta = {lag}, got {n_max}")
 
     def triples():
         for n in range(lag, n_max + 1):
@@ -297,22 +268,3 @@ def even_to_odd_ratio(n: int) -> Fraction:
     every other step while the odd-gap family grows by the golden ratio.
     """
     return Fraction(even_gap_family_size(n), odd_gap_family_size(n))
-
-
-def ratio_report(n_max: int) -> ConvergenceReport:
-    """Exact odd-gap share r_n for n = 1..n_max.
-
-    r_n tends to 1: almost every subset with single-parity gaps has all-odd
-    gaps. All arithmetic is on exact integers and rationals.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    fib = fibonacci_seq(n_max + 3)
-    samples = []
-    for n in range(1, n_max + 1):
-        odd_total = fib.term(n + 3) - 1
-        union = odd_total + even_gap_family_size(n) - (n + 1)
-        r = Fraction(odd_total, union)
-        samples.append(RatioSample(n, r, decimal_string(r)))
-    gap = 1 - samples[-1].value
-    return ConvergenceReport(tuple(samples), gap, decimal_string(gap))

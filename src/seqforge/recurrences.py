@@ -1,5 +1,5 @@
-"""Named integer sequences: piecewise recurrences, partial sums, closed
-forms for the gap-parity counts, a gap-parity counting DP, and the rational
+"""Named integer sequences, each the series of a rational generating
+function P/Q; closed forms for the gap-parity counts; and the rational
 generating function behind every subset count.
 
 Every term is an exact Python int. Window names double as the CLI family
@@ -9,8 +9,9 @@ identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat, tee
 from math import comb
+from operator import add, mul, sub
 from typing import Iterator
 
 from .fasteval import LinearRecurrence, eval_fast
@@ -50,7 +51,7 @@ class SequenceWindow:
         """Drop terms below the given absolute index."""
         if start <= self.offset:
             return self
-        if start > self.last_index + 1:
+        if start > self.last_index:
             raise IndexError(f"clip start {start} beyond window end {self.last_index}")
         return SequenceWindow(self.name, start, self.terms[start - self.offset:])
 
@@ -68,43 +69,24 @@ def fibonacci(n: int) -> BigCount:
 
 
 def fibonacci_seq(n_max: int) -> SequenceWindow:
-    """Window of F_0 .. F_{n_max}, built by straight iteration."""
+    """Window of F_0 .. F_{n_max}: the series of x/(1-x-x^2)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    terms = [0, 1]
-    while len(terms) <= n_max:
-        terms.append(terms[-1] + terms[-2])
-    return SequenceWindow("fib", 0, tuple(terms[: n_max + 1]))
-
-
-def partial_sum(window: SequenceWindow, name: str | None = None) -> SequenceWindow:
-    """Running sums of a window, starting at its first term; offset is kept."""
-    label = name if name is not None else f"psum({window.name})"
-    return SequenceWindow(label, window.offset, tuple(accumulate(window.terms)))
+    return _window("fib", 0, n_max, _order_gf(2, 0))
 
 
 def h_seq(n_max: int) -> SequenceWindow:
-    """The Fibonacci sequence accumulated twice: 0, 1, 3, 7, 14, 26, 46, ...
-
-    Computed with two running sums in one O(n_max) pass; the equivalent
-    weighted-sum definition is kept in the tests as an oracle.
-    """
+    """The Fibonacci sequence accumulated twice, 0, 1, 3, 7, 14, 26, 46, ...:
+    the series of x/((1-x)^2 (1-x-x^2))."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    terms = []
-    a, b = 0, 1
-    once = twice = 0
-    for _ in range(n_max + 1):
-        once += a
-        twice += once
-        terms.append(twice)
-        a, b = b, a + b
-    return SequenceWindow("H", 0, tuple(terms))
+    return _window("H", 0, n_max, _order_gf(2, 2))
 
 
 def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow:
     """Counts of subsets of {1..n} that are alpha-Schreier and beta-Zeckendorf,
-    for n = 1..n_max.
+    for n = 1..n_max: the series of their condition_gf, whose reduced
+    denominator is 1 - x - x^(alpha+beta).
 
     Three-branch rule: 1 while n <= alpha-1; n-alpha+2 while
     alpha <= n <= 2*alpha+beta-1; then the order-(alpha+beta) recurrence
@@ -114,39 +96,32 @@ def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow
         raise ValueError("alpha and beta must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    lag = alpha + beta
-    terms: list[int] = []
-    for n in range(1, n_max + 1):
-        if n <= alpha - 1:
-            terms.append(1)
-        elif n <= 2 * alpha + beta - 1:
-            terms.append(n - alpha + 2)
-        else:
-            terms.append(terms[-1] + terms[n - lag - 1])
-    return SequenceWindow(f"sz[{alpha},{beta}]", 1, tuple(terms))
+    gf = condition_gf(Condition(alpha=alpha, beta=beta))
+    return _window(f"sz[{alpha},{beta}]", 1, n_max, gf)
 
 
 def gen_fib_seq(n: int, m_max: int) -> SequenceWindow:
     """Order-n Fibonacci analogue: 0, then n ones, then each term is the
-    previous term plus the term n places back."""
+    previous term plus the term n places back; the series of x/(1-x-x^n)."""
+    return _order_window("genfib", n, m_max, 0)
+
+
+def k_seq(n: int, m_max: int) -> SequenceWindow:
+    """gen_fib_seq accumulated once: x/((1-x)(1-x-x^n))."""
+    return _order_window("genk", n, m_max, 1)
+
+
+def gen_h_seq(n: int, m_max: int) -> SequenceWindow:
+    """gen_fib_seq accumulated twice: x/((1-x)^2 (1-x-x^n))."""
+    return _order_window("genh", n, m_max, 2)
+
+
+def _order_window(family: str, n: int, m_max: int, sums: int) -> SequenceWindow:
     if n < 2:
         raise ValueError("n must be >= 2")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    terms = [0] + [1] * n
-    while len(terms) <= m_max:
-        terms.append(terms[-1] + terms[-n])
-    return SequenceWindow(f"genfib[{n}]", 0, tuple(terms[: m_max + 1]))
-
-
-def k_seq(n: int, m_max: int) -> SequenceWindow:
-    """gen_fib_seq accumulated once."""
-    return partial_sum(gen_fib_seq(n, m_max), name=f"genk[{n}]")
-
-
-def gen_h_seq(n: int, m_max: int) -> SequenceWindow:
-    """gen_fib_seq accumulated twice."""
-    return partial_sum(k_seq(n, m_max), name=f"genh[{n}]")
+    return _window(f"{family}[{n}]", 0, m_max, _order_gf(n, sums))
 
 
 def even_gap_family_size(n: int) -> BigCount:
@@ -246,39 +221,13 @@ def even_gap_counts(n: int) -> tuple[BigCount, BigCount]:
 
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     """Counts of subsets of {1..n} with >= k elements and all gaps odd, for
-    n = 1..n_max, in one O(n_max * k) DP pass.
-
-    Sizes are tracked in buckets 1..cap with cap = max(k, 1); the top bucket
-    saturates (meaning "size >= cap"), so memory stays O(k). A gap is odd
-    exactly when the two endpoints have different parities, so extending a
-    subset with maximum i by a new maximum j only needs the bucket totals of
-    the opposite parity class, kept as running sums. Single counts come
-    from gap_parity_count; this DP builds windows and cross-checks it.
-    """
+    n = 1..n_max: the series of their condition_gf."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    cap = max(k, 1)
-    by_parity = [[0] * (cap + 1), [0] * (cap + 1)]  # bucket totals per max-parity
-    reached = 0  # running count of subsets in the top bucket
-    terms: list[int] = []
-    for j in range(1, n_max + 1):
-        opp = by_parity[1 - (j & 1)]
-        fresh = [0] * (cap + 1)
-        if cap == 1:
-            fresh[1] = 1 + opp[1]
-        else:
-            fresh[1] = 1
-            for t in range(2, cap):
-                fresh[t] = opp[t - 1]
-            fresh[cap] = opp[cap - 1] + opp[cap]
-        own = by_parity[j & 1]
-        for t in range(1, cap + 1):
-            own[t] += fresh[t]
-        reached += fresh[cap]
-        terms.append(reached + (1 if k == 0 else 0))  # empty set counts at k = 0
-    return SequenceWindow(f"minsize-oddgap[{k}]", 1, tuple(terms))
+    gf = condition_gf(Condition(gap_parity=GAP_ALL_ODD, min_size=k))
+    return _window(f"minsize-oddgap[{k}]", 1, n_max, gf)
 
 
 def min_size_odd_gap_count(n: int, k: int) -> BigCount:
@@ -307,22 +256,24 @@ def _poly_add(a: list, b: list) -> list:
     return out
 
 
+def _divide(poly: list, root: int) -> list:
+    # poly / (1 - root*x) for a poly that vanishes at x = root, by synthetic
+    # division: the quotient's coefficient i is p_i + root * (coefficient i - 1).
+    out, acc = [], 0
+    for c in poly[:-1]:
+        acc = c + root * acc
+        out.append(acc)
+    return out
+
+
 def _cancel(p: list, q: list, root: int) -> tuple[list, list]:
     # Divide p and q by 1 - root*x (root = 1 or -1) while it divides both,
-    # that is while both vanish at x = root. Synthetic division: the
-    # quotient's coefficient i is p_i + root * (coefficient i - 1).
+    # that is while both vanish at x = root.
     def value(poly):
         return sum(c * root**i for i, c in enumerate(poly))
 
-    def divide(poly):
-        out, acc = [], 0
-        for c in poly[:-1]:
-            acc = c + root * acc
-            out.append(acc)
-        return out
-
     while value(p) == 0 and value(q) == 0:
-        p, q = divide(p), divide(q)
+        p, q = _divide(p, root), _divide(q, root)
     return p, q
 
 
@@ -367,15 +318,54 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(p), tuple(q)
 
 
-def _series(p: tuple, q: tuple, count: int) -> list:
-    # The first count coefficients of p/q, q[0] = 1.
-    terms: list[int] = []
-    for i in range(count):
-        acc = p[i] if i < len(p) else 0
-        for j in range(1, min(i, len(q) - 1) + 1):
-            acc -= q[j] * terms[i - j]
-        terms.append(acc)
-    return terms
+def _order_gf(n: int, sums: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (P, Q) = x / ((1-x)^sums (1 - x - x^n)): the order-n Fibonacci analogue
+    # accumulated sums times; n = 2 is Fibonacci (sums 0) and H (sums 2).
+    q = [1, -1] + [0] * (n - 2) + [-1]
+    for _ in range(sums):
+        q = _poly_mul(q, [1, -1])
+    return (0, 1), tuple(q)
+
+
+def _series(p: tuple, q: tuple) -> Iterator[BigCount]:
+    """The coefficients of p/q, q[0] = 1, one at a time and without end.
+
+    Each factor 1 - x of q is a running sum (itertools.accumulate) over the
+    series of what is left, r of degree d: a_i = p_i - (r_1 a_{i-1} + ...
+    + r_d a_{i-d}), with a_i = 0 for i < 0. That sum is a map over copies of
+    the stream itself, one per nonzero r_j, lagged j places (itertools.tee);
+    it adds or subtracts a term where r_j = -1 or 1 and multiplies only at
+    the other taps. The copies read what the stream has already yielded, so
+    it holds only its last d terms, give or take one of tee's small blocks.
+    """
+    sums = 0
+    while len(q) > 1 and sum(q) == 0:  # q(1) = 0
+        q, sums = _divide(list(q), 1), sums + 1
+    taps = [(j, -c) for j, c in enumerate(q) if j and c]
+
+    def terms():
+        total = None
+        for (j, c), copy in zip(taps, copies):
+            lagged = chain(repeat(0, j), copy)  # a_{i-j}
+            if total is None:
+                total = lagged if c == 1 else map(mul, repeat(c), lagged)
+            elif c in (1, -1):
+                total = map(add if c == 1 else sub, total, lagged)
+            else:
+                total = map(add, total, map(mul, repeat(c), lagged))
+        if total is None:  # q = 1
+            total = repeat(0)
+        yield from chain(map(add, p, total), total)
+
+    stream, *copies = tee(terms(), len(taps) + 1)
+    for _ in range(sums):
+        stream = accumulate(stream)
+    return stream
+
+
+def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
+    # Coefficients offset..last of the series of gf = (P, Q).
+    return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
 
 
 def _gf_term(p: tuple, q: tuple, n: int) -> BigCount:
@@ -383,7 +373,7 @@ def _gf_term(p: tuple, q: tuple, n: int) -> BigCount:
     # condition_gf (before cancelling, deg P <= 1 + deg E < deg Q): the
     # series gives the first k terms, the recurrence q gives the rest.
     k = len(q) - 1
-    head = _series(p, q, min(n + 1, k))
+    head = list(islice(_series(p, q), min(n + 1, k)))
     if n < k:
         return head[n]
     return eval_fast(LinearRecurrence(tuple(-c for c in q[1:]), tuple(head)), n)

@@ -1,14 +1,23 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: raw bitmask
-enumeration instead of the library's pruned search, a definitional
-weighted sum for the twice-accumulated Fibonacci values, fast doubling for
+enumeration instead of the library's pruned search, hand-written term loops
+and a size-bucket DP instead of the generating-function series, a
+definitional weighted sum for the twice-accumulated Fibonacci values,
+straight iteration instead of fast recurrence evaluation, fast doubling for
 modular Fibonacci, and exact Gaussian elimination for recurrence fitting.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
+
+from seqforge.fasteval import EXACT, _prepared
+from seqforge.identities import decimal_string, even_gap_family_size
+from seqforge.recurrences import SequenceWindow
 
 
 def iter_subsets_raw(n):
@@ -39,6 +48,145 @@ def fib_list(n_max):
     while len(terms) <= n_max:
         terms.append(terms[-1] + terms[-2])
     return terms[: n_max + 1]
+
+
+def h_list(n_max):
+    """The Fibonacci sequence accumulated twice, indices 0..n_max, with two
+    running sums in one pass."""
+    terms = []
+    a, b = 0, 1
+    once = twice = 0
+    for _ in range(n_max + 1):
+        once += a
+        twice += once
+        terms.append(twice)
+        a, b = b, a + b
+    return terms
+
+
+def sz_list(alpha, beta, n_max):
+    """Schreier-Zeckendorf counts for n = 1..n_max by the three-branch rule:
+    1 while n <= alpha-1; n-alpha+2 while alpha <= n <= 2*alpha+beta-1;
+    then a(n) = a(n-1) + a(n-(alpha+beta))."""
+    lag = alpha + beta
+    terms = []
+    for n in range(1, n_max + 1):
+        if n <= alpha - 1:
+            terms.append(1)
+        elif n <= 2 * alpha + beta - 1:
+            terms.append(n - alpha + 2)
+        else:
+            terms.append(terms[-1] + terms[n - lag - 1])
+    return terms
+
+
+def genfib_list(n, m_max):
+    """Order-n Fibonacci analogue, indices 0..m_max: 0, then n ones, then
+    the previous term plus the term n places back."""
+    terms = [0] + [1] * n
+    while len(terms) <= m_max:
+        terms.append(terms[-1] + terms[-n])
+    return terms[: m_max + 1]
+
+
+def min_size_odd_gap_list(n_max, k):
+    """Subsets of {1..n} with >= k elements and all gaps odd, n = 1..n_max.
+
+    A DP over size buckets 1..cap, cap = max(k, 1), the top bucket meaning
+    "size >= cap". A gap is odd exactly when its two ends differ in parity,
+    so a new maximum j extends the subsets whose maximum has the other
+    parity, kept as running bucket totals per parity.
+    """
+    cap = max(k, 1)
+    by_parity = [[0] * (cap + 1), [0] * (cap + 1)]
+    reached = 0
+    terms = []
+    for j in range(1, n_max + 1):
+        opp = by_parity[1 - (j & 1)]
+        fresh = [0] * (cap + 1)
+        if cap == 1:
+            fresh[1] = 1 + opp[1]
+        else:
+            fresh[1] = 1
+            for t in range(2, cap):
+                fresh[t] = opp[t - 1]
+            fresh[cap] = opp[cap - 1] + opp[cap]
+        own = by_parity[j & 1]
+        for t in range(1, cap + 1):
+            own[t] += fresh[t]
+        reached += fresh[cap]
+        terms.append(reached + (1 if k == 0 else 0))  # the empty set at k = 0
+    return terms
+
+
+def family_oracle(family, params, to):
+    """(offset, terms) of a `seq` family window up to index to, by the hand
+    loops above; params maps the family's flags (alpha, beta, n, k) to ints."""
+    if family == "fib":
+        return 0, fib_list(to)
+    if family == "H":
+        return 0, h_list(to)
+    if family == "schreier-zeckendorf":
+        return 1, sz_list(params["alpha"], params["beta"], to)
+    if family == "minsize-oddgap":
+        return 1, min_size_odd_gap_list(to, params["k"])
+    terms = genfib_list(params["n"], to)
+    for _ in range({"genfib": 0, "genk": 1, "genh": 2}[family]):
+        terms = list(accumulate(terms))
+    return 0, terms
+
+
+def partial_sum(window, name=None):
+    """Running sums of a window, starting at its first term; offset is kept."""
+    label = name if name is not None else f"psum({window.name})"
+    return SequenceWindow(label, window.offset, tuple(accumulate(window.terms)))
+
+
+def eval_iterative(rec, n, mode=EXACT):
+    """Term of a LinearRecurrence at absolute index n by straight iteration."""
+    j, coeffs, window = _prepared(rec, n, mode)
+    k = rec.order
+    if j < k:
+        return window[j]
+    for _ in range(k, j + 1):
+        nxt = 0
+        for i, c in enumerate(coeffs):
+            nxt += c * window[k - 1 - i]
+        window.pop(0)
+        window.append(mode.reduce(nxt))
+    return window[-1]
+
+
+class RatioSample(NamedTuple):
+    n: int
+    value: Fraction
+    decimal: str
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Exact odd-gap share r_n = |odd-gap families| / |either-parity families|
+    per n, with rendered decimals and the final gap 1 - r_{n_max}."""
+
+    samples: tuple
+    final_gap_exact: Fraction
+    final_gap: str
+
+
+def ratio_report(n_max):
+    """Exact odd-gap share r_n for n = 1..n_max, from F_{n+3} - 1 odd-gap
+    families and the even-gap family size; r_n tends to 1."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    fib = fib_list(n_max + 3)
+    samples = []
+    for n in range(1, n_max + 1):
+        odd_total = fib[n + 3] - 1
+        union = odd_total + even_gap_family_size(n) - (n + 1)
+        r = Fraction(odd_total, union)
+        samples.append(RatioSample(n, r, decimal_string(r)))
+    gap = 1 - samples[-1].value
+    return ConvergenceReport(tuple(samples), gap, decimal_string(gap))
 
 
 def h_definitional(n):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from seqforge.cli import main
 from seqforge.discovery import berlekamp_massey, discover_order
-from seqforge.fasteval import EvalMode, LinearRecurrence, eval_fast, eval_iterative
+from seqforge.fasteval import EvalMode, LinearRecurrence, eval_fast
 from seqforge.formats import parse_bfile
 from seqforge.identities import (
     check_bijection_round_trip,
@@ -19,7 +19,6 @@ from seqforge.identities import (
     check_gen_shift,
     check_gen_sum,
     even_to_odd_ratio,
-    ratio_report,
 )
 from seqforge.recurrences import (
     gen_fib_seq,
@@ -31,7 +30,7 @@ from seqforge.recurrences import (
 )
 from seqforge.subsets import Condition, count_subsets
 
-from helpers import fib_list, fib_mod, iter_subsets_raw
+from helpers import eval_iterative, fib_list, fib_mod, iter_subsets_raw, ratio_report
 
 
 def check(num, label, ok, detail=""):

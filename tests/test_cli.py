@@ -14,13 +14,29 @@ from seqforge.formats import parse_bfile
 from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
-from helpers import fib_list
+from helpers import family_oracle, fib_list
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(argv, warm_up):
+    """(peak traced bytes, stdout) of one successful run of argv, after one
+    run of warm_up to build the parser and finish lazy imports."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(warm_up)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out.getvalue()
 
 
 class TestCount:
@@ -147,17 +163,7 @@ class TestCount:
     @staticmethod
     def count_peak(argv):
         """(peak traced bytes, stdout) of one `count` run."""
-        with contextlib.redirect_stdout(io.StringIO()):
-            main(argv[:2] + ["5"] + argv[3:])  # warm up parser and lazy imports
-        out = io.StringIO()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(out):
-                assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak, out.getvalue()
+        return traced_peak(argv, argv[:2] + ["5"] + argv[3:])
 
     def test_odd_gap_count_memory_is_linear_in_the_output(self):
         argv = ["count", "--n", "300000", "--gap-parity", "odd", "--engine", "recurrence"]
@@ -275,6 +281,46 @@ class TestSeq:
         )
         assert out == "1 2\n2 3\n3 5\n4 8\n5 13\n"
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    def test_from_past_the_end_is_usage_error(self, capsys, fmt):
+        # --from one past --to would leave an empty window.
+        code, out, err = run_cli(capsys, "seq", "--family", "H", "--to", "0", "--from", "1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: clip start 1 beyond window end 0\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_seq_argv(self, data):
+        family = data.draw(st.sampled_from([*cli.FAMILIES, "lucas"]), label="family")
+        to = data.draw(st.integers(-1, 400), label="to")
+        start = data.draw(st.none() | st.integers(-2, to + 2), label="from")
+        fmt = data.draw(st.sampled_from(["table", "csv", "json", "bfile"]), label="format")
+        argv = ["seq", "--family", family, "--to", str(to), "--format", fmt]
+        params = {}
+        for dest in ("alpha", "beta", "n", "k"):
+            value = data.draw(st.none() | st.integers(-1, 12), label=dest)
+            if value is not None:
+                params[dest] = value
+                argv += [f"--{dest}", str(value)]
+        if start is not None:
+            argv += ["--from", str(start)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        errors = err.getvalue()
+        assert code in (0, 2), (argv, errors)
+        assert "Traceback" not in errors, argv
+        assert (code == 0) == (errors == ""), argv
+        assert code == 0 or (errors.startswith("error: ") and errors.count("\n") == 1), argv
+        if code == 0:
+            bfile = io.StringIO()
+            with contextlib.redirect_stdout(bfile):
+                assert main([*argv, "--format", "bfile"]) == 0
+            offset, terms = family_oracle(family, params, to)
+            first = offset if start is None else max(start, offset)
+            want = "".join(f"{i} {terms[i - offset]}\n" for i in range(first, to + 1))
+            assert want and bfile.getvalue() == want, argv
+
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "seq", "--family", "lucas", "--to", "5")
         assert code == 2 and "unknown family" in err
@@ -325,6 +371,26 @@ class TestVerify:
     def test_ratio_impossible_threshold_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "ratio", "--to", "60", "--threshold", "0")
         assert code == 1 and "ratio: FAIL" in out
+
+    @pytest.mark.parametrize("to", ["1", "-5", "5"])
+    def test_bijection_range_below_a_lag_is_usage_error(self, capsys, to):
+        # The battery's largest lag is alpha + beta = 6; below it some pairs
+        # would have no n to check, yet print PASS.
+        code, out, err = run_cli(capsys, "verify", "--id", "bijection", "--to", to)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_max must be >= alpha + beta") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--id", "fib-h", "--to", "30000"],
+        ["verify", "--id", "gen-shift", "--n", "3", "--to", "30000"],
+        ["verify", "--id", "oddgap-h", "--oracle-to", "8", "--to", "30000"],
+    ])
+    def test_streaming_checks_hold_a_few_terms(self, argv):
+        # The terms near 30000 have about 21,000 bits; whole windows held
+        # Theta(n^2) bits, about 100 MB, where the streams hold a few terms.
+        peak, out = traced_peak(argv, argv[:-1] + ["5"])
+        assert "PASS  range" in out
+        assert peak < 2_000_000
 
     def test_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--id", "fermat")

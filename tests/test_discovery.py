@@ -8,10 +8,10 @@ from seqforge.discovery import (
     discover_order,
     verify_recurrence,
 )
-from seqforge.fasteval import LinearRecurrence, eval_iterative, tail_recurrence_of
+from seqforge.fasteval import LinearRecurrence, tail_recurrence_of
 from seqforge.recurrences import schreier_zeckendorf_seq
 
-from helpers import fits_linear_recurrence
+from helpers import eval_iterative, fits_linear_recurrence
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 

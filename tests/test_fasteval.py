@@ -11,13 +11,12 @@ from seqforge.fasteval import (
     EvalMode,
     LinearRecurrence,
     eval_fast,
-    eval_iterative,
     schreier_zeckendorf_count,
     tail_recurrence_of,
 )
 from seqforge.recurrences import schreier_zeckendorf_seq
 
-from helpers import fib_mod
+from helpers import eval_iterative, fib_mod
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 MOD = 1_000_000_007

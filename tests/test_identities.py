@@ -17,7 +17,6 @@ from seqforge.identities import (
     even_gap_family_size,
     even_to_odd_ratio,
     odd_gap_family_size,
-    ratio_report,
     scan_identity,
     shift_up_adjoin_max,
 )
@@ -30,7 +29,7 @@ from seqforge.subsets import (
     is_beta_zeckendorf,
 )
 
-from helpers import brute_count, gaps_of
+from helpers import brute_count, gaps_of, ratio_report
 
 
 class TestReportMachinery:
@@ -158,6 +157,13 @@ class TestBijections:
         report = check_bijection_round_trip(2, 3, 12)
         assert report.passed is True
         assert report.range_checked == (5, 12)
+
+    def test_range_below_the_lag_is_rejected(self):
+        # No n in [alpha + beta, n_max] leaves nothing checked, not a pass.
+        for n_max in (-5, 1, 4):
+            with pytest.raises(ValueError, match=r"alpha \+ beta = 5"):
+                check_bijection_round_trip(2, 3, n_max)
+        assert check_bijection_round_trip(2, 3, 5).range_checked == (5, 5)
 
 
 class TestFamilySizes:

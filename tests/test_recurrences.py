@@ -1,3 +1,4 @@
+from itertools import islice
 from math import comb
 
 import pytest
@@ -22,14 +23,28 @@ from seqforge.recurrences import (
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
     odd_gap_counts,
-    partial_sum,
     schreier_zeckendorf_seq,
 )
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, Condition, count_subsets
 
-from helpers import brute_count, fib_list, gaps_of, h_definitional, poly_gcd_degree, truncated_product
+from helpers import (
+    brute_count,
+    family_oracle,
+    fib_list,
+    gaps_of,
+    h_definitional,
+    min_size_odd_gap_list,
+    partial_sum,
+    poly_gcd_degree,
+    truncated_product,
+)
 
 PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
+
+
+def series_head(gf, count):
+    return list(islice(_series(*gf), count))
+
 
 # Row values of the published order-3 table, indices 0..12.
 TABLE_GENFIB_3 = (0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41)
@@ -52,8 +67,71 @@ class TestSequenceWindow:
         w = SequenceWindow("w", 0, (1, 2, 3, 4))
         assert w.clip(2).terms == (3, 4) and w.clip(2).offset == 2
         assert w.clip(0) is w
-        with pytest.raises(IndexError):
-            w.clip(9)
+        assert w.clip(3).terms == (4,) and w.clip(3).offset == 3
+        # One past the end would leave an empty window, which no format
+        # can render as a b-file.
+        for start in (4, 9):
+            with pytest.raises(IndexError, match="beyond window end 3"):
+                w.clip(start)
+
+
+class TestSeries:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-5, 5), max_size=6),
+        st.lists(st.integers(-5, 5), max_size=6),
+        st.integers(0, 3),
+    )
+    def test_times_q_gives_p(self, p, r, ones):
+        # Any P and any Q = (1 + r_1 x + ...) (1 - x)^ones: the series times
+        # Q agrees with P term by term.
+        q = [1] + r
+        for _ in range(ones):
+            q = [a - b for a, b in zip(q + [0], [0] + q)]
+        count = 40
+        terms = series_head((tuple(p), tuple(q)), count)
+        assert truncated_product(terms, q, count) == (p + [0] * count)[:count]
+
+    def test_polynomial_over_one(self):
+        assert series_head(((3, 0, -2), (1,)), 6) == [3, 0, -2, 0, 0, 0]
+
+
+class TestFamiliesAgainstHandLoops:
+    # Every family over the benchmark's parameter grid, at the window ends
+    # where the series changes regime: empty history, the order, past it.
+    @staticmethod
+    def check(window, family, params, to):
+        offset, terms = family_oracle(family, params, to)
+        assert (window.offset, window.terms) == (offset, tuple(terms[: to + 1 - offset]))
+
+    @staticmethod
+    def ends(order):
+        return sorted({0, 1, 2, order, 3 * order, 5000})
+
+    def test_fibonacci_and_h(self):
+        for to in self.ends(2):
+            self.check(fibonacci_seq(to), "fib", {}, to)
+            self.check(h_seq(to), "H", {}, to)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_order_n_families(self, n):
+        for to in self.ends(n):
+            self.check(gen_fib_seq(n, to), "genfib", {"n": n}, to)
+            self.check(k_seq(n, to), "genk", {"n": n}, to)
+            self.check(gen_h_seq(n, to), "genh", {"n": n}, to)
+
+    @pytest.mark.parametrize("alpha", range(1, 7))
+    def test_schreier_zeckendorf(self, alpha):
+        for beta in range(1, 7):
+            for to in self.ends(alpha + beta)[1:]:
+                params = {"alpha": alpha, "beta": beta}
+                self.check(schreier_zeckendorf_seq(alpha, beta, to), "schreier-zeckendorf", params, to)
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_min_size_odd_gap(self, k):
+        order = len(condition_gf(Condition(gap_parity=GAP_ALL_ODD, min_size=k))[1]) - 1
+        for to in self.ends(order)[1:]:
+            self.check(min_size_odd_gap_seq(to, k), "minsize-oddgap", {"k": k}, to)
 
 
 class TestFibonacci:
@@ -279,9 +357,9 @@ def test_even_family_is_not_odd_family():
 class TestGapParityClosedForm:
     def test_matches_dp(self):
         for k in range(9):
-            dp = min_size_odd_gap_seq(300, k)
+            dp = min_size_odd_gap_list(300, k)
             for n in range(1, 301):
-                assert gap_parity_count(n, GAP_ALL_ODD, k) == dp.term(n), (n, k)
+                assert gap_parity_count(n, GAP_ALL_ODD, k) == dp[n - 1], (n, k)
 
     @pytest.mark.parametrize("parity", [GAP_ALL_ODD, GAP_ALL_EVEN])
     def test_matches_oracle(self, parity):
@@ -360,7 +438,7 @@ class TestConditionCount:
                 for parity in PARITIES:
                     for min_size in range(5):
                         cond = Condition(alpha, beta, parity, min_size)
-                        assert condition_count(n, cond) == _series(*condition_gf(cond), n + 1)[n], cond
+                        assert condition_count(n, cond) == series_head(condition_gf(cond), n + 1)[n], cond
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -404,7 +482,7 @@ class TestConditionCount:
             Condition(alpha=1, beta=2, gap_parity=GAP_ALL_ODD, forced_max=n),
         ):
             free = Condition(cond.alpha, cond.beta, cond.gap_parity, cond.min_size)
-            want = _series(*condition_gf(free), n + 1)
+            want = series_head(condition_gf(free), n + 1)
             if cond.forced_max is not None:
                 want[n] -= want[n - 1]
             assert condition_count(n, cond) == want[n], cond
