@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from .recurrences import _order_gf, _series, condition_gf, even_gap_family_size, gap_parity_count
+from .recurrences import _condition_parts, _order_gf, _series, even_gap_family_size, gap_parity_count
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
@@ -154,7 +154,7 @@ def check_odd_gap_h(
     def triples():
         oracle = (count_subsets(n, cond, limit) for n in range(1, n_max_oracle + 1))
         yield from zip(range(1, n_max_oracle + 1), oracle, _series(*_order_gf(2, 2)))
-        series = islice(_series(*condition_gf(cond)), 1, None)
+        series = islice(_series(*_condition_parts(cond)), 1, None)
         yield from zip(range(1, n_max_gf + 1), series, _series(*_order_gf(2, 2)))
 
     return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), triples())

@@ -9,9 +9,9 @@ identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, islice, repeat, tee
+from itertools import accumulate, chain, cycle, islice, repeat, tee
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterator
 
 from .fasteval import LinearRecurrence, eval_fast
@@ -96,7 +96,7 @@ def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow
         raise ValueError("alpha and beta must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    gf = condition_gf(Condition(alpha=alpha, beta=beta))
+    gf = _condition_parts(Condition(alpha=alpha, beta=beta))
     return _window(f"sz[{alpha},{beta}]", 1, n_max, gf)
 
 
@@ -226,7 +226,7 @@ def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
         raise ValueError("n_max must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    gf = condition_gf(Condition(gap_parity=GAP_ALL_ODD, min_size=k))
+    gf = _condition_parts(Condition(gap_parity=GAP_ALL_ODD, min_size=k))
     return _window(f"minsize-oddgap[{k}]", 1, n_max, gf)
 
 
@@ -238,7 +238,17 @@ def min_size_odd_gap_count(n: int, k: int) -> BigCount:
 
 
 # --- counting by rational generating function ---------------------------------
-# Polynomials are int coefficient lists, lowest degree first.
+# Polynomials are int coefficient lists, lowest degree first. The series
+# takes a generating function in factors, (lead, P, taps, ones, pluses):
+# x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 - sum of c x^j over taps
+# {j: c}, P an iterable of coefficients read lazily, so a long P costs
+# only the terms that are read.
+
+# Up to this many running sums are nested accumulate passes, which run in
+# C but recurse one level deeper per pass on every term (the C stack gives
+# out near 10^5 levels); past it one list of sums is updated per term, at
+# about the same speed from a few dozen passes on.
+_NESTED_SUMS = 32
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -249,32 +259,31 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_add(a: list, b: list) -> list:
-    out = [x + y for x, y in zip(a, b)] + (a[len(b):] if len(a) > len(b) else b[len(a):])
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _divide(poly: list, root: int) -> list:
-    # poly / (1 - root*x) for a poly that vanishes at x = root, by synthetic
-    # division: the quotient's coefficient i is p_i + root * (coefficient i - 1).
-    out, acc = [], 0
-    for c in poly[:-1]:
-        acc = c + root * acc
-        out.append(acc)
-    return out
-
-
-def _cancel(p: list, q: list, root: int) -> tuple[list, list]:
-    # Divide p and q by 1 - root*x (root = 1 or -1) while it divides both,
-    # that is while both vanish at x = root.
-    def value(poly):
-        return sum(c * root**i for i, c in enumerate(poly))
-
-    while value(p) == 0 and value(q) == 0:
-        p, q = _divide(p, root), _divide(q, root)
-    return p, q
+def _condition_parts(cond: Condition) -> tuple:
+    # condition_gf in factors, cancelled by hand (the derivation is in
+    # condition_gf's docstring). Whatever alpha, beta and min_size are, the
+    # taps are two and P is a few terms or a lazy run, so a window costs
+    # only the terms it reads. P may be a one-shot iterator: take fresh
+    # parts for each series.
+    if cond.forced_max is not None:
+        raise ValueError("forced_max has no generating function here; take a difference")
+    parity = cond.gap_parity != GAP_ANY
+    h = (cond.alpha or 0) + cond.least_gap
+    s = max(cond.min_size, 1)
+    m = (cond.alpha or 1) + h * (s - 1)
+    taps = {2 if parity else 1: 1}  # E = D - x^h
+    taps[h] = taps.get(h, 0) + 1
+    if cond.min_size == 0 and not parity:  # (1 + x^m + ... + x^(h-1)) / E
+        return 0, chain((1,), repeat(0, m - 1), repeat(1, h - m)), taps, 0, 0
+    if cond.min_size == 0:  # (x^m (1+x) + E) / ((1-x) E)
+        p = {0: 1}
+        for j, c in ((2, -1), (h, -1), (m, 1), (m + 1, 1)):
+            p[j] = p.get(j, 0) + c
+        top = max(j for j, c in p.items() if c)
+        return 0, (p.get(j, 0) for j in range(top + 1)), taps, 1, 0
+    if parity and s == 1:  # x^m (1+x) / ((1-x) E)
+        return m, (1, 1), taps, 1, 0
+    return m, (1,), taps, s, s - 2 if parity else 0  # x^m / ((1-x)^s (1+x)^(s-2) E)
 
 
 def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -286,94 +295,108 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     of Flajolet & Sedgewick, Analytic Combinatorics, I.4): the minimum is at
     least alpha*k, giving x^(alpha k)/(1-x), or at least 1 without alpha; a
     gap is at least g = cond.least_gap, G = x^g/D with D = 1 - x, or
-    D = 1 - x^2 under a gap parity; the slack is 1/(1-x). Summing the sizes
-    k >= s = max(min_size, 1) is a geometric series in H = x^alpha G:
+    D = 1 - x^2 = (1-x)(1+x) under a gap parity; the slack is 1/(1-x).
+    Summing the sizes k >= s = max(min_size, 1) is a geometric series in
+    H = x^alpha G:
 
         1/(1-x) * ([min_size = 0] + F/(1-x) * H^(s-1) / (1 - H)),
 
     F = x^alpha, or x without alpha. Over the common denominator
-    Q = (1-x)^2 D^(s-1) E, with E = D - x^h and h = alpha + g, the numerator
-    is P = x^m D, m = (alpha or 1) + h(s-1), plus (1-x) E when min_size = 0.
-    Every irreducible factor of Q but those of E is 1 - x or 1 + x, and E is
-    prime to P (mod E, P is x^m D, and E is prime to x and to D), so cancelling
-    1 - x and 1 + x while they divide both leaves lowest terms. The order of
-    Q is then the order of the minimal recurrence of the counts (Stanley,
-    Enumerative Combinatorics 1, ch. 4). forced_max is not a clause of the
-    sum; count it as the difference of two counts (condition_count).
+    (1-x)^2 D^(s-1) E, with E = D - x^h and h = alpha + g, the numerator is
+    x^m D, m = (alpha or 1) + h(s-1), plus (1-x) E when min_size = 0.
+    Cancelling the factors of D and 1 - x that both share leaves
+
+        min_size = 0:  (1 + x^m + ... + x^(h-1)) / E,
+                       or (x^m (1+x) + E) / ((1-x) E) under a parity;
+        min_size >= 1: x^m / ((1-x)^s E),
+                       or x^m / ((1-x)^s (1+x)^(s-2) E) under a parity,
+                       read as x^m (1+x) / ((1-x) E) when s = 1.
+
+    That is lowest terms. E is prime to x, to 1 - x (E(1) = -1) and to 1 + x
+    (E(-1) is 2 - (-1)^h, or -(-1)^h under a parity), and to every P: mod E
+    the numerator before cancelling is x^m D, prime to E. Of 1 -+ x, no
+    numerator above shares one with its Q. The order of Q is then the order
+    of the minimal recurrence of the counts (Stanley, Enumerative
+    Combinatorics 1, ch. 4). forced_max is not a clause of the sum; count it
+    as the difference of two counts (condition_count).
     """
-    if cond.forced_max is not None:
-        raise ValueError("forced_max has no generating function here; take a difference")
-    d = [1, -1] if cond.gap_parity == GAP_ANY else [1, 0, -1]
-    h = (cond.alpha or 0) + cond.least_gap
-    s = max(cond.min_size, 1)
-    e = _poly_add(d, [0] * h + [-1])
-    q = _poly_mul([1, -2, 1], e)
-    for _ in range(s - 1):
-        q = _poly_mul(q, d)
-    p = _poly_mul([0] * ((cond.alpha or 1) + h * (s - 1)) + [1], d)
-    if cond.min_size == 0:
-        p = _poly_add(p, _poly_mul([1, -1], e))
-    for root in (1, -1):
-        p, q = _cancel(p, q, root)
-    return tuple(p), tuple(q)
+    lead, p, taps, ones, pluses = _condition_parts(cond)
+    q = [1] + [0] * max(taps)
+    for j, c in taps.items():
+        q[j] -= c
+    for factor, times in (([1, -1], ones), ([1, 1], pluses)):
+        for _ in range(times):
+            q = _poly_mul(q, factor)
+    return (0,) * lead + tuple(p), tuple(q)
 
 
-def _order_gf(n: int, sums: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (P, Q) = x / ((1-x)^sums (1 - x - x^n)): the order-n Fibonacci analogue
-    # accumulated sums times; n = 2 is Fibonacci (sums 0) and H (sums 2).
-    q = [1, -1] + [0] * (n - 2) + [-1]
-    for _ in range(sums):
-        q = _poly_mul(q, [1, -1])
-    return (0, 1), tuple(q)
+def _order_gf(n: int, sums: int) -> tuple:
+    # x / ((1-x)^sums (1 - x - x^n)) in factors: the order-n Fibonacci
+    # analogue accumulated sums times; n = 2 is Fibonacci (sums 0) and H (2).
+    return 1, (1,), {1: 1, n: 1}, sums, 0
 
 
-def _series(p: tuple, q: tuple) -> Iterator[BigCount]:
-    """The coefficients of p/q, q[0] = 1, one at a time and without end.
+def _running_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
+    # The series of stream / (1-x)^times.
+    if times <= _NESTED_SUMS:
+        for _ in range(times):
+            stream = accumulate(stream)
+        return stream
+    return _flat_sums(stream, times)
 
-    Each factor 1 - x of q is a running sum (itertools.accumulate) over the
-    series of what is left, r of degree d: a_i = p_i - (r_1 a_{i-1} + ...
-    + r_d a_{i-d}), with a_i = 0 for i < 0. That sum is a map over copies of
-    the stream itself, one per nonzero r_j, lagged j places (itertools.tee);
-    it adds or subtracts a term where r_j = -1 or 1 and multiplies only at
-    the other taps. The copies read what the stream has already yielded, so
-    it holds only its last d terms, give or take one of tee's small blocks.
+
+def _flat_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
+    sums = [0] * (times + 1)  # sums[i]: i running sums of the input so far
+    for a in stream:
+        sums[0] = a
+        sums = list(accumulate(sums))
+        yield sums[-1]
+
+
+def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterator[BigCount]:
+    """The coefficients of x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 -
+    sum of c x^j over taps {j: c}, one at a time and without end.
+
+    The series of P/R is a_i = p_i + c_1 a_{i-1} + ... + c_d a_{i-d}, with
+    a_i = 0 for i < 0: a map over copies of the stream itself, one per tap,
+    lagged j places (itertools.tee); it adds the term where c = 1 and
+    multiplies only at the other taps. The copies read what the stream has
+    already yielded, so it holds only its last d terms, give or take one of
+    tee's small blocks. Each factor 1 - x is then a running sum; each 1 + x
+    is one too with the signs of the terms alternated before and after
+    (substitute -x for x). The lead zeros come first, so reading them runs
+    none of this.
     """
-    sums = 0
-    while len(q) > 1 and sum(q) == 0:  # q(1) = 0
-        q, sums = _divide(list(q), 1), sums + 1
-    taps = [(j, -c) for j, c in enumerate(q) if j and c]
-
     def terms():
         total = None
-        for (j, c), copy in zip(taps, copies):
+        for (j, c), copy in zip(taps.items(), copies):
             lagged = chain(repeat(0, j), copy)  # a_{i-j}
-            if total is None:
-                total = lagged if c == 1 else map(mul, repeat(c), lagged)
-            elif c in (1, -1):
-                total = map(add if c == 1 else sub, total, lagged)
-            else:
-                total = map(add, total, map(mul, repeat(c), lagged))
-        if total is None:  # q = 1
+            if c != 1:
+                lagged = map(mul, repeat(c), lagged)
+            total = lagged if total is None else map(add, total, lagged)
+        if total is None:  # R = 1
             total = repeat(0)
         yield from chain(map(add, p, total), total)
 
     stream, *copies = tee(terms(), len(taps) + 1)
-    for _ in range(sums):
-        stream = accumulate(stream)
-    return stream
+    if pluses:
+        signs = map(mul, stream, cycle((1, -1)))
+        stream = map(mul, _running_sums(signs, pluses), cycle((1, -1)))
+    return chain(repeat(0, lead), _running_sums(stream, ones))
 
 
 def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
-    # Coefficients offset..last of the series of gf = (P, Q).
+    # Coefficients offset..last of the series of gf, in factors.
     return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
 
 
-def _gf_term(p: tuple, q: tuple, n: int) -> BigCount:
-    # Coefficient n of p/q for deg p < deg q = k, as in every min_size = 0
-    # condition_gf (before cancelling, deg P <= 1 + deg E < deg Q): the
-    # series gives the first k terms, the recurrence q gives the rest.
+def _gf_term(cond: Condition, n: int) -> BigCount:
+    # Coefficient n of condition_gf(cond) for min_size = 0, where
+    # deg P < deg Q = k (before cancelling, deg P <= 1 + deg E < deg Q): the
+    # series gives the first k terms, the recurrence Q gives the rest.
+    q = condition_gf(cond)[1]
     k = len(q) - 1
-    head = list(islice(_series(p, q), min(n + 1, k)))
+    head = list(islice(_series(*_condition_parts(cond)), min(n + 1, k)))
     if n < k:
         return head[n]
     return eval_fast(LinearRecurrence(tuple(-c for c in q[1:]), tuple(head)), n)
@@ -414,5 +437,5 @@ def condition_count(n: int, cond: Condition) -> BigCount:
     if not alpha and gap <= 2 and parity:
         total = fibonacci(n + 3) - 1 if gap == 1 else even_gap_family_size(n)
     else:
-        total = _gf_term(*condition_gf(replace(cond, min_size=0)), n)
+        total = _gf_term(replace(cond, min_size=0), n)
     return total - sum(islice(_size_classes(n, 0, alpha, gap, parity), size))

@@ -14,7 +14,7 @@ from seqforge.formats import parse_bfile
 from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
-from helpers import family_oracle, fib_list
+from helpers import family_oracle, fib_list, sz_list
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +280,20 @@ class TestSeq:
             "--alpha", "1", "--beta", "1", "--to", "5", "--format", "bfile",
         )
         assert out == "1 2\n2 3\n3 5\n4 8\n5 13\n"
+
+    @pytest.mark.parametrize("alpha, beta", [(10**9, 1), (1, 10**9)])
+    def test_schreier_zeckendorf_huge_bounds(self, capsys, alpha, beta):
+        # No term past --to of the generating function's parts is built.
+        code, out, err = run_cli(
+            capsys, "seq", "--family", "schreier-zeckendorf",
+            "--alpha", str(alpha), "--beta", str(beta), "--to", "10", "--format", "bfile",
+        )
+        want = "".join(f"{n} {v}\n" for n, v in enumerate(sz_list(alpha, beta, 10), 1))
+        assert (code, out, err) == (0, want, "")
+
+    def test_minsize_family_large_k(self, capsys):
+        code, out, err = run_cli(capsys, "seq", "--family", "minsize-oddgap", "--k", "5000", "--to", "10", "--format", "csv")
+        assert (code, out, err) == (0, "index,value\n" + "".join(f"{n},0\n" for n in range(1, 11)), "")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
     def test_from_past_the_end_is_usage_error(self, capsys, fmt):

@@ -1,3 +1,4 @@
+import time
 from itertools import islice
 from math import comb
 
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from seqforge.fasteval import schreier_zeckendorf_count
 from seqforge.recurrences import (
+    _NESTED_SUMS,
     SequenceWindow,
+    _condition_parts,
     _series,
     _size_classes,
     condition_count,
@@ -42,8 +45,8 @@ from helpers import (
 PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
 
 
-def series_head(gf, count):
-    return list(islice(_series(*gf), count))
+def series_head(cond, count):
+    return list(islice(_series(*_condition_parts(cond)), count))
 
 
 # Row values of the published order-3 table, indices 0..12.
@@ -76,24 +79,49 @@ class TestSequenceWindow:
 
 
 class TestSeries:
+    @staticmethod
+    def denominator(taps, ones, pluses):
+        # (1 - sum of c x^j over taps) (1-x)^ones (1+x)^pluses, expanded.
+        q = [1] + [0] * max(taps, default=0)
+        for j, c in taps.items():
+            q[j] -= c
+        for sign, times in ((-1, ones), (1, pluses)):
+            for _ in range(times):
+                q = [a + sign * b for a, b in zip(q + [0], [0] + q)]
+        return q
+
     @settings(max_examples=200, deadline=None)
     @given(
+        st.integers(0, 3),
         st.lists(st.integers(-5, 5), max_size=6),
-        st.lists(st.integers(-5, 5), max_size=6),
+        st.dictionaries(st.integers(1, 6), st.integers(-5, 5), max_size=3),
+        st.integers(0, 3),
         st.integers(0, 3),
     )
-    def test_times_q_gives_p(self, p, r, ones):
-        # Any P and any Q = (1 + r_1 x + ...) (1 - x)^ones: the series times
-        # Q agrees with P term by term.
-        q = [1] + r
-        for _ in range(ones):
-            q = [a - b for a, b in zip(q + [0], [0] + q)]
+    def test_times_q_gives_p(self, lead, p, taps, ones, pluses):
+        # Any x^lead P over any Q in factors: the series times the expanded
+        # Q agrees with x^lead P term by term.
+        q = self.denominator(taps, ones, pluses)
         count = 40
-        terms = series_head((tuple(p), tuple(q)), count)
-        assert truncated_product(terms, q, count) == (p + [0] * count)[:count]
+        terms = list(islice(_series(lead, p, taps, ones, pluses), count))
+        assert truncated_product(terms, q, count) == ([0] * lead + p + [0] * count)[:count]
+
+    def test_past_the_nested_sums(self):
+        # More running sums than are nested take the flat list of sums.
+        ones, pluses = _NESTED_SUMS + 8, _NESTED_SUMS + 3
+        taps = {1: 1, 3: -2}
+        q = self.denominator(taps, ones, pluses)
+        terms = list(islice(_series(2, (1, -1, 3), taps, ones, pluses), 60))
+        assert truncated_product(terms, q, 60) == [0, 0, 1, -1, 3] + [0] * 55
+
+    def test_depth_beyond_the_c_stack(self):
+        # 1/(1-x^2)^b = 1/((1-x)^b (1+x)^b): 1, 0, b, 0, C(b+1, 2). Nested
+        # passes this deep would overflow the C stack.
+        b = 10**5
+        assert list(islice(_series(0, (1,), {}, b, b), 5)) == [1, 0, b, 0, comb(b + 1, 2)]
 
     def test_polynomial_over_one(self):
-        assert series_head(((3, 0, -2), (1,)), 6) == [3, 0, -2, 0, 0, 0]
+        assert list(islice(_series(1, (3, 0, -2), {}), 6)) == [0, 3, 0, -2, 0, 0]
 
 
 class TestFamiliesAgainstHandLoops:
@@ -127,11 +155,27 @@ class TestFamiliesAgainstHandLoops:
                 params = {"alpha": alpha, "beta": beta}
                 self.check(schreier_zeckendorf_seq(alpha, beta, to), "schreier-zeckendorf", params, to)
 
-    @pytest.mark.parametrize("k", range(12))
+    @pytest.mark.parametrize("alpha, beta", [(10**9, 1), (1, 10**9), (10**9, 10**9)])
+    def test_schreier_zeckendorf_huge_bounds(self, alpha, beta):
+        # P (a run of beta ones from x^alpha) and the lag alpha + beta are
+        # read lazily, so only the terms asked for are built.
+        self.check(schreier_zeckendorf_seq(alpha, beta, 10), "schreier-zeckendorf", {"alpha": alpha, "beta": beta}, 10)
+
+    @pytest.mark.parametrize("k", [*range(12), _NESTED_SUMS + 8])
     def test_min_size_odd_gap(self, k):
         order = len(condition_gf(Condition(gap_parity=GAP_ALL_ODD, min_size=k))[1]) - 1
         for to in self.ends(order)[1:]:
             self.check(min_size_odd_gap_seq(to, k), "minsize-oddgap", {"k": k}, to)
+
+    def test_min_size_odd_gap_large_k(self):
+        # Below n = k every term is zero: x^k leads the numerator, so these
+        # are read before any running sum. Expanding Q, of degree 2k, took
+        # on the order of k^2 steps first.
+        start = time.perf_counter()
+        for k in (2000, 5000, 10**6):
+            assert min_size_odd_gap_seq(10, k).terms == (0,) * 10
+        assert time.perf_counter() - start < 1.0
+        self.check(min_size_odd_gap_seq(2010, 2000), "minsize-oddgap", {"k": 2000}, 2010)
 
 
 class TestFibonacci:
@@ -425,6 +469,7 @@ class TestConditionCount:
                         assert min_size > 0 or len(p) < len(q), cond  # proper without a size bound
                         counts = [count_subsets(n, cond) for n in range(13)]
                         assert truncated_product(counts, q, 13) == (list(p) + [0] * 13)[:13], cond
+                        assert series_head(cond, 13) == counts, cond
 
     def test_every_shape_at_two_hundred(self):
         # At small n many shapes have few enough size classes to be summed
@@ -438,7 +483,7 @@ class TestConditionCount:
                 for parity in PARITIES:
                     for min_size in range(5):
                         cond = Condition(alpha, beta, parity, min_size)
-                        assert condition_count(n, cond) == series_head(condition_gf(cond), n + 1)[n], cond
+                        assert condition_count(n, cond) == series_head(cond, n + 1)[n], cond
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -482,7 +527,7 @@ class TestConditionCount:
             Condition(alpha=1, beta=2, gap_parity=GAP_ALL_ODD, forced_max=n),
         ):
             free = Condition(cond.alpha, cond.beta, cond.gap_parity, cond.min_size)
-            want = series_head(condition_gf(free), n + 1)
+            want = series_head(free, n + 1)
             if cond.forced_max is not None:
                 want[n] -= want[n - 1]
             assert condition_count(n, cond) == want[n], cond
