@@ -7,124 +7,42 @@ enumerating, and the named sequences as series of such functions; fasteval
 evaluates arbitrary linear recurrences in O(k^2 log n); discovery recovers
 minimal recurrences from prefixes; identities machine-checks the identities
 and the counting bijection; cli fronts everything.
+
+The top level exports the names below; everything else is imported from its
+submodule.
 """
 
-from .discovery import BM_SAFETY_MARGIN, RecurrenceReport, berlekamp_massey, discover_order, verify_recurrence
-from .fasteval import (
-    EXACT,
-    EvalMode,
-    LinearRecurrence,
-    eval_fast,
-    schreier_zeckendorf_count,
-    tail_recurrence_of,
-)
-from .identities import (
-    IdentityReport,
-    check_bijection_round_trip,
-    check_fib_h,
-    check_gen_shift,
-    check_gen_sum,
-    check_odd_gap_h,
-    decimal_string,
-    drop_max_shift_down,
-    either_parity_family_size,
-    even_gap_family_size,
-    even_to_odd_ratio,
-    odd_gap_family_size,
-    scan_identity,
-    shift_up_adjoin_max,
-)
+from .discovery import berlekamp_massey
+from .fasteval import EvalMode, LinearRecurrence, eval_fast, schreier_zeckendorf_count, tail_recurrence_of
+from .identities import check_fib_h
 from .recurrences import (
-    SequenceWindow,
     condition_count,
     condition_gf,
-    even_gap_counts,
+    even_gap_family_size,
     fibonacci,
-    fibonacci_seq,
-    gap_parity_count,
-    gen_fib_seq,
-    gen_h_seq,
-    h_seq,
-    k_seq,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
-    odd_gap_counts,
     schreier_zeckendorf_seq,
 )
-from .subsets import (
-    DEFAULT_ENUM_LIMIT,
-    GAP_ALL_EVEN,
-    GAP_ALL_ODD,
-    GAP_ANY,
-    BigCount,
-    Condition,
-    EnumerationLimitError,
-    GapList,
-    Subset,
-    count_subsets,
-    difference_set,
-    enumerate_subsets,
-    is_alpha_schreier,
-    is_beta_zeckendorf,
-    matches,
-)
+from .subsets import Condition, count_subsets
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BM_SAFETY_MARGIN",
-    "BigCount",
     "Condition",
-    "DEFAULT_ENUM_LIMIT",
-    "EXACT",
-    "EnumerationLimitError",
-    "EvalMode",
-    "GAP_ALL_EVEN",
-    "GAP_ALL_ODD",
-    "GAP_ANY",
-    "GapList",
-    "IdentityReport",
-    "LinearRecurrence",
-    "RecurrenceReport",
-    "SequenceWindow",
-    "Subset",
-    "berlekamp_massey",
-    "check_bijection_round_trip",
-    "check_fib_h",
-    "check_gen_shift",
-    "check_gen_sum",
-    "check_odd_gap_h",
+    "count_subsets",
     "condition_count",
     "condition_gf",
-    "count_subsets",
-    "decimal_string",
-    "difference_set",
-    "discover_order",
-    "drop_max_shift_down",
-    "either_parity_family_size",
-    "enumerate_subsets",
-    "eval_fast",
-    "even_gap_counts",
-    "even_gap_family_size",
-    "even_to_odd_ratio",
     "fibonacci",
-    "fibonacci_seq",
-    "gap_parity_count",
-    "gen_fib_seq",
-    "gen_h_seq",
-    "h_seq",
-    "is_alpha_schreier",
-    "is_beta_zeckendorf",
-    "k_seq",
-    "matches",
+    "even_gap_family_size",
     "min_size_odd_gap_count",
     "min_size_odd_gap_seq",
-    "odd_gap_counts",
-    "odd_gap_family_size",
-    "scan_identity",
-    "schreier_zeckendorf_count",
     "schreier_zeckendorf_seq",
-    "shift_up_adjoin_max",
+    "LinearRecurrence",
+    "EvalMode",
+    "eval_fast",
+    "schreier_zeckendorf_count",
     "tail_recurrence_of",
-    "verify_recurrence",
+    "berlekamp_massey",
+    "check_fib_h",
 ]

@@ -30,11 +30,10 @@ from .identities import (
     check_gen_sum,
     check_odd_gap_h,
     decimal_string,
-    either_parity_family_size,
-    even_gap_family_size,
 )
 from .recurrences import (
     condition_count,
+    even_gap_family_size,
     fibonacci_seq,
     gen_fib_seq,
     gen_h_seq,
@@ -88,17 +87,29 @@ FAMILIES = {
 
 
 def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
-    # 1 - r_to: the either-parity family less its odd-gap part is the
-    # even-gap family less the to + 1 subsets of size <= 1.
+    # 1 - r_to, where r_to is the odd-gap share of the subsets whose gaps are
+    # all odd or all even. The two families share only the to + 1 subsets
+    # of size <= 1, so the union less the odd-gap family is `even`.
     if to < 1:
         raise UsageError("--to must be >= 1")
-    gap = Fraction(even_gap_family_size(to) - (to + 1), either_parity_family_size(to))
+    odd = condition_count(to, Condition(gap_parity=GAP_ALL_ODD))
+    even = even_gap_family_size(to) - (to + 1)
+    gap = Fraction(even, odd + even)
     shown, bound = decimal_string(gap), decimal_string(args.threshold)
     if gap < args.threshold:
         report = IdentityReport("ratio", (1, to), True)
     else:
         report = IdentityReport("ratio", (1, to), False, (to, shown, bound))
     return [report, f"  1 - r_{to} = {shown}  (threshold {bound})"]
+
+
+def _rational(text: str) -> Fraction:
+    # argparse turns a ValueError from a flag's type into a usage error, but
+    # not the ZeroDivisionError of Fraction("1/0").
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 def _orders(args: argparse.Namespace):
@@ -160,7 +171,7 @@ SCHEMA = {
         "--to": {"type": int},
         "--oracle-to": {"type": int, "default": 12},
         "--threshold": {
-            "type": Fraction,
+            "type": _rational,
             "default": Fraction(1, 1000),
             "help": "bound on 1 - r_to for the ratio check",
         },
@@ -345,7 +356,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rows += _report_rows(item) if isinstance(item, IdentityReport) else [item]
         text = "\n".join(rows) + "\n"
     _emit(text, args.output)
-    return OK if all(r.passed for r in reports) else VERIFY_FAIL
+    failed = [r.identity_id for r in reports if not r.passed]
+    if failed:
+        print(f"error: identity check failed: {', '.join(failed)}", file=sys.stderr)
+        return VERIFY_FAIL
+    return OK
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:

@@ -1,5 +1,5 @@
-"""Machine verification of sequence identities, the counting bijection, and
-the odd-gap dominance ratio.
+"""Machine verification of sequence identities and the counting bijection,
+and the exact decimal rendering of rationals that reports them.
 
 All pass/fail decisions compare exact integers or exact rationals; decimal
 strings are produced only for rendering, never for comparison.
@@ -12,12 +12,13 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from .recurrences import _condition_parts, _order_gf, _series, even_gap_family_size, gap_parity_count
+from .recurrences import _condition_parts, _order_gf, _series
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
     Condition,
     Subset,
+    check_enum_limit,
     count_subsets,
     enumerate_subsets,
     is_alpha_schreier,
@@ -149,6 +150,7 @@ def check_odd_gap_h(
     """
     if n_max_oracle < 1 or n_max_gf < 1:
         raise ValueError("ranges must be >= 1")
+    check_enum_limit(n_max_oracle, limit)
     cond = Condition(gap_parity=GAP_ALL_ODD, min_size=2)
 
     def triples():
@@ -209,6 +211,7 @@ def check_bijection_round_trip(
     lag = alpha + beta
     if n_max < lag:
         raise ValueError(f"n_max must be >= alpha + beta = {lag}, got {n_max}")
+    check_enum_limit(n_max, limit)
 
     def triples():
         for n in range(lag, n_max + 1):
@@ -245,26 +248,3 @@ def check_bijection_round_trip(
     return scan_identity(
         f"bijection[alpha={alpha},beta={beta}]", (lag, n_max), triples()
     )
-
-
-def odd_gap_family_size(n: int) -> int:
-    """Subsets of {1..n} whose gaps are all odd (closed form)."""
-    return gap_parity_count(n, GAP_ALL_ODD)
-
-
-def either_parity_family_size(n: int) -> int:
-    """Subsets of {1..n} whose gaps are all odd or all even.
-
-    Inclusion-exclusion: the two families overlap exactly in the n + 1
-    subsets of size <= 1, whose gap list is empty.
-    """
-    return odd_gap_family_size(n) + even_gap_family_size(n) - (n + 1)
-
-
-def even_to_odd_ratio(n: int) -> Fraction:
-    """Share of the all-even-gap family relative to the all-odd-gap family.
-
-    This quotient vanishes as n grows: the even-gap family doubles only
-    every other step while the odd-gap family grows by the golden ratio.
-    """
-    return Fraction(even_gap_family_size(n), odd_gap_family_size(n))

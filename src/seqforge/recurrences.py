@@ -1,6 +1,6 @@
 """Named integer sequences, each the series of a rational generating
-function P/Q; closed forms for the gap-parity counts; and the rational
-generating function behind every subset count.
+function P/Q, and condition_count, the one function that counts the
+subsets matching a Condition, from that Condition's generating function.
 
 Every term is an exact Python int. Window names double as the CLI family
 identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
@@ -15,7 +15,7 @@ from operator import add, mul
 from typing import Iterator
 
 from .fasteval import LinearRecurrence, eval_fast
-from .subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, BigCount, Condition
+from .subsets import GAP_ALL_ODD, GAP_ANY, BigCount, Condition
 
 
 @dataclass(frozen=True)
@@ -187,38 +187,6 @@ def _size_classes(n: int, first: int, alpha: int, gap: int, parity: bool) -> Ite
         k, a = k + 1, next_a
 
 
-def gap_parity_count(n: int, parity: str, min_size: int = 0) -> BigCount:
-    """Number of subsets of {1..n} with at least min_size elements whose
-    consecutive gaps all have one parity (GAP_ALL_ODD or GAP_ALL_EVEN).
-
-    The whole family has F_{n+3} - 1 members for odd gaps (fast doubling)
-    and even_gap_family_size(n) for even gaps; condition_count takes those
-    totals and handles the size bound. Fixing the maximum at n is this
-    count at n minus it at n - 1.
-    """
-    if parity not in (GAP_ALL_ODD, GAP_ALL_EVEN):
-        raise ValueError(f"parity must be {GAP_ALL_ODD!r} or {GAP_ALL_EVEN!r}")
-    return condition_count(n, Condition(gap_parity=parity, min_size=min_size))
-
-
-def odd_gap_counts(n: int) -> tuple[BigCount, BigCount]:
-    """(count containing n, total count) of subsets of {1..n} whose gaps are
-    all odd: F_{n+1} and F_{n+3} - 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = gap_parity_count(n, GAP_ALL_ODD)
-    return total - gap_parity_count(n - 1, GAP_ALL_ODD), total
-
-
-def even_gap_counts(n: int) -> tuple[BigCount, BigCount]:
-    """(count containing n, total count) of subsets of {1..n} whose gaps are
-    all even: 2^floor((n-1)/2), and even_gap_family_size(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = gap_parity_count(n, GAP_ALL_EVEN)
-    return total - gap_parity_count(n - 1, GAP_ALL_EVEN), total
-
-
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     """Counts of subsets of {1..n} with >= k elements and all gaps odd, for
     n = 1..n_max: the series of their condition_gf."""
@@ -234,7 +202,7 @@ def min_size_odd_gap_count(n: int, k: int) -> BigCount:
     """Number of subsets of {1..n} with >= k elements and all gaps odd."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return gap_parity_count(n, GAP_ALL_ODD, k)
+    return condition_count(n, Condition(gap_parity=GAP_ALL_ODD, min_size=k))
 
 
 # --- counting by rational generating function ---------------------------------

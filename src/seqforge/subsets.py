@@ -18,9 +18,6 @@ from typing import Iterable, Iterator
 # Counts are exact and unbounded; Python ints never saturate or wrap.
 BigCount = int
 
-# Consecutive-gap list of a sorted subset; empty for subsets of size <= 1.
-GapList = tuple[int, ...]
-
 GAP_ANY = "any"
 GAP_ALL_ODD = "all_odd"
 GAP_ALL_EVEN = "all_even"
@@ -112,7 +109,7 @@ class Condition:
         return gap
 
 
-def difference_set(s: Subset) -> GapList:
+def difference_set(s: Subset) -> tuple[int, ...]:
     """Consecutive gaps of s, in order; empty when s has <= 1 element."""
     e = s.elements
     return tuple(b - a for a, b in zip(e, e[1:]))
@@ -178,6 +175,12 @@ def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
         raise ValueError("n must be >= 0")
     if cond.forced_max is not None and cond.forced_max > n:
         raise ValueError(f"malformed query: forced_max {cond.forced_max} exceeds n={n}")
+    check_enum_limit(n, limit)
+
+
+def check_enum_limit(n: int, limit: int) -> None:
+    """Refuse an exhaustive scan of {1..n} past the limit. A caller that
+    will scan up to n calls this first, so it fails before doing any work."""
     if n > limit:
         raise EnumerationLimitError(
             f"n={n} exceeds the exhaustive-enumeration limit {limit}"

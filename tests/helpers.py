@@ -16,8 +16,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from seqforge.fasteval import EXACT, _prepared
-from seqforge.identities import decimal_string, even_gap_family_size
-from seqforge.recurrences import SequenceWindow
+from seqforge.identities import decimal_string
+from seqforge.recurrences import SequenceWindow, even_gap_family_size
 
 
 def iter_subsets_raw(n):

@@ -18,9 +18,10 @@ from seqforge.identities import (
     check_fib_h,
     check_gen_shift,
     check_gen_sum,
-    even_to_odd_ratio,
 )
 from seqforge.recurrences import (
+    condition_count,
+    even_gap_family_size,
     gen_fib_seq,
     gen_h_seq,
     h_seq,
@@ -28,7 +29,7 @@ from seqforge.recurrences import (
     min_size_odd_gap_seq,
     schreier_zeckendorf_seq,
 )
-from seqforge.subsets import Condition, count_subsets
+from seqforge.subsets import GAP_ALL_ODD, Condition, count_subsets
 
 from helpers import eval_iterative, fib_list, fib_mod, iter_subsets_raw, ratio_report
 
@@ -202,7 +203,8 @@ def test_c10_convergence_report():
     report = ratio_report(60)
     ok = report.final_gap_exact < Fraction(1, 1000)
     ok = ok and report.samples[9].value == Fraction(232, 284)
-    inner = [even_to_odd_ratio(n) for n in range(5, 61)]
+    odd = Condition(gap_parity=GAP_ALL_ODD)
+    inner = [Fraction(even_gap_family_size(n), condition_count(n, odd)) for n in range(5, 61)]
     ok = ok and all(b < a for a, b in zip(inner, inner[1:]))
     ok = ok and inner[-1] < Fraction(1, 1000)
     check(10, "odd-gap share converges, even-gap share decays", ok,

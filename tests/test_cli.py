@@ -1,20 +1,21 @@
 import contextlib
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import cli
+from seqforge import cli, identities
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import parse_bfile
 from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
-from helpers import family_oracle, fib_list, sz_list
+from helpers import family_oracle, fib_list, ratio_report, sz_list
 
 
 def run_cli(capsys, *argv):
@@ -382,9 +383,73 @@ class TestVerify:
         )
         assert code == 0 and "ratio: PASS" in out
 
+    @pytest.mark.parametrize("to", [1, 2, 3, 10, 60, 250])
+    def test_ratio_line_matches_the_oracle(self, capsys, to):
+        code, out, _ = run_cli(capsys, "verify", "--id", "ratio", "--to", str(to), "--threshold", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == f"  1 - r_{to} = {ratio_report(to).final_gap}  (threshold 1)"
+
     def test_ratio_impossible_threshold_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--id", "ratio", "--to", "60", "--threshold", "0")
+        code, out, err = run_cli(capsys, "verify", "--id", "ratio", "--to", "60", "--threshold", "0")
         assert code == 1 and "ratio: FAIL" in out
+        assert err == "error: identity check failed: ratio\n"
+
+    def test_zero_denominator_threshold_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"identity": "ratio", "threshold": "1/0"}))
+        for argv in (["--id", "ratio", "--threshold", "1/0"], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.count("error:") == 1 and "Traceback" not in err, argv
+            assert "not an exact rational: '1/0'" in err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["--id", "oddgap-h", "--oracle-to", "40"],
+        ["--id", "oddgap-h", "--oracle-to", "13", "--enum-limit", "12"],
+        ["--id", "bijection", "--to", "13", "--enum-limit", "12"],
+        ["--id", "all", "--enum-limit", "11"],
+    ])
+    def test_enumerating_checks_refuse_before_any_work(self, capsys, monkeypatch, argv):
+        # The largest n a check would scan is tested against the limit before
+        # the first scan, so an oracle call here is already too late.
+        class Enumerated(BaseException):
+            """Escapes main(), which catches only Exception."""
+
+        def spy(*args):
+            raise Enumerated(args)
+
+        monkeypatch.setattr(identities, "count_subsets", spy)
+        monkeypatch.setattr(identities, "enumerate_subsets", spy)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith("error: n=") and "exhaustive-enumeration limit" in err
+        assert err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_verify_argv(self, data):
+        # --enum-limit stays at most 12, so no check scans past 2**12 subsets.
+        identity = data.draw(st.sampled_from([*cli.IDENTITIES, "all", "fermat"]), label="id")
+        argv = ["verify", "--id", identity, "--enum-limit", str(data.draw(st.integers(-1, 12)))]
+        for flag, values in (
+            ("--to", st.integers(-3, 40) | st.sampled_from(["", "x", "1e3", "10**6"])),
+            ("--n", st.integers(-3, 10)),
+            ("--oracle-to", st.integers(-3, 14)),
+            ("--threshold", THRESHOLDS),
+            ("--format", st.sampled_from(["table", "json", "xml"])),
+        ):
+            value = data.draw(st.none() | values, label=flag)
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        errors = err.getvalue()
+        assert code in (0, 1, 2, 3), (argv, errors)
+        assert errors.count("error:") <= 1 and "Traceback" not in errors, argv
+        assert (code == 0) == (errors == ""), argv
 
     @pytest.mark.parametrize("to", ["1", "-5", "5"])
     def test_bijection_range_below_a_lag_is_usage_error(self, capsys, to):
@@ -481,6 +546,36 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "31")
         assert code == 3 and "limit" in err
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_enumerate_argv(self, data):
+        # --enum-limit stays at most 12, so no scan passes 2**12 subsets.
+        flags = ["--n", str(data.draw(st.integers(-2, 14), label="n"))]
+        flags += ["--enum-limit", str(data.draw(st.integers(-1, 12), label="limit"))]
+        for flag, values in (
+            ("--alpha", st.integers(-1, 5)),
+            ("--beta", st.integers(-1, 5)),
+            ("--gap-parity", st.sampled_from(["any", "odd", "even", "both"])),
+            ("--min-size", st.integers(-1, 6)),
+            ("--forced-max", st.integers(-1, 16)),
+        ):
+            value = data.draw(st.none() | values, label=flag)
+            if value is not None:
+                flags += [flag, str(value)]
+        runs = []
+        for argv in (["enumerate", *flags], ["count", *flags, "--engine", "oracle"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            runs.append((code, out.getvalue(), err.getvalue()))
+        (code, listing, errors), (count_code, count, _) = runs
+        assert code in (0, 1, 2, 3), (flags, errors)
+        assert errors.count("error:") <= 1 and "Traceback" not in errors, flags
+        assert (code == 0) == (errors == ""), flags
+        assert count_code == code, flags
+        if code == 0:
+            assert listing.count("\n") == int(count), flags
+
 
 class TestPipelines:
     def test_bfile_feeds_discovery(self, capsys, tmp_path):
@@ -531,6 +626,15 @@ class TestErrors:
         assert (code, out) == (5, "")
         assert err == "error: internal error: RuntimeError: first line second line\n"
         assert "Traceback" not in err
+
+# --threshold texts: exact rationals, signed, as fractions (zero
+# denominators included) and decimals with exponents of at most 3 digits,
+# and near misses. A longer exponent makes Fraction build 10^exponent.
+THRESHOLDS = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,4}/[+-]?[0-9]{1,3}", fullmatch=True),
+    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["1/0", "-0/0", "1//2", "e3", "1e", "/", "nan", "inf", "0x10"]),
+)
 
 CONFIG_NAMES = {
     "gap_parity": ["any", "odd", "even"],

@@ -13,15 +13,12 @@ from seqforge.identities import (
     check_odd_gap_h,
     decimal_string,
     drop_max_shift_down,
-    either_parity_family_size,
-    even_gap_family_size,
-    even_to_odd_ratio,
-    odd_gap_family_size,
     scan_identity,
     shift_up_adjoin_max,
 )
-from seqforge.recurrences import fibonacci, h_seq
+from seqforge.recurrences import condition_count, even_gap_family_size, fibonacci, h_seq
 from seqforge.subsets import (
+    GAP_ALL_ODD,
     Condition,
     Subset,
     enumerate_subsets,
@@ -30,6 +27,16 @@ from seqforge.subsets import (
 )
 
 from helpers import brute_count, gaps_of, ratio_report
+
+
+def odd_gap_family_size(n):
+    return condition_count(n, Condition(gap_parity=GAP_ALL_ODD))
+
+
+def either_parity_family_size(n):
+    # Inclusion-exclusion: the two families share exactly the n + 1 subsets
+    # of size <= 1, whose gap list is empty.
+    return odd_gap_family_size(n) + even_gap_family_size(n) - (n + 1)
 
 
 class TestReportMachinery:
@@ -177,7 +184,7 @@ class TestFamilySizes:
                 or all(g % 2 == 0 for g in gaps_of(t)),
             )
             overlap = brute_count(n, lambda t: len(t) <= 1)
-            assert odd_gap_family_size(n) == odd
+            assert odd_gap_family_size(n) == odd == fibonacci(n + 3) - 1
             assert even_gap_family_size(n) == even
             assert either_parity_family_size(n) == union
             assert overlap == n + 1
@@ -212,7 +219,7 @@ class TestRatioReport:
         assert report.final_gap_exact == 1 - report.samples[-1].value
         assert report.final_gap_exact < Fraction(1, 1000)
         assert report.final_gap == decimal_string(report.final_gap_exact)
-        # `verify --id ratio` computes 1 - r_n from the closed forms alone:
+        # `verify --id ratio` computes 1 - r_n from the family sizes alone:
         # the union less the odd-gap family is the even-gap family less the
         # n + 1 subsets of size <= 1.
         for sample in ratio_report(300).samples:
@@ -224,7 +231,7 @@ class TestRatioReport:
             assert gap == ratio_report(n).final_gap_exact, n
 
     def test_even_share_decays_to_zero(self):
-        values = [even_to_odd_ratio(n) for n in range(5, 61)]
+        values = [Fraction(even_gap_family_size(n), odd_gap_family_size(n)) for n in range(5, 61)]
         for a, b in zip(values, values[1:]):
             assert b < a
         assert values[-1] < Fraction(1, 1000)

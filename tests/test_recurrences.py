@@ -15,17 +15,15 @@ from seqforge.recurrences import (
     _size_classes,
     condition_count,
     condition_gf,
-    even_gap_counts,
+    even_gap_family_size,
     fibonacci,
     fibonacci_seq,
-    gap_parity_count,
     gen_fib_seq,
     gen_h_seq,
     h_seq,
     k_seq,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
-    odd_gap_counts,
     schreier_zeckendorf_seq,
 )
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, Condition, count_subsets
@@ -47,6 +45,16 @@ PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
 
 def series_head(cond, count):
     return list(islice(_series(*_condition_parts(cond)), count))
+
+
+def parity_count(n, parity, min_size=0):
+    return condition_count(n, Condition(gap_parity=parity, min_size=min_size))
+
+
+def parity_counts(n, parity):
+    # (count containing n, total count) of subsets of {1..n} whose gaps all
+    # have the parity.
+    return condition_count(n, Condition(gap_parity=parity, forced_max=n)), parity_count(n, parity)
 
 
 # Row values of the published order-3 table, indices 0..12.
@@ -292,13 +300,16 @@ class TestOddGapCounts:
     def test_goldens(self):
         # The n=3 totals were re-derived from the oracle before freezing:
         # the 7 qualifying subsets are {}, {1}, {2}, {3}, {1,2}, {2,3}, {1,2,3}.
-        assert odd_gap_counts(3) == (3, 7)
-        assert odd_gap_counts(1) == (1, 2)
-        assert odd_gap_counts(10) == (89, 232)
+        assert parity_counts(3, GAP_ALL_ODD) == (3, 7)
+        assert parity_counts(1, GAP_ALL_ODD) == (1, 2)
+        assert parity_counts(10, GAP_ALL_ODD) == (89, 232)
+        # F_{n+1} of them contain n, and F_{n+3} - 1 is their total.
+        for n in (*range(1, 200), 10**4):
+            assert parity_counts(n, GAP_ALL_ODD) == (fibonacci(n + 1), fibonacci(n + 3) - 1), n
 
     def test_matches_oracle(self):
         for n in range(1, 13):
-            contain, total = odd_gap_counts(n)
+            contain, total = parity_counts(n, GAP_ALL_ODD)
             assert contain == brute_count(
                 n, lambda t: t and t[-1] == n and all(g % 2 == 1 for g in gaps_of(t))
             )
@@ -307,8 +318,8 @@ class TestOddGapCounts:
 
 def test_parity_counts_match_condition_oracle():
     for n in range(1, 15):
-        odd_contain, odd_total = odd_gap_counts(n)
-        even_contain, even_total = even_gap_counts(n)
+        odd_contain, odd_total = parity_counts(n, GAP_ALL_ODD)
+        even_contain, even_total = parity_counts(n, GAP_ALL_EVEN)
         assert odd_total == count_subsets(n, Condition(gap_parity=GAP_ALL_ODD))
         assert even_total == count_subsets(n, Condition(gap_parity=GAP_ALL_EVEN))
         assert odd_contain == count_subsets(
@@ -321,13 +332,17 @@ def test_parity_counts_match_condition_oracle():
 
 class TestEvenGapCounts:
     def test_goldens(self):
-        assert even_gap_counts(1) == (1, 2)
-        assert even_gap_counts(3) == (2, 5)
-        assert even_gap_counts(4) == (2, 7)
+        assert parity_counts(1, GAP_ALL_EVEN) == (1, 2)
+        assert parity_counts(3, GAP_ALL_EVEN) == (2, 5)
+        assert parity_counts(4, GAP_ALL_EVEN) == (2, 7)
+        # 2^floor((n-1)/2) of them contain n; even_gap_family_size is their total.
+        for n in (*range(1, 200), 10**4, 10**4 + 1):
+            want = (1 << (n - 1) // 2, even_gap_family_size(n))
+            assert parity_counts(n, GAP_ALL_EVEN) == want, n
 
     def test_matches_oracle(self):
         for n in range(1, 13):
-            contain, total = even_gap_counts(n)
+            contain, total = parity_counts(n, GAP_ALL_EVEN)
             assert contain == brute_count(
                 n, lambda t: t and t[-1] == n and all(g % 2 == 0 for g in gaps_of(t))
             )
@@ -403,19 +418,19 @@ class TestGapParityClosedForm:
         for k in range(9):
             dp = min_size_odd_gap_list(300, k)
             for n in range(1, 301):
-                assert gap_parity_count(n, GAP_ALL_ODD, k) == dp[n - 1], (n, k)
+                assert parity_count(n, GAP_ALL_ODD, k) == dp[n - 1], (n, k)
 
     @pytest.mark.parametrize("parity", [GAP_ALL_ODD, GAP_ALL_EVEN])
     def test_matches_oracle(self, parity):
         for n in range(17):
             for min_size in range(7):
-                free = gap_parity_count(n, parity, min_size)
+                free = parity_count(n, parity, min_size)
                 assert free == count_subsets(n, Condition(gap_parity=parity, min_size=min_size))
                 if n:
                     forced = count_subsets(
                         n, Condition(gap_parity=parity, min_size=min_size, forced_max=n)
                     )
-                    assert free - gap_parity_count(n - 1, parity, min_size) == forced
+                    assert free - parity_count(n - 1, parity, min_size) == forced
 
     @pytest.mark.parametrize("parity, step", [(GAP_ALL_ODD, 1), (GAP_ALL_EVEN, 2)])
     def test_branches_meet_at_half_the_largest_size(self, parity, step):
@@ -427,21 +442,21 @@ class TestGapParityClosedForm:
         room = n - step * (m - 1)
         t = (room - 1) // 2
         size_class = room * comb(t + m - 1, m - 1) - 2 * (m - 1) * comb(t + m - 1, m)
-        assert gap_parity_count(n, parity, m) - gap_parity_count(n, parity, m + 1) == size_class
+        assert parity_count(n, parity, m) - parity_count(n, parity, m + 1) == size_class
 
     def test_size_bound_past_the_largest_size(self):
-        assert gap_parity_count(5, GAP_ALL_ODD, 6) == 0
-        assert gap_parity_count(5, GAP_ALL_EVEN, 4) == 0
-        assert gap_parity_count(5, GAP_ALL_EVEN, 3) == 1  # {1, 3, 5}
-        assert gap_parity_count(0, GAP_ALL_ODD) == 1
+        assert parity_count(5, GAP_ALL_ODD, 6) == 0
+        assert parity_count(5, GAP_ALL_EVEN, 4) == 0
+        assert parity_count(5, GAP_ALL_EVEN, 3) == 1  # {1, 3, 5}
+        assert parity_count(0, GAP_ALL_ODD) == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            gap_parity_count(-1, GAP_ALL_ODD)
+            parity_count(-1, GAP_ALL_ODD)
         with pytest.raises(ValueError):
-            gap_parity_count(5, GAP_ALL_EVEN, -1)
+            parity_count(5, GAP_ALL_EVEN, -1)
         with pytest.raises(ValueError):
-            gap_parity_count(5, "any")
+            parity_count(5, "odd")  # the CLI's flag text, not a parity
 
 
 class TestConditionCount:
@@ -512,7 +527,7 @@ class TestConditionCount:
         # The closed forms at every n up to 10^4, times Q, give P.
         n = 10**4
         p, q = condition_gf(Condition(gap_parity=parity, min_size=min_size))
-        counts = [gap_parity_count(m, parity, min_size) for m in range(n + 1)]
+        counts = [parity_count(m, parity, min_size) for m in range(n + 1)]
         assert truncated_product(counts, q, n + 1) == list(p) + [0] * (n + 1 - len(p))
 
     def test_mixed_shapes_at_ten_thousand(self):
