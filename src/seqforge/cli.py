@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -103,9 +104,20 @@ def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
     return [report, f"  1 - r_{to} = {shown}  (threshold {bound})"]
 
 
+# Fraction("1e999999999") builds 10**999999999 before it returns, so an
+# exponent wider than this many digits is refused before Fraction sees it.
+MAX_EXPONENT_DIGITS = 4
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _rational(text: str) -> Fraction:
     # argparse turns a ValueError from a flag's type into a usage error, but
     # not the ZeroDivisionError of Fraction("1/0").
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > MAX_EXPONENT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"exponent wider than {MAX_EXPONENT_DIGITS} digits: {text!r}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

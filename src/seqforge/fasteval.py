@@ -5,15 +5,21 @@ The default fast path raises x to the n-th power modulo the characteristic
 polynomial by square-and-shift: one squaring per bit of n, a fold of the
 high half back below degree k, and a shift for each 1-bit.
 
-- Exact ints and Fractions, and residues mod p at orders 1 and 2, square by
-  k(k+1)/2 coefficient products and fold by a loop over the nonzero
-  recurrence coefficients only.
+- Exact Fractions, exact ints below the Toom cutover, and residues mod p at
+  orders 1 and 2 square by k(k+1)/2 coefficient products and fold by a
+  loop over the nonzero recurrence coefficients only.
+- Exact ints at order 3 and up, once the widest coefficient has
+  max(2048, 128k) bits, square by evaluation and interpolation
+  (Toom-Cook): 2k - 1 big-int squares per bit, plus small-by-big products
+  and exact divisions linear in the size of the numbers; the fold is the
+  same loop.
 - Residues mod p at order 3 and up square as one big int: the k residues
   are packed into one int, W = ceil((2 bits(p) + bits(2k)) / 8) bytes a
   slot, so that CPython's own multiply does the product (Kronecker
-  substitution). The high half folds by the same loop when at most two
-  coefficients are nonzero mod p, else as one packed dot product with the
-  rows x^(k+i) mod the characteristic polynomial, built once per call.
+  substitution). The high half folds by the same loop when at most
+  max(2, k // 10) coefficients are nonzero mod p, else as one packed dot
+  product with the rows x^(k+i) mod the characteristic polynomial, built
+  once per call.
 
 A companion-matrix power is kept behind a switch as an independent second
 implementation for differential testing. No floating point anywhere.
@@ -22,7 +28,9 @@ implementation for differential testing. No floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
+from math import gcd, lcm
 from operator import mod, mul
 
 from .subsets import BigCount
@@ -106,8 +114,15 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
         step = _slice_step(coeffs, mode.modulus)
     else:
         step = _packed_step(coeffs, mode.modulus)
+    # Exact int powers switch to Toom squaring for good at the first step
+    # whose widest coefficient reaches the cutover; the bits double each step.
+    toom_bits = None
+    if mode.modulus is None and k >= MIN_TOOM_ORDER and all(isinstance(c, int) for c in coeffs):
+        toom_bits = _toom_cutover(k)
     result = [1] + [0] * (k - 1)  # x^0
     for bit in bin(j)[2:]:
+        if toom_bits and max(map(int.bit_length, result)) >= toom_bits:
+            step, toom_bits = _toom_step(coeffs), None
         result = step(result, bit == "1")
     return mode.reduce(sum(map(mul, result, initials)))
 
@@ -126,15 +141,13 @@ def _fold_taps(prod: list, k: int, taps: list, modulus: int | None) -> list:
 
 
 def _slice_step(coeffs: list, modulus: int | None):
-    # Exact ints and Fractions, and residues mod p below MIN_PACKED_ORDER
-    # (modulus set: the fold reduces every coefficient into [0, p)).
-    # Degree d of a square is
+    # Exact Fractions, exact ints below the Toom cutover, and residues mod p
+    # below MIN_PACKED_ORDER (modulus set: the fold reduces every
+    # coefficient into [0, p)). Degree d of a square is
     # 2 * sum(a_i * a_(d-i) for lo <= i < half), plus a_(d/2)^2 for even d:
     # k(k+1)/2 coefficient products in all. The partners a_(d-i) are read
-    # forward from the reversed list. Packing exact values into one int was
-    # measured slower (sz[4,4] at n = 10^6: 339 -> 462 ms): they are big ints
-    # already, multiplied by Karatsuba one by one, and every slot must fit
-    # the widest.
+    # forward from the reversed list. Wide exact ints square in fewer
+    # products by _toom_step instead.
     k = len(coeffs)
     taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
     slices = []
@@ -154,6 +167,101 @@ def _slice_step(coeffs: list, modulus: int | None):
     return step
 
 
+# Exact int powers of this order and up square by _toom_step once their
+# widest coefficient has _toom_cutover(k) bits. Below it, and for every
+# Fraction, the k(k+1)/2 products of _slice_step cost less than the 2k - 1
+# squares plus the k^2 small-by-big products of the interpolation, whose
+# entries grow with k. One step, square and fold, with random coefficients
+# broke even near 1,600-2,700 bits at orders 4 to 20, 5,000 at order 3 and
+# 3,900 and 7,400 at orders 40 and 64; at 40,000 bits Toom took 0.77 of
+# the slice step's time at order 3, 0.42 at order 7 and 0.25 at order 20.
+# At order 2 both take three products.
+MIN_TOOM_ORDER = 3
+
+
+def _toom_cutover(k: int) -> int:
+    return max(2048, 128 * k)
+
+
+@lru_cache(maxsize=None)
+def _toom_table(k: int):
+    # (points, denominators) for order k, built on the first Toom step at
+    # that order. points[t] holds the powers (t^2)^i and the weights of the
+    # values at t. The even half S(u) = E(u)^2 + u O(u)^2 of A(x)^2 is known
+    # at u = t^2 as (A(t)^2 + A(-t)^2) / 2, t = 0..k-1, and the odd half
+    # D(u) = 2 E(u) O(u) as (A(t)^2 - A(-t)^2) / (2t), t = 1..k-1.
+    # Lagrange's formula turns those values into coefficients: the column
+    # for node u_j is prod(u - u_i, i != j) / (s_j prod(u_j - u_i, i != j)),
+    # with s_j the 2 or 2t the value carries, so each half is int columns
+    # over one common denominator and every division at a step is exact.
+    def columns(nodes, scales):
+        cols, dens = [], []
+        for j, uj in enumerate(nodes):
+            col, den = [1], scales[j]
+            for i, ui in enumerate(nodes):
+                if i != j:
+                    col = [a - ui * b for a, b in zip([0] + col, col + [0])]
+                    den *= uj - ui
+            cols.append(col)
+            dens.append(den)
+        common = lcm(*dens)
+        cols = [[c * (common // den) for c in col] for col, den in zip(cols, dens)]
+        g = gcd(common, *(c for col in cols for c in col))
+        return [[c // g for c in col] for col in cols], common // g
+
+    nodes = [t * t for t in range(k)]
+    even_cols, even_den = columns(nodes, [2] * k)
+    odd_cols, odd_den = columns(nodes[1:], [2 * t for t in range(1, k)])
+    points = [
+        ([u**i for i in range((k + 1) // 2)], even_cols[t], odd_cols[t - 1] if t else [])
+        for t, u in enumerate(nodes)
+    ]
+    return points, [even_den, odd_den] * (k - 1) + [even_den]
+
+
+def _toom_square(a: list) -> list:
+    # The 2k - 1 coefficients of A(x)^2 for ints a_0..a_(k-1), k >= 3, by
+    # evaluation and interpolation (Toom-Cook; Knuth, TAOCP vol. 2, 4.3.3):
+    # A = E(x^2) + x O(x^2) at t = 0, +-1, .., +-(k-1) gives 2k - 1 big-int
+    # squares, and the rest is small-by-big products and exact divisions,
+    # linear in the size of the numbers. Each pair of squares is added into
+    # the coefficients at once, so a step holds the 2k - 1 sums and two
+    # squares, not every square as well.
+    k = len(a)
+    points, dens = _toom_table(k)
+    evens, odds = a[0::2], a[1::2]
+    prod = [0] * (2 * k - 1)
+    for t, (powers, even_col, odd_col) in enumerate(points):
+        e = sum(map(mul, evens, powers))
+        o = t * sum(map(mul, odds, powers))
+        plus, minus = e + o, e - o
+        del e, o
+        plus *= plus
+        minus = plus if t == 0 else minus * minus
+        plus += minus  # A(t)^2 + A(-t)^2
+        minus = plus - (minus << 1)  # A(t)^2 - A(-t)^2
+        for i, c in enumerate(even_col):
+            prod[2 * i] += c * plus
+        for i, c in enumerate(odd_col):
+            prod[2 * i + 1] += c * minus
+    for i, den in enumerate(dens):
+        prod[i] //= den
+    return prod
+
+
+def _toom_step(coeffs: list):
+    k = len(coeffs)
+    taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
+
+    def step(result: list, shift: bool) -> list:
+        prod = _toom_square(result)
+        if shift:
+            prod.insert(0, 0)  # times x
+        return _fold_taps(prod, k, taps, None)
+
+    return step
+
+
 # Modular powering below this order squares by slices, as exact mode does:
 # at order 2 the packing, to_bytes and three slot cuts cost more per bit
 # than three products of residues. Mod 10^9+7 at n = 10^18, Fibonacci took
@@ -162,16 +270,17 @@ def _slice_step(coeffs: list, modulus: int | None):
 MIN_PACKED_ORDER = 3
 
 
-# At most this many nonzero taps fold with the Python tap loop, k * t steps
-# a bit; more fold as one packed dot product with the rows x^(k+i) mod the
-# characteristic polynomial, k big-int products a bit. Measured mod 10^9+7
-# at n = 10^18: with 2 taps (the Schreier-Zeckendorf, genfib and Fibonacci
-# shapes) the loop takes 13 ms against the rows' 31 at k = 200 and 54
-# against 175 at k = 500; dense, the rows take 1.7 ms against the loop's 3.1
-# at k = 16 and 8.9 against 32 at k = 64. Between the two, 3 to about k / 10
-# taps, the loop is still the cheaper fold (66 against 191 ms at k = 500
-# with 3 taps), but no catalog family has such a shape.
+# At most max(MAX_LOOP_TAPS, k // ORDER_PER_LOOP_TAP) nonzero taps fold with
+# the Python tap loop, k * t steps a bit; more fold as one packed dot
+# product with the rows x^(k+i) mod the characteristic polynomial, k big-int
+# products a bit. Measured mod 10^9+7 at n = 10^18, loop against rows: 2
+# taps (the Schreier-Zeckendorf, genfib and Fibonacci shapes) 7.1 against
+# 14.9 ms at k = 200 and 23 against 66 at k = 500; 3 taps at k = 500, 25
+# against 75; k / 10 taps about even (5.6 against 6.1 at k = 100, 17.4
+# against 18.6 at k = 200); dense, 1.2 against 0.6 at k = 16 and 11.6
+# against 3.2 at k = 64.
 MAX_LOOP_TAPS = 2
+ORDER_PER_LOOP_TAP = 10
 
 
 def _packed_step(coeffs: list, modulus: int):
@@ -204,7 +313,7 @@ def _packed_step(coeffs: list, modulus: int):
         return map(int.from_bytes, map(raw.__getitem__, cuts[lo:hi]), repeat("little"))
 
     taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
-    if len(taps) <= MAX_LOOP_TAPS:
+    if len(taps) <= max(MAX_LOOP_TAPS, k // ORDER_PER_LOOP_TAP):
         def step(result: list, shift: bool) -> list:
             prod = list(unpack(square(result, shift), 0, 2 * k - 1 + shift))
             return _fold_taps(prod, k, taps, modulus)
@@ -273,11 +382,14 @@ def eval_fast(
 ) -> BigCount:
     """Term at absolute index n by square-and-shift over the bits of n.
 
-    Exact: k(k+1)/2 coefficient products per bit of n for order k, plus a
-    fold visiting only the nonzero coefficients; modular orders 1 and 2 do
-    the same on residues. Modular from order 3: one big-int square per bit,
-    of k packed slots of 2 bits(p) + bits(2k) bits or more, plus a
-    fold by the nonzero taps (at most two) or by k products with packed rows.
+    Exact: k(k+1)/2 coefficient products per bit of n for order k; from
+    order 3, once the coefficients have max(2048, 128k) bits, 2k - 1
+    big-int squares per bit by evaluation and interpolation instead. Then
+    a fold visiting only the nonzero coefficients; modular orders 1 and 2
+    square and fold as exact mode does below the cutover. Modular from
+    order 3: one big-int square per bit, of k packed slots of
+    2 bits(p) + bits(2k) bits or more, plus a fold by the nonzero taps (at
+    most max(2, k // 10)) or by k products with packed rows.
     method="matrix" selects the companion-matrix implementation instead of
     polynomial powering.
     """

@@ -403,6 +403,26 @@ class TestVerify:
             assert err.count("error:") == 1 and "Traceback" not in err, argv
             assert "not an exact rational: '1/0'" in err, argv
 
+    @pytest.mark.parametrize("text", ["1e999999999", "-2.5E-999999999", "1e+0_0_123_456", "3e00012345"])
+    def test_wide_exponent_threshold_is_usage_error(self, capsys, tmp_path, text):
+        # Fraction would build 10**exponent before returning.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"identity": "ratio", "threshold": text}))
+        for argv in (["--id", "ratio", f"--threshold={text}"], ["--config", str(cfg)]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out) == (2, ""), argv
+            assert err.count("error:") == 1 and "Traceback" not in err, argv
+            assert f"exponent wider than 4 digits: {text!r}" in err, argv
+
+    @pytest.mark.parametrize("text, shown", [
+        ("1e-0009999", "0." + "0" * 9998 + "1"), ("5e3", "5000"), ("1E+0000010", "10000000000"),
+    ])
+    def test_four_digit_exponent_threshold_is_read(self, capsys, text, shown):
+        code, out, err = run_cli(capsys, "verify", "--id", "ratio", "--to", "30", "--threshold", text)
+        assert code in (0, 1) and out.splitlines()[-1].endswith(f"(threshold {shown})"), out
+
     @pytest.mark.parametrize("argv", [
         ["--id", "oddgap-h", "--oracle-to", "40"],
         ["--id", "oddgap-h", "--oracle-to", "13", "--enum-limit", "12"],
@@ -628,11 +648,11 @@ class TestErrors:
         assert "Traceback" not in err
 
 # --threshold texts: exact rationals, signed, as fractions (zero
-# denominators included) and decimals with exponents of at most 3 digits,
-# and near misses. A longer exponent makes Fraction build 10^exponent.
+# denominators included) and decimals with exponents of up to 12 digits
+# (more than cli.MAX_EXPONENT_DIGITS is a usage error), and near misses.
 THRESHOLDS = st.one_of(
     st.from_regex(r"[+-]?[0-9]{1,4}/[+-]?[0-9]{1,3}", fullmatch=True),
-    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,12})?", fullmatch=True),
     st.sampled_from(["1/0", "-0/0", "1//2", "e3", "1e", "/", "nan", "inf", "0x10"]),
 )
 

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +199,115 @@ class TestSquareAndShift:
             assert eval_fast(rec, n, mode) == eval_fast(rec, n, mode, method="matrix")
 
 
+def schoolbook_square(a):
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(a):
+            out[i + j] += x * y
+    return out
+
+
+def spy(monkeypatch, name):
+    """Count the calls of fasteval.<name>, which still does its work."""
+    calls = []
+    real = getattr(fasteval, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fasteval, name, wrapped)
+    return calls
+
+
+class TestToomSquaring:
+    """Exact int powers from order 3 square by evaluation and interpolation
+    once their widest coefficient reaches the cutover; below it, at order
+    2 and for Fractions they square by slices."""
+
+    def test_square_equals_schoolbook(self):
+        rng = random.Random("toom-square")
+        for k in range(3, 17):
+            bits = fasteval._toom_cutover(k)
+            for _ in range(4):
+                a = [rng.randint(-(2**bits), 2**bits) * rng.choice((0, 1, 1, 1)) for _ in range(k)]
+                a[rng.randrange(k)] = rng.choice((-1, 1)) << (bits + rng.randrange(64))
+                assert fasteval._toom_square(a) == schoolbook_square(a), k
+
+    def test_square_of_small_and_zero_coefficients(self):
+        for k in (3, 4, 9):
+            for a in ([0] * k, [1] * k, [-1] + [0] * (k - 1), [0] * (k - 1) + [-5], list(range(-k, 0))):
+                assert fasteval._toom_square(a) == schoolbook_square(a), a
+
+    def test_exact_eval_across_the_cutover(self, monkeypatch):
+        # Random signed recurrences at n of 2*10^4 to 6*10^4, so the last
+        # steps square coefficients of thousands of bits or more by Toom.
+        calls = spy(monkeypatch, "_toom_square")
+        rng = random.Random("toom-eval")
+        for order in range(3, 9):
+            coeffs = [rng.randint(-3, 3) for _ in range(order)]
+            coeffs[0], coeffs[-1] = rng.choice((-3, 3)), rng.choice((-2, -1, 1, 2))
+            initials = [rng.randint(-9, 9) for _ in range(order)]
+            rec = LinearRecurrence(
+                coeffs=tuple(coeffs), initials=tuple(initials), valid_from=rng.randint(-3, 3)
+            )
+            n = rec.valid_from + rng.randint(20_000, 60_000)
+            before = len(calls)
+            got = eval_fast(rec, n)
+            assert len(calls) > before, (rec, n)
+            assert got == eval_iterative(rec, n), (rec, n)
+            assert got == eval_fast(rec, n, method="matrix"), (rec, n)
+
+    def test_family_at_the_cutover(self, monkeypatch):
+        calls = spy(monkeypatch, "_toom_square")
+        rec = tail_recurrence_of("schreier-zeckendorf", alpha=3, beta=4)
+        window = schreier_zeckendorf_seq(3, 4, 25_000)
+        for n in range(20_000, 25_001, 251):
+            assert eval_fast(rec, n) == window.term(n)
+        assert calls
+
+    def test_order_two_and_narrow_powers_square_by_slices(self, monkeypatch):
+        calls = spy(monkeypatch, "_toom_square")
+        assert eval_fast(FIB, 10**5) == eval_fast(FIB, 10**5, method="matrix")
+        # Coefficients that stay small never reach the cutover.
+        periodic = LinearRecurrence(coeffs=(0, 0, 0, 1), initials=(5, -6, 7, 8))
+        assert eval_fast(periodic, 10**9 + 2) == 7
+        assert calls == []
+
+    def test_fraction_coefficients_stay_exact(self, monkeypatch):
+        as_ints = LinearRecurrence(coeffs=(1, 0, -2, 3), initials=(1, 2, 3, 4))
+        want = eval_fast(as_ints, 30_000)
+        calls = spy(monkeypatch, "_toom_square")
+        as_fractions = LinearRecurrence(
+            coeffs=(Fraction(1), Fraction(0), Fraction(-2), Fraction(3)), initials=(1, 2, 3, 4)
+        )
+        assert eval_fast(as_fractions, 30_000) == want
+        assert calls == []
+        rational = LinearRecurrence(
+            coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(-2)),
+            initials=(Fraction(1, 2), 1, -3, Fraction(7, 5)),
+        )
+        for n in (700, 2047, 2048):
+            assert eval_fast(rational, n) == eval_iterative(rational, n)
+
+    def test_import_builds_no_table(self):
+        src = Path(fasteval.__file__).resolve().parents[1]
+        script = (
+            "import seqforge\n"
+            "from seqforge import fasteval as f\n"
+            "assert f._toom_table.cache_info().currsize == 0\n"
+            "f.eval_fast(f.tail_recurrence_of('schreier-zeckendorf', alpha=3, beta=4), 1000)\n"
+            "assert f._toom_table.cache_info().currsize == 0\n"
+            "f.eval_fast(f.tail_recurrence_of('schreier-zeckendorf', alpha=3, beta=4), 10**5)\n"
+            "assert f._toom_table.cache_info().currsize == 1\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n" + script],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+
 PACKED_MODULI = [2, 3, 97, 1_000_000_007, 2**61 - 1, 2**64, 2**127 - 1]
 PACKED_IDS = ["2", "3", "97", "1e9+7", "2^61-1", "2^64", "2^127-1"]
 
@@ -290,6 +402,40 @@ class TestPackedPowering:
                     self.check_matrix(rec, p)
         with pytest.raises(AssertionError, match="order 3 packed"):
             eval_fast(tail_recurrence_of("schreier-zeckendorf", alpha=2, beta=1), 10**6, mode)
+
+    # The modular benchmark's shapes: Schreier-Zeckendorf orders a + b with
+    # two taps, and dense 61-bit recurrences of orders 8 to 64.
+    @pytest.mark.parametrize("p", [MOD, 2**61 - 1], ids=["1e9+7", "2^61-1"])
+    def test_fold_choice_for_benchmark_shapes(self, p, monkeypatch):
+        calls = spy(monkeypatch, "_fold_taps")
+        mode = EvalMode(p)
+        for a, b in ((1, 1), (2, 3), (5, 5), (10, 10), (20, 20), (30, 30), (40, 40), (60, 60), (80, 80), (100, 100)):
+            rec = tail_recurrence_of("schreier-zeckendorf", alpha=a, beta=b)
+            before = len(calls)
+            eval_fast(rec, 10**12, mode)
+            assert len(calls) > before, f"sz[{a},{b}] folded by rows"
+        rng = random.Random("fold-choice")
+        dense_calls = len(calls)
+        for k in (8, 16, 32, 48, 64):
+            coeffs = tuple(rng.randrange(1, 2**61) for _ in range(k))
+            eval_fast(LinearRecurrence(coeffs=coeffs, initials=tuple(range(k))), 10**12, mode)
+        assert len(calls) == dense_calls, "a dense order folded by the tap loop"
+
+    def test_sparse_high_order_folds_both_ways_alike(self, monkeypatch):
+        k = 500
+        coeffs = [0] * k
+        coeffs[0], coeffs[k // 2], coeffs[-1] = 1, 3, 1
+        rec = LinearRecurrence(coeffs=tuple(coeffs), initials=tuple(range(k)), valid_from=1)
+        mode = EvalMode(MOD)
+        calls = spy(monkeypatch, "_fold_taps")
+        by_loop = [eval_fast(rec, n, mode) for n in (k + 3, 10**18)]
+        assert calls, "3 taps at order 500 folded by rows"
+        monkeypatch.setattr(fasteval, "ORDER_PER_LOOP_TAP", k + 1)
+        calls.clear()
+        by_rows = [eval_fast(rec, n, mode) for n in (k + 3, 10**18)]
+        assert calls == []
+        assert by_loop == by_rows
+        assert by_loop[0] == eval_iterative(rec, k + 3, mode)
 
     def test_wide_family_near_three_k(self):
         rec = tail_recurrence_of("schreier-zeckendorf", alpha=100, beta=100)
