@@ -284,9 +284,10 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _recurrence_count(n: int, cond: Condition):
-    # The int `count` prints unless --engine oracle. The benchmark's tracer
+    # The count `count` prints unless --engine oracle: an int, or an
+    # integral Decimal when it is wide. The benchmark's tracer
     # (bench/tracing.py) captures it by this name to time its rendering.
-    return condition_count(n, cond)
+    return condition_count(n, cond, _decimal=True)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -302,7 +303,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         value = count_subsets(n, cond, limit)
     else:
         value = _recurrence_count(n, cond)
-    _emit(render_int(value) + "\n", args.output)
+    text = render_int(value) if isinstance(value, int) else str(value)
+    _emit(text + "\n", args.output)
     return OK
 
 
@@ -465,3 +467,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

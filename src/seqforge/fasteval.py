@@ -13,6 +13,9 @@ high half back below degree k, and a shift for each 1-bit.
   (Toom-Cook): 2k - 1 big-int squares per bit, plus small-by-big products
   and exact divisions linear in the size of the numbers; the fold is the
   same loop.
+- Exact int powers that the CLI will print wide may move to integral
+  decimal.Decimals (the decimal carrier, below), whose big multiplies are
+  libmpdec's number-theoretic transform; the squaring is the same.
 - Residues mod p at order 3 and up square as one big int: the k residues
   are packed into one int, W = ceil((2 bits(p) + bits(2k)) / 8) bytes a
   slot, so that CPython's own multiply does the product (Kronecker
@@ -105,6 +108,51 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
     return j, coeffs, initials
 
 
+# --- the exact decimal carrier ---------------------------------------------
+# CPython multiplies big ints by Karatsuba and prints them by divide and
+# conquer (formats.render_int), O(M(B) log B); libmpdec, behind decimal,
+# multiplies big operands by number-theoretic transform and prints an
+# integral Decimal in linear time. So a count that will print wide may be
+# carried as integral Decimals (exponent 0) from _CARRY_BITS on: a power
+# once it will end at least _CARRY_WIDTH bits wide, below which libmpdec's
+# own Karatsuba loses to CPython's (see _eval_poly); the gap-parity totals
+# of recurrences once they print past formats.STR_MAX_BITS. Converting a
+# Decimal back to an int is quadratic, so a carried count stays one.
+# Measured with CPython 3.11 on a 2-vCPU x86-64 machine, a square as a
+# Decimal against as an int: 0.04 vs 0.02 ms at 4096 bits, 0.26 vs 0.20
+# at 20,000, 1.3 vs 1.6 at 10^5, 5.4 vs 20 at 5*10^5; `count` of a
+# 54,000-bit order-6 power took 18 ms carried against 12 ms on ints.
+_CARRY_BITS = 4096
+_CARRY_WIDTH = 150_000
+
+
+@lru_cache(maxsize=None)
+def _exact_context():
+    """The one decimal context for exact integers: all of libmpdec's
+    precision and exponent range, with Inexact and Rounded trapped beside
+    the default traps, so an operation that would round raises instead of
+    printing a wrong digit. Work in a copy (decimal.localcontext makes
+    one). decimal is imported on the first call, not at start."""
+    import decimal
+
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+               decimal.Inexact, decimal.Rounded],
+    )
+
+
+class _DecimalMode(EvalMode):
+    """Exact, but an int power that will end wide moves to integral
+    Decimals, and eval_fast returns a Decimal; for use inside
+    _exact_context only (recurrences.condition_count, for the CLI)."""
+
+
+_DECIMAL = _DecimalMode()
+
+
 def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount:
     # x^j modulo the characteristic polynomial, by square-and-shift over the
     # bits of j from the top; the term is then sum(q_i * initials[i]) over
@@ -115,14 +163,29 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
     else:
         step = _packed_step(coeffs, mode.modulus)
     # Exact int powers switch to Toom squaring for good at the first step
-    # whose widest coefficient reaches the cutover; the bits double each step.
-    toom_bits = None
-    if mode.modulus is None and k >= MIN_TOOM_ORDER and all(isinstance(c, int) for c in coeffs):
-        toom_bits = _toom_cutover(k)
+    # whose widest coefficient reaches the cutover, and in _DecimalMode to
+    # Decimal at the first step past _CARRY_BITS and that cutover if it will
+    # end wide. The bits double each step, so x^p, p = j >> left, ends about
+    # j / p times as wide as it is.
+    toom_bits = carry_bits = None
+    if mode.modulus is None and all(isinstance(c, int) for c in coeffs):
+        toom_bits = _toom_cutover(k) if k >= MIN_TOOM_ORDER else None
+        if isinstance(mode, _DecimalMode):
+            carry_bits = max(_CARRY_BITS, toom_bits or 0)
     result = [1] + [0] * (k - 1)  # x^0
+    left = j.bit_length()
     for bit in bin(j)[2:]:
-        if toom_bits and max(map(int.bit_length, result)) >= toom_bits:
-            step, toom_bits = _toom_step(coeffs), None
+        if toom_bits or carry_bits:
+            width = max(map(int.bit_length, result))
+            if toom_bits and width >= toom_bits:
+                step, toom_bits = _toom_step(coeffs), None
+            if carry_bits and width >= carry_bits:
+                if width * j >= _CARRY_WIDTH * (j >> left):
+                    from decimal import Decimal
+
+                    result = list(map(Decimal, result))
+                carry_bits = None
+        left -= 1
         result = step(result, bit == "1")
     return mode.reduce(sum(map(mul, result, initials)))
 
@@ -239,7 +302,7 @@ def _toom_square(a: list) -> list:
         plus *= plus
         minus = plus if t == 0 else minus * minus
         plus += minus  # A(t)^2 + A(-t)^2
-        minus = plus - (minus << 1)  # A(t)^2 - A(-t)^2
+        minus = plus - (minus + minus)  # A(t)^2 - A(-t)^2; ints or Decimals
         for i, c in enumerate(even_col):
             prod[2 * i] += c * plus
         for i, c in enumerate(odd_col):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
+from .fasteval import _exact_context
 from .recurrences import SequenceWindow
 
 FORMATS = ("table", "csv", "json", "bfile")
@@ -41,12 +42,7 @@ def render_int(value: int) -> str:
         return "-" + render_int(-value)
     import decimal  # only big values need it
 
-    exact = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact],
-    )
+    exact = _exact_context().copy()
     levels = ((value.bit_length() - 1) // _LEAF_BITS).bit_length()
     # powers[i] = 2^(_LEAF_BITS * 2^i), by repeated squaring
     powers = [decimal.Decimal(1 << _LEAF_BITS)]

@@ -66,7 +66,10 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
         return "0"
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
-    exp = len(str(num)) - len(str(den))  # near floor(log10), then correct it
+    # Near floor(log10(num/den)) from the bit lengths (log10(2) is about
+    # 0.30103), then corrected; str() of a big num or den would hit the
+    # interpreter's digit cap.
+    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while _cmp_pow10(num, den, exp) < 0:
         exp -= 1
     while _cmp_pow10(num, den, exp + 1) >= 0:

@@ -14,7 +14,7 @@ from math import comb
 from operator import add, mul
 from typing import Iterator
 
-from .fasteval import LinearRecurrence, eval_fast
+from .fasteval import _CARRY_BITS, _DECIMAL, EXACT, LinearRecurrence, _exact_context, eval_fast
 from .subsets import GAP_ALL_ODD, GAP_ANY, BigCount, Condition
 
 
@@ -60,8 +60,18 @@ def fibonacci(n: int) -> BigCount:
     """Exact n-th Fibonacci number (F_0 = 0, F_1 = 1), by fast doubling."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _fibonacci(n, False)
+
+
+def _fibonacci(n: int, carry: bool) -> BigCount:
+    # Fast doubling; with carry (inside fasteval._exact_context), the pair
+    # moves to integral Decimals once it reaches _CARRY_BITS bits.
     a, b = 0, 1  # (F_k, F_{k+1}), k built up from the high bit of n
     for bit in bin(n)[2:]:
+        if carry and b.bit_length() >= _CARRY_BITS:
+            from decimal import Decimal
+
+            a, b, carry = Decimal(a), Decimal(b), False
         a, b = a * (2 * b - a), a * a + b * b  # (F_2k, F_2k+1)
         if bit == "1":
             a, b = b, a + b
@@ -127,9 +137,7 @@ def _order_window(family: str, n: int, m_max: int, sums: int) -> SequenceWindow:
 def even_gap_family_size(n: int) -> BigCount:
     """Subsets of {1..n} whose gaps are all even: 3*2^((n-1)/2) - 1 for odd
     n, 2*2^(n/2) - 1 for even n."""
-    if n % 2 == 1:
-        return 3 * (1 << ((n - 1) // 2)) - 1
-    return 2 * (1 << (n // 2)) - 1
+    return ((2 + n % 2) << (n // 2)) - 1
 
 
 def _move_down(c: BigCount, top: int, j: int, new_top: int) -> BigCount:
@@ -358,7 +366,7 @@ def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
     return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
 
 
-def _gf_term(cond: Condition, n: int) -> BigCount:
+def _gf_term(cond: Condition, n: int, carry: bool) -> BigCount:
     # Coefficient n of condition_gf(cond) for min_size = 0, where
     # deg P < deg Q = k (before cancelling, deg P <= 1 + deg E < deg Q): the
     # series gives the first k terms, the recurrence Q gives the rest.
@@ -367,10 +375,11 @@ def _gf_term(cond: Condition, n: int) -> BigCount:
     head = list(islice(_series(*_condition_parts(cond)), min(n + 1, k)))
     if n < k:
         return head[n]
-    return eval_fast(LinearRecurrence(tuple(-c for c in q[1:]), tuple(head)), n)
+    rec = LinearRecurrence(tuple(-c for c in q[1:]), tuple(head))
+    return eval_fast(rec, n, _DECIMAL if carry else EXACT)
 
 
-def condition_count(n: int, cond: Condition) -> BigCount:
+def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCount:
     """Number of subsets of {1..n} matching cond, for any Condition and n,
     without enumerating.
 
@@ -387,23 +396,56 @@ def condition_count(n: int, cond: Condition) -> BigCount:
     min_size = 3 at n = 10^6 is order 6 and 584 ms that way, against
     order 3 plus three classes in 166 ms. Fixing the maximum at m is the
     count at m less that at m - 1.
+
+    _decimal is for the CLI, which prints the count: a count that will be
+    wide may then come back as an integral decimal.Decimal, computed in
+    fasteval._exact_context, whose str() takes linear time (see
+    fasteval._CARRY_BITS). Every other caller gets an int.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not _decimal or n < _CARRY_BITS:  # at most 2^n: too narrow to carry
+        return _count(n, cond, False)
+    from decimal import localcontext
+
+    with localcontext(_exact_context()):
+        return _count(n, cond, True)
+
+
+def _count(n: int, cond: Condition, carry: bool) -> BigCount:
+    # condition_count; with carry, a wide count may be an integral Decimal.
+    alpha, gap, size = cond.alpha or 0, cond.least_gap, cond.min_size
+    parity = cond.gap_parity != GAP_ANY
+    closed = not alpha and gap <= 2 and parity  # a total by closed form
     top = cond.forced_max
     if top is not None:
         if top > n:
             raise ValueError(f"forced_max {top} exceeds n={n}")
         free = replace(cond, forced_max=None)
-        return condition_count(top, free) - condition_count(top - 1, free)
-    alpha, gap, size = cond.alpha or 0, cond.least_gap, cond.min_size
-    parity = cond.gap_parity != GAP_ANY
+        # Two even-gap totals differ by a power of two, which render_int
+        # prints about as fast as Decimal builds one of them.
+        carry = carry and not (closed and gap == 2 and not size)
+        return _count(top, free, carry) - _count(top - 1, free, carry)
     # The largest k with rest >= 0 in _size_classes.
     largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
     if largest - size < max(size, alpha + gap + 2):
         return sum(_size_classes(n, size, alpha, gap, parity))
-    if not alpha and gap <= 2 and parity:
-        total = fibonacci(n + 3) - 1 if gap == 1 else even_gap_family_size(n)
+    below = sum(islice(_size_classes(n, 0, alpha, gap, parity), size))
+    # A Decimal takes an int in quadratic time, so only a narrow one.
+    carry = carry and below.bit_length() <= _CARRY_BITS
+    if closed:
+        if carry:
+            from .formats import STR_MAX_BITS  # formats imports this module
+
+            carry = n // 2 > STR_MAX_BITS  # both totals have n/2 bits or more
+        if gap == 1:
+            total = _fibonacci(n + 3, carry) - 1
+        elif carry:  # even_gap_family_size, the power of two by libmpdec
+            from decimal import Decimal
+
+            total = (2 + n % 2) * Decimal(2) ** (n // 2) - 1
+        else:
+            total = even_gap_family_size(n)
     else:
-        total = _gf_term(replace(cond, min_size=0), n)
-    return total - sum(islice(_size_classes(n, 0, alpha, gap, parity), size))
+        total = _gf_term(replace(cond, min_size=0), n, carry)
+    return total - below

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ from seqforge import cli, identities
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import parse_bfile
-from seqforge.recurrences import h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
+from seqforge.recurrences import condition_count, h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
 from helpers import family_oracle, fib_list, ratio_report, sz_list
@@ -226,6 +230,118 @@ class TestCount:
             with contextlib.redirect_stdout(oracle):
                 assert main([*argv, "--engine", "oracle", "--enum-limit", "12"]) == 0
             assert out.getvalue() == oracle.getvalue(), argv
+
+
+class TestDecimalCount:
+    """Past the switch `count` computes in exact decimal and prints str() of
+    an integral Decimal: the same text as the library's int."""
+
+    @staticmethod
+    def printed(capsys, monkeypatch, argv):
+        """(stdout, the value cli._recurrence_count returned) of argv."""
+        returned = []
+        real = cli._recurrence_count
+
+        def spy(n, cond):
+            returned.append(real(n, cond))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "_recurrence_count", spy)
+        code, out, err = run_cli(capsys, "count", *argv, "--engine", "recurrence")
+        assert (code, err) == (0, "")
+        (value,) = returned
+        return out, value
+
+    @pytest.mark.parametrize("shape", [
+        # Toom orders 3 to 8, nonnegative taps
+        ("--alpha", "1", "--beta", "2"),
+        ("--alpha", "2", "--beta", "2"),
+        ("--alpha", "2", "--beta", "3"),
+        ("--alpha", "3", "--beta", "3"),
+        ("--alpha", "3", "--beta", "4"),
+        ("--alpha", "4", "--beta", "4"),
+        # signed taps: (1 - x)(1 - x^2 - x^h)
+        ("--alpha", "1", "--gap-parity", "odd"),
+        ("--alpha", "2", "--gap-parity", "odd"),
+        ("--alpha", "2", "--gap-parity", "even"),
+        ("--alpha", "3", "--gap-parity", "even"),
+        # order 2
+        ("--beta", "2"),
+        ("--alpha", "1", "--beta", "1"),
+        # size classes off the total, and a difference of two counts
+        ("--alpha", "2", "--min-size", "3"),
+        ("--beta", "3", "--gap-parity", "even", "--min-size", "2"),
+        ("--alpha", "2", "--beta", "2", "--forced-max", "79000"),
+    ])
+    def test_carried_powers(self, capsys, monkeypatch, shape):
+        # A lowered width, so that powers of 20,000 bits and more carry.
+        from decimal import Decimal
+
+        from seqforge import fasteval
+
+        monkeypatch.setattr(fasteval, "_CARRY_WIDTH", 8192)
+        n = 80_000
+        out, value = self.printed(capsys, monkeypatch, ("--n", str(n), *shape))
+        assert isinstance(value, Decimal) and value.as_tuple().exponent == 0
+        args = build_parser().parse_args(["count", "--n", str(n), *shape])
+        assert out == str(condition_count(n, cli._build_condition(args))) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "50000", "--gap-parity", "odd"),
+        ("--n", "40000", "--gap-parity", "even"),
+        ("--n", "50000", "--gap-parity", "odd", "--min-size", "4"),
+        ("--n", "40000", "--gap-parity", "even", "--min-size", "2"),
+        ("--n", "50000", "--gap-parity", "odd", "--forced-max", "45000"),
+        ("--n", "40000", "--gap-parity", "even", "--min-size", "1", "--forced-max", "39999"),
+        ("--n", "250000", "--beta", "2"),
+        ("--n", "300000", "--alpha", "1", "--beta", "2"),
+    ])
+    def test_past_the_switch(self, capsys, monkeypatch, argv):
+        from decimal import Decimal
+
+        out, value = self.printed(capsys, monkeypatch, argv)
+        assert isinstance(value, Decimal)
+        args = build_parser().parse_args(["count", *argv])
+        assert out == str(condition_count(args.n, cli._build_condition(args))) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "20000", "--gap-parity", "odd"),
+        ("--n", "150000", "--alpha", "2", "--beta", "4"),
+        ("--n", "200000", "--gap-parity", "even", "--forced-max", "200000"),
+        ("--n", "12", "--alpha", "2"),
+    ])
+    def test_below_the_switch_the_count_is_an_int(self, capsys, monkeypatch, argv):
+        out, value = self.printed(capsys, monkeypatch, argv)
+        assert type(value) is int
+        assert out == str(value) + "\n"
+
+
+class TestEntryPoints:
+    @staticmethod
+    def python(*args):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+
+    def test_python_dash_m(self):
+        done = self.python("-m", "seqforge.cli", "count", "--n", "5", "--alpha", "2", "--beta", "1")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "6\n", "")
+        done = self.python("-m", "seqforge.cli", "verify", "--id", "ratio", "--threshold", "1/0")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "not an exact rational: '1/0'" in done.stderr
+
+    def test_cold_start_builds_no_decimal_context(self):
+        script = (
+            "import contextlib, io\n"
+            "from seqforge import cli, fasteval\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['count', '--n', '5'])\n"
+            "    assert fasteval._exact_context.cache_info().currsize == 0\n"
+            "    cli.main(['count', '--n', '100000', '--gap-parity', 'even'])\n"
+            "assert fasteval._exact_context.cache_info().currsize == 1\n"
+        )
+        done = self.python("-c", script)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSeq:

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -533,3 +534,42 @@ class TestCountShortcut:
             schreier_zeckendorf_count(0, 1, 5)
         with pytest.raises(ValueError):
             schreier_zeckendorf_count(1, 1, 0)
+
+
+class TestDecimalCarrier:
+    """In fasteval._DECIMAL mode an exact int power that will end wide moves
+    to integral Decimals in fasteval._exact_context; the arithmetic is the
+    same."""
+
+    def test_toom_square_of_decimals(self):
+        rng = random.Random("toom-decimal")
+        with localcontext(fasteval._exact_context()):
+            for k in range(3, 10):
+                a = [rng.randint(-(2**5000), 2**5000) for _ in range(k)]
+                got = fasteval._toom_square(list(map(Decimal, a)))
+                assert got == list(map(Decimal, schoolbook_square(a))), k
+                assert {v.as_tuple().exponent for v in got} == {0}, k
+
+    @pytest.mark.parametrize("order", range(2, 9))
+    def test_carried_power_equals_the_int_one(self, order, monkeypatch):
+        # Signed taps; a lowered width so that powers of some 10^4 bits carry.
+        monkeypatch.setattr(fasteval, "_CARRY_WIDTH", 8192)
+        rng = random.Random(f"carry:{order}")
+        coeffs = [rng.randint(-3, 3) for _ in range(order)]
+        coeffs[0], coeffs[-1] = 3, rng.choice((-2, -1, 1, 2))
+        initials = [rng.randint(-9, 9) for _ in range(order)]
+        n = 20_000
+        rec = LinearRecurrence(tuple(coeffs), tuple(initials))
+        with localcontext(fasteval._exact_context()):
+            got = eval_fast(rec, n, fasteval._DECIMAL)
+        assert isinstance(got, Decimal) and got.as_tuple().exponent == 0
+        assert got == eval_fast(rec, n)
+
+    def test_narrow_powers_and_fractions_stay_as_they_are(self):
+        with localcontext(fasteval._exact_context()):
+            assert type(eval_fast(FIB, 10**5, fasteval._DECIMAL)) is int  # 69,000 bits
+            rational = LinearRecurrence(
+                coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7)), initials=(1, 2, 3)
+            )
+            got = eval_fast(rational, 3000, fasteval._DECIMAL)
+        assert isinstance(got, Fraction) and got == eval_fast(rational, 3000)

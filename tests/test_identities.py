@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,21 @@ class TestDecimalString:
         for value in (Fraction(1, 10**12), Fraction(10**14), Fraction(3, 7 * 10**9)):
             text = decimal_string(value)
             assert "e" not in text and "E" not in text
+
+    def test_wide_rationals_under_the_default_digit_cap(self):
+        # 10,000-digit numerators and denominators: the exponent comes from
+        # bit lengths, so no str() of them meets the interpreter's cap
+        # (cli.main lifts it for the whole process, hence the restore).
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int-to-str digit cap on this interpreter")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert decimal_string(Fraction("1e-0009999")) == "0." + "0" * 9998 + "1"
+            assert decimal_string(Fraction("-7e9999")) == "-7" + "0" * 9999
+            assert decimal_string(Fraction(10**9999 - 1, 3 * 10**9999)) == "0.333333333333"
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_precision_parameter(self):
         assert decimal_string(Fraction(2, 3), sig_digits=4) == "0.6667"

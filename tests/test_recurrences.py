@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqforge.fasteval import schreier_zeckendorf_count
+from seqforge.formats import render_int
 from seqforge.recurrences import (
     _NESTED_SUMS,
     SequenceWindow,
@@ -608,3 +609,72 @@ class TestConditionCount:
             condition_count(3, Condition(forced_max=4))
         with pytest.raises(ValueError):
             condition_gf(Condition(forced_max=4))
+
+
+class TestDecimalCarrier:
+    """condition_count(..., _decimal=True), the path the CLI prints: a count
+    that will print wide comes back as an integral Decimal, computed in the
+    exact context, and every other count as the same int as before."""
+
+    WIDE = [
+        (50_000, Condition(gap_parity=GAP_ALL_ODD)),  # F_{n+3} - 1, 34,700 bits
+        (40_000, Condition(gap_parity=GAP_ALL_EVEN)),  # 20,000 bits
+        (50_000, Condition(gap_parity=GAP_ALL_ODD, min_size=3)),
+        (50_000, Condition(gap_parity=GAP_ALL_ODD, forced_max=49_000)),
+        (250_000, Condition(beta=2)),  # order 2, 173,500 bits
+        (300_000, Condition(alpha=1, beta=2)),  # Toom order 3, 165,500 bits
+    ]
+
+    @pytest.mark.parametrize("n, cond", WIDE)
+    def test_wide_counts_are_integral_decimals(self, n, cond):
+        import decimal
+
+        # The caller's context does not matter: the count is exact anyway.
+        with decimal.localcontext(decimal.Context(prec=5, traps=[])):
+            value = condition_count(n, cond, _decimal=True)
+        assert isinstance(value, decimal.Decimal)
+        sign, _, exponent = value.as_tuple()
+        assert (sign, exponent) == (0, 0)
+        assert str(value) == render_int(condition_count(n, cond))
+
+    def test_the_exact_context_traps_rounding(self):
+        import decimal
+
+        from seqforge.fasteval import _exact_context
+
+        ctx = _exact_context()
+        assert ctx.prec == decimal.MAX_PREC
+        assert ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
+        assert ctx.traps[decimal.InvalidOperation]
+
+    def test_a_rounding_step_raises(self, monkeypatch):
+        # The same traps with too little precision: the count raises rather
+        # than print a wrong digit.
+        import decimal
+
+        from seqforge import recurrences
+
+        short = decimal.Context(prec=1000, traps=[decimal.Inexact, decimal.Rounded])
+        monkeypatch.setattr(recurrences, "_exact_context", lambda: short)
+        for n, cond in self.WIDE[:2]:
+            with pytest.raises((decimal.Inexact, decimal.Rounded)):
+                condition_count(n, cond, _decimal=True)
+
+    @pytest.mark.parametrize("n, cond", [
+        (20_000, Condition(gap_parity=GAP_ALL_ODD)),  # 13,900 bits: str() prints it
+        (28_000, Condition(gap_parity=GAP_ALL_EVEN)),  # 14,000 bits
+        (150_000, Condition(alpha=2, beta=4)),  # 54,300 bits: a narrow power
+        (100_000, Condition(alpha=1, beta=1)),  # 69,400 bits at order 2
+        (10**6, Condition(gap_parity=GAP_ALL_EVEN, forced_max=10**6)),  # a power of two
+        (40, Condition(alpha=2, beta=1)),
+        (0, Condition()),
+    ])
+    def test_narrow_counts_stay_ints(self, n, cond):
+        value = condition_count(n, cond, _decimal=True)
+        assert type(value) is int
+        assert value == condition_count(n, cond)
+
+    def test_library_callers_get_ints(self):
+        for n, cond in self.WIDE[:3]:
+            assert type(condition_count(n, cond)) is int
+        assert type(fibonacci(50_000)) is int
