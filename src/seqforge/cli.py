@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .discovery import discover_order
 from .formats import FORMATS, format_window, render_int
@@ -33,6 +32,14 @@ from .identities import (
     decimal_string,
 )
 from .recurrences import (
+    _fibonacci_spec,
+    _gen_fib_spec,
+    _gen_h_spec,
+    _h_spec,
+    _k_spec,
+    _min_size_odd_gap_spec,
+    _printed_window,
+    _schreier_zeckendorf_spec,
     condition_count,
     even_gap_family_size,
     fibonacci_seq,
@@ -70,20 +77,27 @@ class UsageError(Exception):
     """Bad flags, bad config, or an unknown family/identity id."""
 
 
-# family -> (builder, the flags it takes before --to). Builders look their
-# generator up at call time, so a wrapper installed on the module function
-# (as the benchmark's tracer does) sees every call.
+# family -> (builder, spec, the flags both take before --to). Builders look
+# their window function up at call time, so a wrapper installed on the
+# module function (as the benchmark's tracer does) sees every call. The spec
+# is that function's private one (recurrences), for reading the window again
+# in decimal when it prints wide (recurrences._printed_window).
 FAMILIES = {
-    "fib": (lambda to: fibonacci_seq(to), ()),
-    "H": (lambda to: h_seq(to), ()),
+    "fib": (lambda to: fibonacci_seq(to), _fibonacci_spec, ()),
+    "H": (lambda to: h_seq(to), _h_spec, ()),
     "schreier-zeckendorf": (
         lambda alpha, beta, to: schreier_zeckendorf_seq(alpha, beta, to),
+        _schreier_zeckendorf_spec,
         ("alpha", "beta"),
     ),
-    "genfib": (lambda n, to: gen_fib_seq(n, to), ("n",)),
-    "genk": (lambda n, to: k_seq(n, to), ("n",)),
-    "genh": (lambda n, to: gen_h_seq(n, to), ("n",)),
-    "minsize-oddgap": (lambda k, to: min_size_odd_gap_seq(to, k), ("k",)),
+    "genfib": (lambda n, to: gen_fib_seq(n, to), _gen_fib_spec, ("n",)),
+    "genk": (lambda n, to: k_seq(n, to), _k_spec, ("n",)),
+    "genh": (lambda n, to: gen_h_seq(n, to), _gen_h_spec, ("n",)),
+    "minsize-oddgap": (
+        lambda k, to: min_size_odd_gap_seq(to, k),
+        lambda k, to: _min_size_odd_gap_spec(to, k),
+        ("k",),
+    ),
 }
 
 
@@ -93,6 +107,8 @@ def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
     # of size <= 1, so the union less the odd-gap family is `even`.
     if to < 1:
         raise UsageError("--to must be >= 1")
+    from fractions import Fraction
+
     odd = condition_count(to, Condition(gap_parity=GAP_ALL_ODD))
     even = even_gap_family_size(to) - (to + 1)
     gap = Fraction(even, odd + even)
@@ -110,9 +126,12 @@ MAX_EXPONENT_DIGITS = 4
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
     # argparse turns a ValueError from a flag's type into a usage error, but
-    # not the ZeroDivisionError of Fraction("1/0").
+    # not the ZeroDivisionError of Fraction("1/0"). fractions imports
+    # decimal, so it is imported only when a rational is read.
+    from fractions import Fraction
+
     exponent = _EXPONENT.search(text)
     if exponent and len(exponent[1].replace("_", "").lstrip("0")) > MAX_EXPONENT_DIGITS:
         raise argparse.ArgumentTypeError(
@@ -184,7 +203,7 @@ SCHEMA = {
         "--oracle-to": {"type": int, "default": 12},
         "--threshold": {
             "type": _rational,
-            "default": Fraction(1, 1000),
+            "default": "1/1000",  # argparse reads a str default through type
             "help": "bound on 1 - r_to for the ratio check",
         },
         "--enum-limit": {"type": int},
@@ -312,8 +331,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     family, to = _require(args, "family"), _require(args, "to")
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    build, needs = FAMILIES[family]
-    window = build(*(_require(args, dest) for dest in needs), to)
+    build, spec, needs = FAMILIES[family]
+    params = [_require(args, dest) for dest in needs]
+    window = _printed_window(build(*params, to), lambda: spec(*params, to))
     if args.start is not None:
         try:
             window = window.clip(args.start)

@@ -9,10 +9,13 @@ rather than guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .fasteval import LinearRecurrence
 from .recurrences import schreier_zeckendorf_seq
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # imported where used: it imports decimal
 
 # A concluded order L must be backed by at least 2L + margin prefix terms.
 BM_SAFETY_MARGIN = 2
@@ -37,9 +40,13 @@ def _inconclusive(start_index: int, note: str) -> RecurrenceReport:
     return RecurrenceReport(None, start_index - 1, False, note)
 
 
-def _bm_connection(seq: list[Fraction]) -> tuple[int, list[Fraction]]:
-    # Classic Berlekamp-Massey over a field. Returns (L, C) with C[0] = 1 and
-    # sum(C[j] * seq[i-j] for j in 0..L) == 0 for every L <= i < len(seq).
+def _bm_connection(prefix: list) -> tuple[int, list[Fraction]]:
+    # Classic Berlekamp-Massey over the rationals. Returns (L, C) with C[0] =
+    # 1 and sum(C[j] * seq[i-j] for j in 0..L) == 0 for every L <= i <
+    # len(seq), seq the prefix as Fractions.
+    from fractions import Fraction
+
+    seq = [Fraction(v) for v in prefix]
     C = [Fraction(1)]
     B = [Fraction(1)]
     L, m, b = 0, 1, Fraction(1)
@@ -83,9 +90,9 @@ def berlekamp_massey(prefix, start_index: int = 0) -> RecurrenceReport:
         raise ValueError("prefix must have at least 2 terms")
     if all(v == 0 for v in prefix):
         return _inconclusive(start_index, "all-zero prefix fits every recurrence")
-    L, C = _bm_connection([Fraction(v) for v in prefix])
+    L, C = _bm_connection(prefix)
     if len(C) < L + 1:
-        C = C + [Fraction(0)] * (L + 1 - len(C))
+        C = C + [0] * (L + 1 - len(C))
     coeffs = tuple(_plain(-C[j]) for j in range(1, L + 1))
     if coeffs and coeffs[-1] == 0:
         return _inconclusive(

@@ -8,9 +8,8 @@ strings are produced only for rendering, never for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .recurrences import _condition_parts, _order_gf, _series
 from .subsets import (
@@ -24,6 +23,9 @@ from .subsets import (
     is_alpha_schreier,
     is_beta_zeckendorf,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # imported where used: it imports decimal
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
     Rounds half away from zero at sig_digits significant digits and trims
     trailing fractional zeros, so the text is a faithful prefix of the value.
     """
+    from fractions import Fraction
+
     value = Fraction(value)
     if value == 0:
         return "0"

@@ -12,9 +12,18 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, chain, cycle, islice, repeat, tee
 from math import comb
 from operator import add, mul
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .fasteval import _CARRY_BITS, _DECIMAL, EXACT, LinearRecurrence, _exact_context, eval_fast
+from .fasteval import (
+    _CARRY_BITS,
+    _CARRY_SERIES_BITS,
+    _CARRY_SUM_BITS,
+    _DECIMAL,
+    EXACT,
+    LinearRecurrence,
+    _exact_context,
+    eval_fast,
+)
 from .subsets import GAP_ALL_ODD, GAP_ANY, BigCount, Condition
 
 
@@ -78,19 +87,32 @@ def _fibonacci(n: int, carry: bool) -> BigCount:
     return a
 
 
+# Each window function reads the series of its spec, (name, offset, last
+# index, generating function in factors), built by a private _*_spec of the
+# same arguments that also checks them; a spec's P may be a one-shot
+# iterator, so build one per series.
+
 def fibonacci_seq(n_max: int) -> SequenceWindow:
     """Window of F_0 .. F_{n_max}: the series of x/(1-x-x^2)."""
+    return _window(*_fibonacci_spec(n_max))
+
+
+def _fibonacci_spec(n_max: int) -> tuple:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _window("fib", 0, n_max, _order_gf(2, 0))
+    return "fib", 0, n_max, _order_gf(2, 0)
 
 
 def h_seq(n_max: int) -> SequenceWindow:
     """The Fibonacci sequence accumulated twice, 0, 1, 3, 7, 14, 26, 46, ...:
     the series of x/((1-x)^2 (1-x-x^2))."""
+    return _window(*_h_spec(n_max))
+
+
+def _h_spec(n_max: int) -> tuple:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _window("H", 0, n_max, _order_gf(2, 2))
+    return "H", 0, n_max, _order_gf(2, 2)
 
 
 def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow:
@@ -102,36 +124,52 @@ def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow
     alpha <= n <= 2*alpha+beta-1; then the order-(alpha+beta) recurrence
     a(n) = a(n-1) + a(n-(alpha+beta)).
     """
+    return _window(*_schreier_zeckendorf_spec(alpha, beta, n_max))
+
+
+def _schreier_zeckendorf_spec(alpha: int, beta: int, n_max: int) -> tuple:
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     gf = _condition_parts(Condition(alpha=alpha, beta=beta))
-    return _window(f"sz[{alpha},{beta}]", 1, n_max, gf)
+    return f"sz[{alpha},{beta}]", 1, n_max, gf
 
 
 def gen_fib_seq(n: int, m_max: int) -> SequenceWindow:
     """Order-n Fibonacci analogue: 0, then n ones, then each term is the
     previous term plus the term n places back; the series of x/(1-x-x^n)."""
-    return _order_window("genfib", n, m_max, 0)
+    return _window(*_gen_fib_spec(n, m_max))
+
+
+def _gen_fib_spec(n: int, m_max: int) -> tuple:
+    return _order_spec("genfib", n, m_max, 0)
 
 
 def k_seq(n: int, m_max: int) -> SequenceWindow:
     """gen_fib_seq accumulated once: x/((1-x)(1-x-x^n))."""
-    return _order_window("genk", n, m_max, 1)
+    return _window(*_k_spec(n, m_max))
+
+
+def _k_spec(n: int, m_max: int) -> tuple:
+    return _order_spec("genk", n, m_max, 1)
 
 
 def gen_h_seq(n: int, m_max: int) -> SequenceWindow:
     """gen_fib_seq accumulated twice: x/((1-x)^2 (1-x-x^n))."""
-    return _order_window("genh", n, m_max, 2)
+    return _window(*_gen_h_spec(n, m_max))
 
 
-def _order_window(family: str, n: int, m_max: int, sums: int) -> SequenceWindow:
+def _gen_h_spec(n: int, m_max: int) -> tuple:
+    return _order_spec("genh", n, m_max, 2)
+
+
+def _order_spec(family: str, n: int, m_max: int, sums: int) -> tuple:
     if n < 2:
         raise ValueError("n must be >= 2")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    return _window(f"{family}[{n}]", 0, m_max, _order_gf(n, sums))
+    return f"{family}[{n}]", 0, m_max, _order_gf(n, sums)
 
 
 def even_gap_family_size(n: int) -> BigCount:
@@ -198,12 +236,16 @@ def _size_classes(n: int, first: int, alpha: int, gap: int, parity: bool) -> Ite
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     """Counts of subsets of {1..n} with >= k elements and all gaps odd, for
     n = 1..n_max: the series of their condition_gf."""
+    return _window(*_min_size_odd_gap_spec(n_max, k))
+
+
+def _min_size_odd_gap_spec(n_max: int, k: int) -> tuple:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     gf = _condition_parts(Condition(gap_parity=GAP_ALL_ODD, min_size=k))
-    return _window(f"minsize-oddgap[{k}]", 1, n_max, gf)
+    return f"minsize-oddgap[{k}]", 1, n_max, gf
 
 
 def min_size_odd_gap_count(n: int, k: int) -> BigCount:
@@ -364,6 +406,25 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
 def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
     # Coefficients offset..last of the series of gf, in factors.
     return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
+
+
+def _printed_window(window: SequenceWindow, spec: Callable[[], tuple]) -> SequenceWindow:
+    # The window as the CLI prints it: window itself, or, when its last term
+    # is so wide that str() of the ints would take longer than reading the
+    # series again in integral Decimals (fasteval's _CARRY_SERIES_BITS, plus
+    # _CARRY_SUM_BITS per running sum, as those cost more in Decimal), that
+    # series. spec() gives the window's parts afresh; P is fed as Decimals
+    # and the whole series is read in fasteval._exact_context, so every term
+    # from the first nonzero one on is a Decimal whose str() takes linear
+    # time. The window functions, whose callers take ints, never return one.
+    name, offset, last, (lead, p, taps, ones, pluses) = spec()
+    if window.terms[-1].bit_length() <= _CARRY_SERIES_BITS + _CARRY_SUM_BITS * (ones + pluses):
+        return window
+    del window  # the ints go before the Decimals are built
+    from decimal import Decimal, localcontext
+
+    with localcontext(_exact_context()):
+        return _window(name, offset, last, (lead, map(Decimal, p), taps, ones, pluses))
 
 
 def _gf_term(cond: Condition, n: int, carry: bool) -> BigCount:

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -12,11 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import cli, identities
+from seqforge import cli, identities, recurrences
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
-from seqforge.formats import parse_bfile
-from seqforge.recurrences import condition_count, h_seq, min_size_odd_gap_count, schreier_zeckendorf_seq
+from seqforge.formats import format_window, parse_bfile
+from seqforge.recurrences import (
+    condition_count,
+    fibonacci_seq,
+    gen_fib_seq,
+    gen_h_seq,
+    h_seq,
+    k_seq,
+    min_size_odd_gap_count,
+    min_size_odd_gap_seq,
+    schreier_zeckendorf_seq,
+)
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
 
 from helpers import family_oracle, fib_list, ratio_report, sz_list
@@ -343,6 +354,23 @@ class TestEntryPoints:
         done = self.python("-c", script)
         assert done.returncode == 0, done.stderr
 
+    def test_cold_start_imports_no_decimal_or_fractions(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from seqforge import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['count', '--n', '5']) == 0\n"
+            "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n"
+        )
+        done = self.python("-c", script)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_threshold_default_is_exact(self):
+        from fractions import Fraction
+
+        args = build_parser().parse_args(["verify", "--id", "ratio"])
+        assert type(args.threshold) is Fraction and args.threshold == Fraction(1, 1000)
+
 
 class TestSeq:
     def test_bfile_golden(self, capsys):
@@ -482,6 +510,105 @@ class TestSeq:
         )
         assert code == code2 == 0 and out2 == ""
         assert path.read_text() == out
+
+
+# (family, flags, a window function call with the same parameters, --to
+# just past the carry cutover). The cutover grows with the running sums of
+# the family's generating function: none for fib, genfib and
+# schreier-zeckendorf, one for genk, two for H and genh, k + k - 2 for
+# minsize-oddgap.
+CARRIED = [
+    ("fib", (), lambda to: fibonacci_seq(to), 3_000),
+    ("H", (), lambda to: h_seq(to), 3_300),
+    ("schreier-zeckendorf", ("--alpha", "2", "--beta", "3"),
+     lambda to: schreier_zeckendorf_seq(2, 3, to), 5_200),
+    ("genfib", ("--n", "3"), lambda to: gen_fib_seq(3, to), 3_700),
+    ("genk", ("--n", "4"), lambda to: k_seq(4, to), 4_500),
+    ("genh", ("--n", "2"), lambda to: gen_h_seq(2, to), 3_300),
+    ("minsize-oddgap", ("--k", "3"), lambda to: min_size_odd_gap_seq(to, 3), 3_500),
+]
+
+
+class TestSeqCarried:
+    """A window whose last term is wide is read again in integral Decimals
+    and printed by str(); its text must be that of the library's int window."""
+
+    @pytest.fixture
+    def carried(self, monkeypatch):
+        # The windows `seq` printed in Decimal during the test.
+        windows = []
+
+        def spy(window, spec):
+            window = recurrences._printed_window(window, spec)
+            if not isinstance(window.terms[-1], int):
+                windows.append(window)
+            return window
+
+        monkeypatch.setattr(cli, "_printed_window", spy)
+        return windows
+
+    @staticmethod
+    def check(out, window, start, fmt, argv):
+        # out is the window's text with every term printed by str() of its
+        # int. A mismatch names its first line, as a diff of megabytes of
+        # text would take minutes.
+        window = window if start is None else window.clip(start)
+        if fmt == "bfile":
+            want = "".join(f"{i} {v}\n" for i, v in window.items())
+        else:
+            want = format_window(window, fmt)
+        if out != want:
+            lines = zip(out.splitlines(), want.splitlines())
+            line = next((i for i, (a, b) in enumerate(lines) if a != b), None)
+            pytest.fail(f"{argv}: first difference at line {line}")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("family, flags, window, to", CARRIED, ids=[c[0] for c in CARRIED])
+    def test_wide_window_matches_the_int_window(self, capsys, carried, family, flags, window, to, fmt):
+        lib = window(to)
+        assert all(type(v) is int for v in lib.terms)
+        # No --from, one in the narrow head, one in the wide tail.
+        for start in (None, lib.offset + 2, to - 3):
+            argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
+            argv += [] if start is None else ["--from", str(start)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            self.check(out, lib, start, fmt, argv)
+        assert len(carried) == 3 and isinstance(carried[0].terms[-1], decimal.Decimal)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("family, flags, window, to", CARRIED, ids=[c[0] for c in CARRIED])
+    def test_narrow_window_stays_int(self, capsys, carried, family, flags, window, to, fmt):
+        # At 3/5 of the cutover index the last term is too narrow to carry.
+        to = to * 3 // 5
+        for start in (None, to - 3):
+            argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
+            argv += [] if start is None else ["--from", str(start)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            self.check(out, window(to), start, fmt, argv)
+        assert carried == []
+
+    def test_library_and_context_are_untouched(self, capsys, carried):
+        before = decimal.getcontext()
+        saved = (before.prec, before.rounding, before.traps.copy(), before.flags.copy())
+        for family, flags, window, to in CARRIED:
+            assert run_cli(capsys, "seq", "--family", family, *flags, "--to", str(to))[0] == 0
+            lib = window(to)
+            assert all(type(v) is int for v in lib.terms), family
+        assert len(carried) == len(CARRIED)
+        after = decimal.getcontext()
+        assert after is before
+        assert (after.prec, after.rounding, after.traps, after.flags) == saved
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    def test_large_k_prints_at_once(self, capsys, carried, fmt):
+        # A thousand-fold running sum over ten zeros: nothing to carry.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "seq", "--family", "minsize-oddgap", "--k", "5000", "--to", "10", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == format_window(min_size_odd_gap_seq(10, 5000), fmt)
+        assert carried == [] and time.perf_counter() - start < 5
 
 
 class TestVerify:

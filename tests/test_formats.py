@@ -83,6 +83,35 @@ class TestOtherFormats:
         with pytest.raises(ValueError):
             format_window(WINDOW, "yaml")
 
+    @pytest.mark.parametrize("fmt, want", [
+        ("table", "x  (indices 3..2)\n"),
+        ("csv", "index,value\n"),
+        ("json", '{\n  "schema": 1,\n  "family": "x",\n  "offset": 3,\n  "terms": []\n}\n'),
+        ("bfile", ""),
+    ])
+    def test_empty_window(self, fmt, want):
+        assert format_window(SequenceWindow("x", 3, ()), fmt) == want
+
+    @pytest.mark.parametrize("window", [
+        SequenceWindow("x", 3, ()),
+        SequenceWindow("demo", 2, (4,)),
+        SequenceWindow('quote " slash \\ é\n', -5, (1, -2, 10**30)),
+        h_seq(40),
+    ])
+    def test_json_is_the_encoders_text(self, window):
+        payload = {
+            "schema": 1,
+            "family": window.name,
+            "offset": window.offset,
+            "terms": [str(v) for v in window.terms],
+        }
+        assert format_json(window) == json.dumps(payload, indent=2) + "\n"
+
+    def test_table_pads_to_the_widest_index(self):
+        window = SequenceWindow("w", -12, tuple(range(14)))
+        lines = format_table(window).splitlines()
+        assert lines[1] == "-12  0" and lines[-1] == "  1  13"
+
     def test_huge_terms_render_in_full_decimal(self):
         window = SequenceWindow("big", 0, (10**50 + 7,))
         digits = str(10**50 + 7)
@@ -143,6 +172,24 @@ class TestRenderInt:
         assert value.bit_length() > 10**6
         assert render_int(value) == "1234567890" * m
         assert render_int(value + 1) == "1234567890" * (m - 1) + "1234567891"
+
+    def test_wide_int_windows_under_the_default_digit_cap(self):
+        # A library window with a 15,000-digit int renders in every format while
+        # the interpreter refuses str() past 4300 digits.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int-to-str digit cap on this interpreter")
+        m = 1_500
+        big = 1234567890 * (10 ** (10 * m) - 1) // (10**10 - 1)
+        window = SequenceWindow("big", 7, (5, big))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            texts = {fmt: format_window(window, fmt) for fmt in ("table", "csv", "json", "bfile")}
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert texts["bfile"] == "7 5\n8 " + "1234567890" * m + "\n"
+        for text in texts.values():
+            assert "1234567890" * m in text
 
     def test_windows_with_big_terms(self, unlimited_str):
         big = 3**40_000
