@@ -15,6 +15,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -223,7 +224,9 @@ SCHEMA = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # One per process. main() calls it by name, so a wrapper on it sees each run.
     parser = argparse.ArgumentParser(
         prog="seqforge",
         description="Exact subset counting, integer sequences, and recurrence tools.",

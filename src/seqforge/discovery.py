@@ -1,14 +1,17 @@
 """Minimal-recurrence discovery over exact rationals.
 
-Berlekamp-Massey synthesis runs on fractions.Fraction, so recovered
-coefficients are exact; no floating point is involved at any step. Prefixes
-that are too short to pin down their own order are reported inconclusive
-rather than guessed at.
+Berlekamp-Massey runs fraction-free on ints (Bareiss-style), O(N*L) big-int
+operations for N terms of order L, and forms a Fraction only for a
+coefficient that is not integral. Terms must be ints or Fractions, so no
+floating point is involved at any step. Prefixes that are too short to pin
+down their own order are reported inconclusive rather than guessed at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .fasteval import LinearRecurrence
@@ -40,60 +43,59 @@ def _inconclusive(start_index: int, note: str) -> RecurrenceReport:
     return RecurrenceReport(None, start_index - 1, False, note)
 
 
-def _bm_connection(prefix: list) -> tuple[int, list[Fraction]]:
-    # Classic Berlekamp-Massey over the rationals. Returns (L, C) with C[0] =
-    # 1 and sum(C[j] * seq[i-j] for j in 0..L) == 0 for every L <= i <
-    # len(seq), seq the prefix as Fractions.
-    from fractions import Fraction
-
-    seq = [Fraction(v) for v in prefix]
-    C = [Fraction(1)]
-    B = [Fraction(1)]
-    L, m, b = 0, 1, Fraction(1)
-    for i, s in enumerate(seq):
-        d = s
-        for j in range(1, L + 1):
-            d += C[j] * seq[i - j]
-        if d == 0:
+def _bm_connection(prefix: list) -> tuple[int, list[int | Fraction]]:
+    # Massey's synthesis over ints. Returns (L, C) with len(C) == L + 1,
+    # C[0] == 1 and sum(C[j] * prefix[i-j] for j in 0..L) == 0 for every
+    # L <= i < len(prefix); C[j] is an int when integral. The int list C
+    # stands for C / C[0] (so D for D / C[0]), and G / g for the previous
+    # C over its discrepancy. g starts at the prefix's scale, which keeps
+    # every C what it would be on the prefix itself.
+    scale = lcm(*(v.denominator for v in prefix))
+    seq = [v.numerator * (scale // v.denominator) for v in prefix]
+    C, G, g = [1], [1], scale
+    L, m = 0, 1
+    for i in range(len(seq)):
+        D = sum(map(mul, reversed(C), seq[i - L : i + 1]))
+        if D == 0:
             m += 1
             continue
-        coef = d / b
-        if len(C) < len(B) + m:
-            C = C + [Fraction(0)] * (len(B) + m - len(C))
+        new = [g * c for c in C] + [0] * (len(G) + m - len(C))
+        for j, c in enumerate(G, m):
+            new[j] -= D * c
         if 2 * L <= i:
-            T = list(C)
-            for j, bj in enumerate(B):
-                C[j + m] -= coef * bj
-            L, B, b, m = i + 1 - L, T, d, 1
+            # C is primitive, so gcd(D, *C) == 1: G / g needs no reduction.
+            L, G, g, m = i + 1 - L, C, D, 1
         else:
-            for j, bj in enumerate(B):
-                C[j + m] -= coef * bj
             m += 1
-    return L, C
-
-
-def _plain(value: Fraction):
-    return int(value) if value.denominator == 1 else value
+        k = gcd(*new)  # new has length L + 1, as deg G + m <= L
+        C = [c // k for c in new]
+    if any(c % C[0] for c in C):
+        from fractions import Fraction
+    return L, [Fraction(c, C[0]) if c % C[0] else c // C[0] for c in C]
 
 
 def berlekamp_massey(prefix, start_index: int = 0) -> RecurrenceReport:
     """Shortest linear recurrence consistent with the whole prefix.
 
-    Coefficients come out as exact rationals, normalised to ints when
-    integral. The report is inconclusive when the prefix is shorter than
-    twice the candidate order plus a safety margin, or degenerate (all
-    zeros, or eventually zero, where no fixed-order relation with nonzero
-    trailing coefficient covers the data).
+    Every term must be an exact rational (an int or a Fraction; anything
+    else is a ValueError). Coefficients come out as exact rationals,
+    normalised to ints when integral. The report is inconclusive when the
+    prefix is shorter than twice the candidate order plus a safety margin,
+    or degenerate (all zeros, or eventually zero, where no fixed-order
+    relation with nonzero trailing coefficient covers the data).
     """
+    from numbers import Rational
+
     prefix = list(prefix)
     if len(prefix) < 2:
         raise ValueError("prefix must have at least 2 terms")
+    for i, v in enumerate(prefix):
+        if not isinstance(v, Rational):
+            raise ValueError(f"prefix term {i} is a {type(v).__name__}, not an exact rational")
     if all(v == 0 for v in prefix):
         return _inconclusive(start_index, "all-zero prefix fits every recurrence")
     L, C = _bm_connection(prefix)
-    if len(C) < L + 1:
-        C = C + [0] * (L + 1 - len(C))
-    coeffs = tuple(_plain(-C[j]) for j in range(1, L + 1))
+    coeffs = tuple(-c for c in C[1:])
     if coeffs and coeffs[-1] == 0:
         return _inconclusive(
             start_index,

@@ -247,6 +247,38 @@ def fits_linear_recurrence(seq, order):
     )
 
 
+def bm_connection_fraction(prefix):
+    """Berlekamp-Massey over fractions.Fraction, as Massey (1969) states it:
+    the reference for discovery._bm_connection. Returns (L, C, tail): C is
+    the connection polynomial's first L + 1 coefficients (C[0] == 1) and
+    tail the rest of the working list, which is all zeros."""
+    seq = [Fraction(v) for v in prefix]
+    C = [Fraction(1)]
+    B = [Fraction(1)]
+    L, m, b = 0, 1, Fraction(1)
+    for i, s in enumerate(seq):
+        d = s
+        for j in range(1, L + 1):
+            d += C[j] * seq[i - j]
+        if d == 0:
+            m += 1
+            continue
+        coef = d / b
+        if len(C) < len(B) + m:
+            C = C + [Fraction(0)] * (len(B) + m - len(C))
+        if 2 * L <= i:
+            T = list(C)
+            for j, bj in enumerate(B):
+                C[j + m] -= coef * bj
+            L, B, b, m = i + 1 - L, T, d, 1
+        else:
+            for j, bj in enumerate(B):
+                C[j + m] -= coef * bj
+            m += 1
+    C = C + [Fraction(0)] * (L + 1 - len(C))
+    return L, C[: L + 1], C[L + 1 :]
+
+
 def truncated_product(a, b, count):
     """The first count coefficients of a(x) * b(x); coefficient lists are
     lowest degree first. A sequence s has generating function P/Q exactly

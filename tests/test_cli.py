@@ -355,11 +355,14 @@ class TestEntryPoints:
         assert done.returncode == 0, done.stderr
 
     def test_cold_start_imports_no_decimal_or_fractions(self):
+        # A count, and a discovery whose coefficients are all integral, need
+        # neither module.
         script = (
             "import contextlib, io, sys\n"
             "from seqforge import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['count', '--n', '5']) == 0\n"
+            "    assert cli.main(['discover', '--alpha', '2', '--beta', '3']) == 0\n"
             "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n"
         )
         done = self.python("-c", script)
@@ -976,6 +979,32 @@ class TestConfigAndUsage:
         from_config = run_cli(capsys, "verify", "--config", str(cfg))
         from_flag = run_cli(capsys, "verify", "--id", "ratio", "--to", "60", "--threshold", "0.001")
         assert from_config == from_flag and from_config[0] == 0
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, tmp_path, monkeypatch):
+        # main() parses with one parser per process; usage errors, --help and
+        # --config between good calls must leave it as a fresh one would be.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "alpha": 2, "beta": 1}))
+        calls = [
+            ["count", "--n", "14", "--alpha", "1", "--beta", "1"],
+            ["count", "--n", "x"],
+            ["count", "--config", str(cfg), "--n", "4"],
+            ["--help"],
+            ["verify", "--id", "ratio", "--to", "60"],
+            ["count", "--help"],
+            ["discover", "--alpha", "2", "--beta", "3", "--format", "json"],
+            ["frobnicate"],
+            ["count", "--config", str(cfg)],
+            ["seq", "--family", "fib", "--to", "12", "--format", "csv"],
+            ["discover", "--alpha", "2"],
+            ["count", "--n", "14", "--alpha", "1", "--beta", "1"],
+        ]
+        assert build_parser() is build_parser()
+        reused = [run_cli(capsys, *argv) for argv in calls + calls]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in calls]
+        assert reused == fresh + fresh
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

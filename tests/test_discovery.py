@@ -1,9 +1,14 @@
+import random
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqforge.discovery import (
     BM_SAFETY_MARGIN,
+    _bm_connection,
     berlekamp_massey,
     discover_order,
     verify_recurrence,
@@ -11,7 +16,7 @@ from seqforge.discovery import (
 from seqforge.fasteval import LinearRecurrence, tail_recurrence_of
 from seqforge.recurrences import schreier_zeckendorf_seq
 
-from helpers import eval_iterative, fits_linear_recurrence
+from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 
@@ -62,9 +67,28 @@ class TestBerlekampMassey:
         report = berlekamp_massey([64, 32, 16, 8, 4, 2, 1])
         assert report.found is not None
         assert report.found.order == 1
-        from fractions import Fraction
-
         assert report.found.coeffs == (Fraction(1, 2),)
+
+    def test_rational_prefix_keeps_its_terms(self):
+        prefix = [Fraction(v, 6) for v in (0, 1, 1, 2, 3, 5, 8, 13)]
+        report = berlekamp_massey(prefix)
+        assert report.found.coeffs == (1, 1)
+        assert [type(c) for c in report.found.coeffs] == [int, int]
+        assert report.found.initials == (0, Fraction(1, 6))
+
+    @pytest.mark.parametrize(
+        "prefix,index,kind",
+        [
+            ([1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0], 0, "float"),
+            ([0, 1, 1, 2, 3, 5.0, 8, 13], 5, "float"),
+            (["1", "1", "2", "3", "5", "8"], 0, "str"),
+            ([1, 2, Decimal(3), 4, 5, 6], 2, "Decimal"),
+            ([1, 2, 3, None], 3, "NoneType"),
+        ],
+    )
+    def test_inexact_terms_are_refused(self, prefix, index, kind):
+        with pytest.raises(ValueError, match=rf"^prefix term {index} is a {kind}, not an exact rational$"):
+            berlekamp_massey(prefix)
 
 
 class TestVerifyRecurrence:
@@ -158,3 +182,51 @@ def test_round_trip_recovery(data):
     assert report.found.order <= order
     longer = [eval_iterative(rec, n) for n in range(4 * order + 100)]
     assert verify_recurrence(report.found, longer, start_index=0) is True
+
+
+SMALL = st.integers(min_value=-9, max_value=9)
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def perturbed_recurrent(draw):
+    order = draw(st.integers(min_value=1, max_value=6))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    terms = draw(st.lists(SMALL, min_size=order, max_size=order))
+    length = draw(st.integers(min_value=order + 1, max_value=5 * order + 4))
+    while len(terms) < length:
+        terms.append(sum(c * terms[-1 - t] for t, c in enumerate(coeffs)))
+    terms[draw(st.integers(0, length - 1))] += draw(st.integers(-2, 2))
+    return terms
+
+
+@st.composite
+def eventually_zero(draw):
+    head = draw(st.lists(SMALL | RATIONALS, max_size=6))
+    return head + [0] * draw(st.integers(min_value=1, max_value=12))
+
+
+def assert_matches_the_fraction_oracle(prefix):
+    L, C, tail = bm_connection_fraction(prefix)
+    assert not any(tail)  # deg C <= L, which the int synthesis relies on
+    got = _bm_connection(prefix)
+    assert got == (L, C)
+    assert [type(c) for c in got[1]] == [int if c.denominator == 1 else Fraction for c in C]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(SMALL, min_size=1, max_size=40)
+    | st.lists(SMALL | RATIONALS, min_size=1, max_size=30)
+    | perturbed_recurrent()
+    | eventually_zero()
+)
+def test_int_synthesis_matches_the_fraction_oracle(prefix):
+    assert_matches_the_fraction_oracle(prefix)
+
+
+def test_long_prefix_matches_the_fraction_oracle():
+    rng = random.Random(12)
+    prefix = [rng.randint(-9, 9) for _ in range(220)]
+    assert_matches_the_fraction_oracle(prefix)
+    assert _bm_connection(prefix)[0] == 110
