@@ -33,23 +33,16 @@ from .identities import (
     decimal_string,
 )
 from .recurrences import (
+    _decimal_window,
     _fibonacci_spec,
     _gen_fib_spec,
     _gen_h_spec,
     _h_spec,
     _k_spec,
     _min_size_odd_gap_spec,
-    _printed_window,
     _schreier_zeckendorf_spec,
     condition_count,
     even_gap_family_size,
-    fibonacci_seq,
-    gen_fib_seq,
-    gen_h_seq,
-    h_seq,
-    k_seq,
-    min_size_odd_gap_seq,
-    schreier_zeckendorf_seq,
 )
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
@@ -78,27 +71,17 @@ class UsageError(Exception):
     """Bad flags, bad config, or an unknown family/identity id."""
 
 
-# family -> (builder, spec, the flags both take before --to). Builders look
-# their window function up at call time, so a wrapper installed on the
-# module function (as the benchmark's tracer does) sees every call. The spec
-# is that function's private one (recurrences), for reading the window again
-# in decimal when it prints wide (recurrences._printed_window).
+# family -> (spec, the flags it takes before --to). The spec is the private
+# one behind the family's window function (recurrences), whose window `seq`
+# reads in decimal (recurrences._decimal_window).
 FAMILIES = {
-    "fib": (lambda to: fibonacci_seq(to), _fibonacci_spec, ()),
-    "H": (lambda to: h_seq(to), _h_spec, ()),
-    "schreier-zeckendorf": (
-        lambda alpha, beta, to: schreier_zeckendorf_seq(alpha, beta, to),
-        _schreier_zeckendorf_spec,
-        ("alpha", "beta"),
-    ),
-    "genfib": (lambda n, to: gen_fib_seq(n, to), _gen_fib_spec, ("n",)),
-    "genk": (lambda n, to: k_seq(n, to), _k_spec, ("n",)),
-    "genh": (lambda n, to: gen_h_seq(n, to), _gen_h_spec, ("n",)),
-    "minsize-oddgap": (
-        lambda k, to: min_size_odd_gap_seq(to, k),
-        lambda k, to: _min_size_odd_gap_spec(to, k),
-        ("k",),
-    ),
+    "fib": (_fibonacci_spec, ()),
+    "H": (_h_spec, ()),
+    "schreier-zeckendorf": (_schreier_zeckendorf_spec, ("alpha", "beta")),
+    "genfib": (_gen_fib_spec, ("n",)),
+    "genk": (_k_spec, ("n",)),
+    "genh": (_gen_h_spec, ("n",)),
+    "minsize-oddgap": (lambda k, to: _min_size_odd_gap_spec(to, k), ("k",)),
 }
 
 
@@ -151,7 +134,8 @@ def _orders(args: argparse.Namespace):
 # identity -> (stock --to, check). A check takes (to, args, limit) and
 # returns its reports, each optionally followed by an extra table row.
 # `--id all` runs every check in this order. Checks look their functions
-# up at call time, as FAMILIES' builders do.
+# up at call time, so a wrapper installed on a module function (as the
+# benchmark's tracer does) sees every call.
 IDENTITIES = {
     "fib-h": (200, lambda to, args, limit: [check_fib_h(to)]),
     "gen-sum": (300, lambda to, args, limit: [check_gen_sum(k, to) for k in _orders(args)]),
@@ -334,9 +318,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     family, to = _require(args, "family"), _require(args, "to")
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    build, spec, needs = FAMILIES[family]
-    params = [_require(args, dest) for dest in needs]
-    window = _printed_window(build(*params, to), lambda: spec(*params, to))
+    spec, needs = FAMILIES[family]
+    window = _decimal_window(spec(*[_require(args, dest) for dest in needs], to))
     if args.start is not None:
         try:
             window = window.clip(args.start)

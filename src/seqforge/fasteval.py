@@ -116,7 +116,8 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # carried as integral Decimals (exponent 0) from _CARRY_BITS on: a power
 # once it will end at least _CARRY_WIDTH bits wide, below which libmpdec's
 # own Karatsuba loses to CPython's (see _eval_poly); the gap-parity totals
-# of recurrences once they print past formats.STR_MAX_BITS. Converting a
+# of recurrences once they print past formats.STR_MAX_BITS. A `seq` window
+# is read in them whole (recurrences._decimal_window). Converting a
 # Decimal back to an int is quadratic, so a carried count stays one.
 # Measured with CPython 3.11 on a 2-vCPU x86-64 machine, a square as a
 # Decimal against as an int: 0.04 vs 0.02 ms at 4096 bits, 0.26 vs 0.20
@@ -124,17 +125,6 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # 54,000-bit order-6 power took 18 ms carried against 12 ms on ints.
 _CARRY_BITS = 4096
 _CARRY_WIDTH = 150_000
-# A `seq` window prints faster read again in integral Decimals
-# (recurrences._printed_window) than as ints once its last term has more
-# than _CARRY_SERIES_BITS bits, plus _CARRY_SUM_BITS per running sum of its
-# generating function: str() of the ints is quadratic, and each addition of
-# the series costs more in Decimal. Measured with CPython 3.11 on a 2-vCPU
-# x86-64 machine, the Decimal series plus str() of its terms against str()
-# of the int terms broke even near 1000 bits for fib (no running sums), 1300
-# for H (2), 2200 for minsize-oddgap[3] (4), 3000 for [10] (18) and 7500
-# for [40] (78).
-_CARRY_SERIES_BITS = 2000
-_CARRY_SUM_BITS = 80
 
 
 @lru_cache(maxsize=None)

@@ -66,8 +66,9 @@ def render_int(value: int) -> str:
 def _rows(window: SequenceWindow) -> Iterator[tuple[int, str]]:
     # (index, decimal digits) per term. One choice per window: builtin str()
     # unless some int term is big enough for render_int to take another
-    # path. A window the CLI read in integral Decimals (its last term is
-    # one; see recurrences._printed_window) prints by str() in linear time.
+    # path. A window read in integral Decimals, as the CLI reads every one
+    # (its last term is one; see recurrences._decimal_window), prints by
+    # str() in linear time.
     terms = window.terms
     carried = bool(terms) and not isinstance(terms[-1], int)
     big = not carried and max(map(int.bit_length, terms), default=0) > STR_MAX_BITS

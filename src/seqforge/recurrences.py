@@ -12,12 +12,10 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, chain, cycle, islice, repeat, tee
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .fasteval import (
     _CARRY_BITS,
-    _CARRY_SERIES_BITS,
-    _CARRY_SUM_BITS,
     _DECIMAL,
     EXACT,
     LinearRecurrence,
@@ -378,12 +376,15 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
     The series of P/R is a_i = p_i + c_1 a_{i-1} + ... + c_d a_{i-d}, with
     a_i = 0 for i < 0: a map over copies of the stream itself, one per tap,
     lagged j places (itertools.tee); it adds the term where c = 1 and
-    multiplies only at the other taps. The copies read what the stream has
-    already yielded, so it holds only its last d terms, give or take one of
-    tee's small blocks. Each factor 1 - x is then a running sum; each 1 + x
-    is one too with the signs of the terms alternated before and after
-    (substitute -x for x). The lead zeros come first, so reading them runs
-    none of this.
+    multiplies only at the other taps. The map is built once, inside a
+    one-shot generator, so that the copies exist by then, and every term
+    runs in C. The copies read what the stream has already yielded, so it
+    holds only its last d terms, give or take one of tee's small blocks.
+    Each pair of factors (1-x)(1+x) = 1 - x^2 is then a running sum over
+    the even terms and one over the odd; each other 1 - x is a running sum,
+    and each other 1 + x is one too with the signs of the terms alternated
+    before and after (substitute -x for x). The lead zeros come first, so
+    reading them runs none of this.
     """
     def terms():
         total = None
@@ -394,13 +395,20 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
             total = lagged if total is None else map(add, total, lagged)
         if total is None:  # R = 1
             total = repeat(0)
-        yield from chain(map(add, p, total), total)
+        yield chain(map(add, p, total), total)
 
-    stream, *copies = tee(terms(), len(taps) + 1)
-    if pluses:
+    stream, *copies = tee(chain.from_iterable(terms()), len(taps) + 1)
+    pairs = min(ones, pluses)
+    if pairs:
+        even, odd = tee(stream)
+        stream = chain.from_iterable(zip(
+            _running_sums(islice(even, 0, None, 2), pairs),
+            _running_sums(islice(odd, 1, None, 2), pairs),
+        ))
+    if pluses > pairs:
         signs = map(mul, stream, cycle((1, -1)))
-        stream = map(mul, _running_sums(signs, pluses), cycle((1, -1)))
-    return chain(repeat(0, lead), _running_sums(stream, ones))
+        stream = map(mul, _running_sums(signs, pluses - pairs), cycle((1, -1)))
+    return chain(repeat(0, lead), _running_sums(stream, ones - pairs))
 
 
 def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
@@ -408,21 +416,15 @@ def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
     return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
 
 
-def _printed_window(window: SequenceWindow, spec: Callable[[], tuple]) -> SequenceWindow:
-    # The window as the CLI prints it: window itself, or, when its last term
-    # is so wide that str() of the ints would take longer than reading the
-    # series again in integral Decimals (fasteval's _CARRY_SERIES_BITS, plus
-    # _CARRY_SUM_BITS per running sum, as those cost more in Decimal), that
-    # series. spec() gives the window's parts afresh; P is fed as Decimals
-    # and the whole series is read in fasteval._exact_context, so every term
-    # from the first nonzero one on is a Decimal whose str() takes linear
-    # time. The window functions, whose callers take ints, never return one.
-    name, offset, last, (lead, p, taps, ones, pluses) = spec()
-    if window.terms[-1].bit_length() <= _CARRY_SERIES_BITS + _CARRY_SUM_BITS * (ones + pluses):
-        return window
-    del window  # the ints go before the Decimals are built
+def _decimal_window(spec: tuple) -> SequenceWindow:
+    # The window of spec, a window function's private _*_spec, as the CLI
+    # prints it: P is fed as Decimals and the whole series is read in
+    # fasteval._exact_context, so every term from the first nonzero one on
+    # is an integral Decimal whose str() takes linear time. The window
+    # functions, whose callers take ints, never return one.
     from decimal import Decimal, localcontext
 
+    name, offset, last, (lead, p, taps, ones, pluses) = spec
     with localcontext(_exact_context()):
         return _window(name, offset, last, (lead, map(Decimal, p), taps, ones, pluses))
 

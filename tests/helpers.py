@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: raw bitmask
 enumeration instead of the library's pruned search, hand-written term loops
 and a size-bucket DP instead of the generating-function series, a
-definitional weighted sum for the twice-accumulated Fibonacci values,
+definitional weighted sum for the twice-accumulated Fibonacci values, a
+series that takes each factor 1 + x as a running sum between sign flips,
 straight iteration instead of fast recurrence evaluation, fast doubling for
 modular Fibonacci, and exact Gaussian elimination for recurrence fitting.
 """
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, cycle, repeat, tee
+from operator import add, mul
 from typing import NamedTuple
 
 from seqforge.fasteval import EXACT, _prepared
@@ -287,6 +289,35 @@ def truncated_product(a, b, count):
         sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
         for k in range(count)
     ]
+
+
+def sign_trick_series(lead, p, taps, ones=0, pluses=0):
+    """The coefficients of x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 -
+    sum of c x^j over taps {j: c}, without end, as the library's series
+    read them before it took (1-x)(1+x) as 1 - x^2: a generator re-entered
+    per term feeds the tee'd copies of itself, and each 1 + x is a running
+    sum with the signs alternated before and after."""
+
+    def terms():
+        total = None
+        for (j, c), copy in zip(taps.items(), copies):
+            lagged = chain(repeat(0, j), copy)  # a_{i-j}
+            if c != 1:
+                lagged = map(mul, repeat(c), lagged)
+            total = lagged if total is None else map(add, total, lagged)
+        if total is None:  # R = 1
+            total = repeat(0)
+        yield from chain(map(add, p, total), total)
+
+    stream, *copies = tee(terms(), len(taps) + 1)
+    if pluses:
+        stream = map(mul, stream, cycle((1, -1)))
+        for _ in range(pluses):
+            stream = accumulate(stream)
+        stream = map(mul, stream, cycle((1, -1)))
+    for _ in range(ones):
+        stream = accumulate(stream)
+    return chain(repeat(0, lead), stream)
 
 
 def poly_gcd_degree(p, q):

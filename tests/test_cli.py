@@ -516,10 +516,10 @@ class TestSeq:
 
 
 # (family, flags, a window function call with the same parameters, --to
-# just past the carry cutover). The cutover grows with the running sums of
-# the family's generating function: none for fib, genfib and
-# schreier-zeckendorf, one for genk, two for H and genh, k + k - 2 for
-# minsize-oddgap.
+# just past the width from which `seq` once read a window again in
+# decimal). That width grew with the running sums of the family's
+# generating function: none for fib, genfib and schreier-zeckendorf, one for
+# genk, two for H and genh, k + k - 2 for minsize-oddgap.
 CARRIED = [
     ("fib", (), lambda to: fibonacci_seq(to), 3_000),
     ("H", (), lambda to: h_seq(to), 3_300),
@@ -533,22 +533,8 @@ CARRIED = [
 
 
 class TestSeqCarried:
-    """A window whose last term is wide is read again in integral Decimals
-    and printed by str(); its text must be that of the library's int window."""
-
-    @pytest.fixture
-    def carried(self, monkeypatch):
-        # The windows `seq` printed in Decimal during the test.
-        windows = []
-
-        def spy(window, spec):
-            window = recurrences._printed_window(window, spec)
-            if not isinstance(window.terms[-1], int):
-                windows.append(window)
-            return window
-
-        monkeypatch.setattr(cli, "_printed_window", spy)
-        return windows
+    """`seq` reads every window in integral Decimals and prints it by str();
+    its text must be that of the library's int window."""
 
     @staticmethod
     def check(out, window, start, fmt, argv):
@@ -565,53 +551,56 @@ class TestSeqCarried:
             line = next((i for i, (a, b) in enumerate(lines) if a != b), None)
             pytest.fail(f"{argv}: first difference at line {line}")
 
-    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
-    @pytest.mark.parametrize("family, flags, window, to", CARRIED, ids=[c[0] for c in CARRIED])
-    def test_wide_window_matches_the_int_window(self, capsys, carried, family, flags, window, to, fmt):
-        lib = window(to)
+    def compare(self, capsys, family, flags, lib, fmt):
+        # No --from, one in the head, one in the tail.
         assert all(type(v) is int for v in lib.terms)
-        # No --from, one in the narrow head, one in the wide tail.
+        to = lib.last_index
         for start in (None, lib.offset + 2, to - 3):
             argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
             argv += [] if start is None else ["--from", str(start)]
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "")
             self.check(out, lib, start, fmt, argv)
-        assert len(carried) == 3 and isinstance(carried[0].terms[-1], decimal.Decimal)
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
     @pytest.mark.parametrize("family, flags, window, to", CARRIED, ids=[c[0] for c in CARRIED])
-    def test_narrow_window_stays_int(self, capsys, carried, family, flags, window, to, fmt):
-        # At 3/5 of the cutover index the last term is too narrow to carry.
-        to = to * 3 // 5
-        for start in (None, to - 3):
-            argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
-            argv += [] if start is None else ["--from", str(start)]
-            code, out, _ = run_cli(capsys, *argv)
-            assert code == 0
-            self.check(out, window(to), start, fmt, argv)
-        assert carried == []
+    def test_wide_window_matches_the_int_window(self, capsys, family, flags, window, to, fmt):
+        self.compare(capsys, family, flags, window(to), fmt)
 
-    def test_library_and_context_are_untouched(self, capsys, carried):
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("family, flags, window, to", CARRIED, ids=[c[0] for c in CARRIED])
+    def test_narrow_window_stays_int(self, capsys, family, flags, window, to, fmt):
+        # At 3/5 of that index the last term is narrow, and the text is still
+        # that of the int window.
+        self.compare(capsys, family, flags, window(to * 3 // 5), fmt)
+
+    def test_every_family_is_read_in_integral_decimals(self):
+        params = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
+        for family, (spec, needs) in cli.FAMILIES.items():
+            window = recurrences._decimal_window(spec(*[params[d] for d in needs], 60))
+            last = window.terms[-1]
+            assert isinstance(last, decimal.Decimal), family
+            assert last.as_tuple().exponent == 0, family
+
+    def test_library_and_context_are_untouched(self, capsys):
         before = decimal.getcontext()
         saved = (before.prec, before.rounding, before.traps.copy(), before.flags.copy())
         for family, flags, window, to in CARRIED:
             assert run_cli(capsys, "seq", "--family", family, *flags, "--to", str(to))[0] == 0
             lib = window(to)
             assert all(type(v) is int for v in lib.terms), family
-        assert len(carried) == len(CARRIED)
         after = decimal.getcontext()
         assert after is before
         assert (after.prec, after.rounding, after.traps, after.flags) == saved
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
-    def test_large_k_prints_at_once(self, capsys, carried, fmt):
-        # A thousand-fold running sum over ten zeros: nothing to carry.
+    def test_large_k_prints_at_once(self, capsys, fmt):
+        # A thousand-fold running sum over ten zeros.
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "seq", "--family", "minsize-oddgap", "--k", "5000", "--to", "10", "--format", fmt)
         assert (code, err) == (0, "")
         assert out == format_window(min_size_odd_gap_seq(10, 5000), fmt)
-        assert carried == [] and time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 5
 
 
 class TestVerify:

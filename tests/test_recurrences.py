@@ -38,6 +38,7 @@ from helpers import (
     min_size_odd_gap_list,
     partial_sum,
     poly_gcd_degree,
+    sign_trick_series,
     truncated_product,
 )
 
@@ -114,6 +115,21 @@ class TestSeries:
         count = 40
         terms = list(islice(_series(lead, p, taps, ones, pluses), count))
         assert truncated_product(terms, q, count) == ([0] * lead + p + [0] * count)[:count]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.lists(st.integers(-5, 5), max_size=6),
+        st.dictionaries(st.integers(1, 6), st.integers(-5, 5), max_size=3),
+        st.integers(0, 6),
+        st.integers(0, 6),
+    )
+    def test_matches_the_sign_trick(self, lead, p, taps, ones, pluses):
+        # Pairs of (1-x)(1+x) read as 1 - x^2 give the terms that a running
+        # sum between sign flips per 1 + x gives.
+        count = 40
+        terms = list(islice(_series(lead, p, taps, ones, pluses), count))
+        assert terms == list(islice(sign_trick_series(lead, p, taps, ones, pluses), count))
 
     def test_past_the_nested_sums(self):
         # More running sums than are nested take the flat list of sums.
