@@ -8,21 +8,25 @@ error (including an `--output` path that cannot be written), 3 the
 enumeration limit of an exhaustive search (`count --engine oracle`,
 `enumerate`, the enumerating `verify` checks), 4 inconclusive, 5 internal
 error. Every failure prints one `error: ...` line to stderr and
-no traceback. Every command is deterministic: identical invocations produce
+no traceback; a reader that closes stdout early only ends the output
+(exit 0). Every command is deterministic: identical invocations produce
 byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import re
 import sys
+from itertools import islice
 
 from .discovery import discover_order
-from .formats import FORMATS, format_window, render_int
+from .fasteval import _exact_context
+from .formats import FORMATS, _write_chunked, _write_window, render_int
 from .identities import (
     IdentityReport,
     check_bijection_round_trip,
@@ -33,7 +37,7 @@ from .identities import (
     decimal_string,
 )
 from .recurrences import (
-    _decimal_window,
+    _decimal_series,
     _fibonacci_spec,
     _gen_fib_spec,
     _gen_h_spec,
@@ -72,8 +76,8 @@ class UsageError(Exception):
 
 
 # family -> (spec, the flags it takes before --to). The spec is the private
-# one behind the family's window function (recurrences), whose window `seq`
-# reads in decimal (recurrences._decimal_window).
+# one behind the family's window function (recurrences), whose series `seq`
+# reads in decimal (recurrences._decimal_series).
 FAMILIES = {
     "fib": (_fibonacci_spec, ()),
     "H": (_h_spec, ()),
@@ -278,15 +282,24 @@ def _build_condition(args: argparse.Namespace) -> Condition:
     )
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The write method of stdout, or of the file at path, opened at once so
+    that a path that cannot be written fails before any work. An OSError
+    on the file, then or on a later write, is a usage error."""
+    if path is None:
+        yield sys.stdout.write
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh.write
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    with _output(output) as write:
+        write(text)
 
 
 def _recurrence_count(n: int, cond: Condition):
@@ -319,13 +332,19 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     spec, needs = FAMILIES[family]
-    window = _decimal_window(spec(*[_require(args, dest) for dest in needs], to))
+    name, offset, last, gf = spec(*[_require(args, dest) for dest in needs], to)
     if args.start is not None:
-        try:
-            window = window.clip(args.start)
-        except IndexError as exc:
-            raise UsageError(str(exc)) from exc
-    _emit(format_window(window, args.fmt), args.output)
+        if args.start > last:
+            raise UsageError(f"clip start {args.start} beyond window end {last}")
+        offset = max(offset, args.start)
+    # The terms are read, printed and written a chunk at a time, all inside
+    # the exact context, so only the last few terms and one chunk of text
+    # are held at once. decimal is imported here, not at start.
+    from decimal import localcontext
+
+    with _output(args.output) as write, localcontext(_exact_context()):
+        digits = map(str, islice(_decimal_series(*gf), offset, last + 1))
+        _write_window(write, args.fmt, name, offset, last, digits)
     return OK
 
 
@@ -425,9 +444,13 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = _require(args, "n")
     limit = _resolve_limit(args.enum_limit)
-    cond = _build_condition(args)
-    lines = ["{" + ",".join(map(str, s.elements)) + "}" for s in enumerate_subsets(n, cond, limit)]
-    _emit("".join(line + "\n" for line in lines), args.output)
+    subsets = enumerate_subsets(n, _build_condition(args), limit)
+
+    def rows(batch):
+        return [f"{{{','.join(map(str, s.elements))}}}\n" for s in batch]
+
+    with _output(args.output) as write:
+        _write_chunked(write, subsets, rows)
     return OK
 
 
@@ -464,6 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except BrokenPipeError:
+        # The reader closed stdout (`seqforge seq ... | head`): the end of
+        # output, not a failure. What is still buffered goes to os.devnull,
+        # so the flush at shutdown does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OK
     except Exception as exc:
         # Anything else is a defect; report it on one line, not as a traceback.
         detail = " ".join(str(exc).splitlines())

@@ -117,7 +117,7 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # once it will end at least _CARRY_WIDTH bits wide, below which libmpdec's
 # own Karatsuba loses to CPython's (see _eval_poly); the gap-parity totals
 # of recurrences once they print past formats.STR_MAX_BITS. A `seq` window
-# is read in them whole (recurrences._decimal_window). Converting a
+# is read in them whole (recurrences._decimal_series). Converting a
 # Decimal back to an int is quadratic, so a carried count stays one.
 # Measured with CPython 3.11 on a 2-vCPU x86-64 machine, a square as a
 # Decimal against as an int: 0.04 vs 0.02 ms at 4096 bits, 0.26 vs 0.20

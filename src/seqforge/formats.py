@@ -2,13 +2,16 @@
 
 b-file is the primary interchange format (one ``index value`` pair per
 line, no header); emitting and re-parsing a window is byte-exact. All
-numbers render in full decimal, never scientific notation.
+numbers render in full decimal, never scientific notation. Every format
+is written by one chunked writer (_write_window), which the CLI feeds a
+term at a time; format_window joins what it writes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
+from itertools import count, islice
+from typing import Iterable
 
 from .fasteval import _exact_context
 from .recurrences import SequenceWindow
@@ -63,20 +66,8 @@ def render_int(value: int) -> str:
     return str(convert(value, levels))
 
 
-def _rows(window: SequenceWindow) -> Iterator[tuple[int, str]]:
-    # (index, decimal digits) per term. One choice per window: builtin str()
-    # unless some int term is big enough for render_int to take another
-    # path. A window read in integral Decimals, as the CLI reads every one
-    # (its last term is one; see recurrences._decimal_window), prints by
-    # str() in linear time.
-    terms = window.terms
-    carried = bool(terms) and not isinstance(terms[-1], int)
-    big = not carried and max(map(int.bit_length, terms), default=0) > STR_MAX_BITS
-    return enumerate(map(render_int if big else str, terms), window.offset)
-
-
 def format_bfile(window: SequenceWindow) -> str:
-    return "".join(f"{i} {d}\n" for i, d in _rows(window))
+    return format_window(window, "bfile")
 
 
 def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
@@ -104,42 +95,106 @@ def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
 
 
 def format_csv(window: SequenceWindow) -> str:
-    return "index,value\n" + "".join(f"{i},{d}\n" for i, d in _rows(window))
+    return format_window(window, "csv")
 
 
 def format_json(window: SequenceWindow) -> str:
-    # The text of json.dumps(payload, indent=2) for payload {"schema",
-    # "family", "offset", "terms"}. The header goes through json.dumps, which
-    # escapes the name. The terms are digit strings that need no escaping,
-    # so they are joined here, in about half the encoder's time: the header
-    # and the closing brackets go onto the first and last term, and one join
-    # copies the text once.
-    head = json.dumps({"schema": 1, "family": window.name, "offset": window.offset}, indent=2)
-    head = head[:-2] + ',\n  "terms": '  # without the closing "\n}"
-    digits = [d for _, d in _rows(window)]
-    if not digits:
-        return head + "[]\n}\n"
-    digits[0] = head + '[\n    "' + digits[0]
-    digits[-1] += '"\n  ]\n}\n'
-    return '",\n    "'.join(digits)
+    return format_window(window, "json")
 
 
 def format_table(window: SequenceWindow) -> str:
-    # The indices run from offset to last_index, so the widest is one of them.
-    width = max(len(str(window.offset)), len(str(window.last_index)))
-    lines = [f"{window.name}  (indices {window.offset}..{window.last_index})"]
-    lines += [f"{i:>{width}}  {d}" for i, d in _rows(window)]
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    return format_window(window, "table")
 
 
 def format_window(window: SequenceWindow, fmt: str) -> str:
+    # Builtin str() prints every term unless one is big enough for render_int
+    # to take another path.
+    big = max(map(int.bit_length, window.terms), default=0) > STR_MAX_BITS
+    digits = map(render_int if big else str, window.terms)
+    out: list[str] = []
+    _write_window(out.append, fmt, window.name, window.offset, window.last_index, digits)
+    return "".join(out)
+
+
+def _write_window(write, fmt: str, name: str, offset: int, last: int, digits: Iterable[str]) -> None:
+    """Write the text of the window offset..last of the sequence name in
+    format fmt through write, digits yielding each term's decimal digits in
+    turn, in chunks (_write_chunked): the rows are formatted as they are
+    read, and no more than a chunk and a batch of text are held at once.
+    """
+    # Each batch takes its indices from one counter; zip reads the batch
+    # first, so it takes no index past the batch's end.
+    indices, tail = count(offset), ""
     if fmt == "bfile":
-        return format_bfile(window)
-    if fmt == "csv":
-        return format_csv(window)
-    if fmt == "json":
-        return format_json(window)
-    if fmt == "table":
-        return format_table(window)
-    raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
+        head, rows = "", lambda batch: [f"{i} {d}\n" for d, i in zip(batch, indices)]
+    elif fmt == "csv":
+        head, rows = "index,value\n", lambda batch: [f"{i},{d}\n" for d, i in zip(batch, indices)]
+    elif fmt == "table":
+        # The indices run from offset to last, so the widest is one of them.
+        width = max(len(str(offset)), len(str(last)))
+        head = f"{name}  (indices {offset}..{last})\n"
+        rows = lambda batch: [f"{i:>{width}}  {d}\n" for d, i in zip(batch, indices)]
+    elif fmt == "json":
+        # The text of json.dumps(payload, indent=2) for payload {"schema",
+        # "family", "offset", "terms"}. The header goes through json.dumps,
+        # which escapes the name. The terms are digit strings that need no
+        # escaping, so they are written here, in about half the encoder's
+        # time: the header and the opening bracket go onto the first term.
+        head = json.dumps({"schema": 1, "family": name, "offset": offset}, indent=2)
+        head = head[:-2] + ',\n  "terms": '  # without the closing "\n}"
+        digits = iter(digits)
+        first = next(digits, None)
+        if first is None:
+            head += "[]\n}\n"
+        else:
+            head, tail = head + '[\n    "' + first, '"\n  ]\n}\n'
+        rows = lambda batch: [f'",\n    "{d}' for d in batch]
+    else:
+        raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
+    _write_chunked(write, digits, rows, head, tail)
+
+
+# A chunk holds at most this many characters of text: 64 KiB of ASCII,
+# under the 128 KiB from which glibc's malloc maps a block of fresh pages
+# of its own, so a chunk and its encoded copy reuse the heap's free memory.
+# 1 MiB chunks took 2.5 times the page faults of printing a whole
+# window at once and cost about 10% of the series benchmark's throughput.
+_CHUNK_CHARS = 1 << 16
+
+
+def _write_chunked(write, items: Iterable, rows, head: str = "", tail: str = "") -> None:
+    """Write head, the rows of items in turn and tail through write, joined
+    into chunks of at most _CHUNK_CHARS characters, or one row wider than
+    that. rows maps a list of items to their rows' texts, one each. Text
+    that fits in one chunk is one write.
+
+    Items are read in batches, so that a narrow row costs no Python step of
+    its own: 64 items first, then at most twice the last batch and about a
+    quarter of a chunk of text as judged by the last batch. A batch that
+    would overflow the chunk starts the next one, and a batch wider than a
+    chunk is split.
+    """
+    items, final = iter(items), [tail]
+    chunk, size, take = [head], len(head), 64
+    while True:
+        batch = rows(list(islice(items, take))) or final
+        width = sum(map(len, batch))
+        take = max(1, min(2 * take, (_CHUNK_CHARS >> 2) * len(batch) // (width + 1)))
+        if size and size + width > _CHUNK_CHARS:
+            write("".join(chunk))
+            chunk, size = [], 0
+        if width <= _CHUNK_CHARS:
+            chunk += batch
+            size += width
+        else:
+            for text in batch:
+                if size and size + len(text) > _CHUNK_CHARS:
+                    write("".join(chunk))
+                    chunk, size = [], 0
+                chunk.append(text)
+                size += len(text)
+        if batch is final:
+            break
+    text = "".join(chunk)
+    if text:
+        write(text)

@@ -416,17 +416,14 @@ def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
     return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
 
 
-def _decimal_window(spec: tuple) -> SequenceWindow:
-    # The window of spec, a window function's private _*_spec, as the CLI
-    # prints it: P is fed as Decimals and the whole series is read in
-    # fasteval._exact_context, so every term from the first nonzero one on
-    # is an integral Decimal whose str() takes linear time. The window
-    # functions, whose callers take ints, never return one.
-    from decimal import Decimal, localcontext
+def _decimal_series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterator[BigCount]:
+    # _series with P fed as Decimals, for the CLI. Read in
+    # fasteval._exact_context, every term from the first nonzero one on is
+    # an integral Decimal whose str() takes linear time. The series is lazy,
+    # so it must be read inside the context, not only built there.
+    from decimal import Decimal
 
-    name, offset, last, (lead, p, taps, ones, pluses) = spec
-    with localcontext(_exact_context()):
-        return _window(name, offset, last, (lead, map(Decimal, p), taps, ones, pluses))
+    return _series(lead, map(Decimal, p), taps, ones, pluses)
 
 
 def _gf_term(cond: Condition, n: int, carry: bool) -> BigCount:

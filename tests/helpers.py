@@ -6,11 +6,14 @@ and a size-bucket DP instead of the generating-function series, a
 definitional weighted sum for the twice-accumulated Fibonacci values, a
 series that takes each factor 1 + x as a running sum between sign flips,
 straight iteration instead of fast recurrence evaluation, fast doubling for
-modular Fibonacci, and exact Gaussian elimination for recurrence fitting.
+modular Fibonacci, exact Gaussian elimination for recurrence fitting, and
+each output format's text built whole (the JSON by the json encoder)
+instead of the streaming writer.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, repeat, tee
@@ -136,6 +139,22 @@ def family_oracle(family, params, to):
     for _ in range({"genfib": 0, "genk": 1, "genh": 2}[family]):
         terms = list(accumulate(terms))
     return 0, terms
+
+
+def window_text(window, fmt):
+    """The text of window in format fmt, built whole: every term by str(),
+    the JSON by json.dumps."""
+    rows = [(i, str(v)) for i, v in window.items()]
+    if fmt == "bfile":
+        return "".join(f"{i} {d}\n" for i, d in rows)
+    if fmt == "csv":
+        return "index,value\n" + "".join(f"{i},{d}\n" for i, d in rows)
+    if fmt == "json":
+        payload = {"schema": 1, "family": window.name, "offset": window.offset, "terms": [d for _, d in rows]}
+        return json.dumps(payload, indent=2) + "\n"
+    width = max(len(str(window.offset)), len(str(window.last_index)))
+    lines = [f"{window.name}  (indices {window.offset}..{window.last_index})"]
+    return "\n".join(lines + [f"{i:>{width}}  {d}" for i, d in rows]) + "\n"
 
 
 def partial_sum(window, name=None):

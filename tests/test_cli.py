@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import cli, identities, recurrences
+from seqforge import cli, fasteval, formats, identities, recurrences
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import format_window, parse_bfile
@@ -28,15 +29,34 @@ from seqforge.recurrences import (
     min_size_odd_gap_seq,
     schreier_zeckendorf_seq,
 )
-from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets
+from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets, enumerate_subsets
 
-from helpers import family_oracle, fib_list, ratio_report, sz_list
+from helpers import family_oracle, fib_list, ratio_report, sz_list, window_text
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class CountingSink:
+    """Stand-in for stdout that counts what is written, and keeps each
+    write only if asked to."""
+
+    def __init__(self, record=False):
+        self.chars = self.lines = 0
+        self.writes = [] if record else None
+
+    def write(self, text):
+        self.chars += len(text)
+        self.lines += text.count("\n")
+        if self.writes is not None:
+            self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def traced_peak(argv, warm_up):
@@ -329,10 +349,12 @@ class TestDecimalCount:
 
 class TestEntryPoints:
     @staticmethod
-    def python(*args):
+    def env():
         src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def python(self, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=self.env())
 
     def test_python_dash_m(self):
         done = self.python("-m", "seqforge.cli", "count", "--n", "5", "--alpha", "2", "--beta", "1")
@@ -367,6 +389,23 @@ class TestEntryPoints:
         )
         done = self.python("-c", script)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["seq", "--family", "fib", "--to", "20000"],
+        ["enumerate", "--n", "20"],
+    ])
+    def test_closed_stdout_ends_the_output(self, argv):
+        # `seqforge ... | head -c 10`: the reader goes after 10 bytes, and
+        # the run still exits 0 with nothing on stderr.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqforge.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), len(head), err) == (0, 10, b"")
 
     def test_threshold_default_is_exact(self):
         from fractions import Fraction
@@ -541,11 +580,7 @@ class TestSeqCarried:
         # out is the window's text with every term printed by str() of its
         # int. A mismatch names its first line, as a diff of megabytes of
         # text would take minutes.
-        window = window if start is None else window.clip(start)
-        if fmt == "bfile":
-            want = "".join(f"{i} {v}\n" for i, v in window.items())
-        else:
-            want = format_window(window, fmt)
+        want = window_text(window if start is None else window.clip(start), fmt)
         if out != want:
             lines = zip(out.splitlines(), want.splitlines())
             line = next((i for i, (a, b) in enumerate(lines) if a != b), None)
@@ -577,10 +612,11 @@ class TestSeqCarried:
     def test_every_family_is_read_in_integral_decimals(self):
         params = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
         for family, (spec, needs) in cli.FAMILIES.items():
-            window = recurrences._decimal_window(spec(*[params[d] for d in needs], 60))
-            last = window.terms[-1]
-            assert isinstance(last, decimal.Decimal), family
-            assert last.as_tuple().exponent == 0, family
+            _, _, last, gf = spec(*[params[d] for d in needs], 60)
+            with decimal.localcontext(fasteval._exact_context()):
+                terms = list(islice(recurrences._decimal_series(*gf), last + 1))
+            assert isinstance(terms[-1], decimal.Decimal), family
+            assert terms[-1].as_tuple().exponent == 0, family
 
     def test_library_and_context_are_untouched(self, capsys):
         before = decimal.getcontext()
@@ -592,6 +628,47 @@ class TestSeqCarried:
         after = decimal.getcontext()
         assert after is before
         assert (after.prec, after.rounding, after.traps, after.flags) == saved
+
+    @pytest.mark.parametrize("to", [1, 2, 60, 700])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("family, flags, window, _", CARRIED, ids=[c[0] for c in CARRIED])
+    def test_streamed_text_is_the_library_windows(self, capsys, family, flags, window, _, fmt, to):
+        lib = window(to)
+        for start in (None, min(lib.offset + 2, to), max(to - 3, lib.offset)):
+            argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
+            argv += [] if start is None else ["--from", str(start)]
+            code, out, err = run_cli(capsys, *argv)
+            clipped = lib if start is None else lib.clip(start)
+            assert (code, err) == (0, ""), argv
+            assert out == format_window(clipped, fmt) == window_text(clipped, fmt), argv
+
+    WIDE = ["seq", "--family", "fib", "--to", "20000", "--format", "bfile"]
+    # Holding the window, its rows and the joined text at once took a 100 MiB
+    # traced peak for these 40 MiB of text; streaming them takes under 1 MiB.
+    PEAK_BOUND = 2 << 20
+
+    def test_wide_window_memory_is_one_chunk(self):
+        sink = CountingSink()
+        with contextlib.redirect_stdout(CountingSink()):
+            main(["seq", "--family", "fib", "--to", "5"])  # lazy imports
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(self.WIDE) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 40 * 10**6 and sink.lines == 20001
+        assert peak < self.PEAK_BOUND, peak
+
+    def test_wide_window_is_written_in_chunks(self):
+        sink = CountingSink(record=True)
+        with contextlib.redirect_stdout(sink):
+            assert main(self.WIDE) == 0
+        assert len(sink.writes) > 1
+        for text in sink.writes:
+            assert len(text) <= formats._CHUNK_CHARS or text.count("\n") == 1, len(text)
+        assert "".join(sink.writes) == format_window(fibonacci_seq(20000), "bfile")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
     def test_large_k_prints_at_once(self, capsys, fmt):
@@ -830,6 +907,10 @@ class TestEnumerate:
         assert count_code == code, flags
         if code == 0:
             assert listing.count("\n") == int(count), flags
+            args = build_parser().parse_args(["enumerate", *flags])
+            subsets = enumerate_subsets(args.n, cli._build_condition(args), args.enum_limit)
+            lines = ["{" + ",".join(map(str, s.elements)) + "}" for s in subsets]
+            assert listing == "".join(line + "\n" for line in lines), flags
 
 
 class TestPipelines:
@@ -871,6 +952,49 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "H", "--to", "5", "--from", "6"],
+        ["--family", "lucas", "--to", "5"],
+        ["--family", "genfib", "--n", "1", "--to", "5"],
+        ["--family", "fib", "--to", "5", "--output", "{tmp}/missing/out.txt"],
+        ["--family", "fib", "--to", "5", "--output", "{tmp}"],
+    ])
+    def test_seq_errors_come_before_the_first_term(self, capsys, monkeypatch, tmp_path, argv):
+        def unread(*gf):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(cli, "_decimal_series", unread)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, "seq", *argv, "--format", "bfile")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if "--from" in argv:
+            assert err == "error: clip start 6 beyond window end 5\n"
+
+    def test_output_is_open_before_the_first_term(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "window.bfile"
+        opened = []
+
+        def series(*gf):
+            opened.append(path.exists())
+            return recurrences._decimal_series(*gf)
+
+        monkeypatch.setattr(cli, "_decimal_series", series)
+        code, out, err = run_cli(capsys, "seq", "--family", "H", "--to", "6", "--output", str(path))
+        assert (code, out, err, opened) == (0, "", "", [True])
+        assert path.read_text() == format_window(h_seq(6), "table")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    @pytest.mark.parametrize("argv", [
+        ["seq", "--family", "fib", "--to", "5"],
+        ["seq", "--family", "fib", "--to", "20000", "--format", "bfile"],
+        ["enumerate", "--n", "4"],
+    ])
+    def test_failed_write_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
 
     def test_internal_error_exits_5_on_one_line(self, capsys, monkeypatch):
         def broken(args):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import formats
 from seqforge.formats import (
     STR_MAX_BITS,
     format_bfile,
@@ -17,6 +18,8 @@ from seqforge.formats import (
     render_int,
 )
 from seqforge.recurrences import SequenceWindow, h_seq
+
+from helpers import window_text
 
 WINDOW = SequenceWindow("demo", 2, (4, 9, 25))
 
@@ -111,6 +114,40 @@ class TestOtherFormats:
         window = SequenceWindow("w", -12, tuple(range(14)))
         lines = format_table(window).splitlines()
         assert lines[1] == "-12  0" and lines[-1] == "  1  13"
+
+    @pytest.mark.parametrize("chunk", [1, 50, 4096, formats._CHUNK_CHARS])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("window", [
+        SequenceWindow("x", 3, ()),
+        SequenceWindow('quote " é', -5, (1, -2, 10**30)),
+        h_seq(700),
+    ], ids=["empty", "short", "h700"])
+    def test_every_chunk_size_writes_the_whole_text(self, monkeypatch, window, fmt, chunk):
+        monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
+        writes = []
+        formats._write_window(writes.append, fmt, window.name, window.offset, window.last_index, map(str, window.terms))
+        assert "".join(writes) == format_window(window, fmt) == window_text(window, fmt)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.text(max_size=12), max_size=300),
+        st.text(max_size=12),
+        st.text(max_size=12),
+        st.integers(1, 40),
+    )
+    def test_chunks_join_to_the_text(self, rows, head, tail, bound):
+        writes = []
+        saved, formats._CHUNK_CHARS = formats._CHUNK_CHARS, bound
+        try:
+            formats._write_chunked(writes.append, rows, list, head, tail)
+        finally:
+            formats._CHUNK_CHARS = saved
+        text = head + "".join(rows) + tail
+        assert "".join(writes) == text and "" not in writes
+        if len(text) <= bound:
+            assert writes == ([text] if text else [])
+        # Each write fits the bound, or is one wider row.
+        assert all(len(w) <= bound or w in [head, *rows, tail] for w in writes)
 
     def test_huge_terms_render_in_full_decimal(self):
         window = SequenceWindow("big", 0, (10**50 + 7,))
