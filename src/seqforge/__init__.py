@@ -13,7 +13,7 @@ submodule.
 """
 
 from .discovery import berlekamp_massey
-from .fasteval import EvalMode, LinearRecurrence, eval_fast, schreier_zeckendorf_count, tail_recurrence_of
+from .fasteval import EvalMode, LinearRecurrence, eval_fast
 from .identities import check_fib_h
 from .recurrences import (
     condition_count,
@@ -22,7 +22,9 @@ from .recurrences import (
     fibonacci,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
+    schreier_zeckendorf_count,
     schreier_zeckendorf_seq,
+    tail_recurrence_of,
 )
 from .subsets import Condition, count_subsets
 

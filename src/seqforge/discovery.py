@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .fasteval import LinearRecurrence
+from .fasteval import LinearRecurrence, _check_rational
 from .recurrences import schreier_zeckendorf_seq
 
 if TYPE_CHECKING:
@@ -84,14 +84,10 @@ def berlekamp_massey(prefix, start_index: int = 0) -> RecurrenceReport:
     or degenerate (all zeros, or eventually zero, where no fixed-order
     relation with nonzero trailing coefficient covers the data).
     """
-    from numbers import Rational
-
     prefix = list(prefix)
     if len(prefix) < 2:
         raise ValueError("prefix must have at least 2 terms")
-    for i, v in enumerate(prefix):
-        if not isinstance(v, Rational):
-            raise ValueError(f"prefix term {i} is a {type(v).__name__}, not an exact rational")
+    _check_rational(prefix, "prefix term")
     if all(v == 0 for v in prefix):
         return _inconclusive(start_index, "all-zero prefix fits every recurrence")
     L, C = _bm_connection(prefix)
@@ -164,5 +160,4 @@ def discover_order(alpha: int, beta: int, probe_len: int) -> RecurrenceReport:
             f"(need at least {4 * (alpha + beta)})",
         )
     window = schreier_zeckendorf_seq(alpha, beta, tail_start + probe_len - 1)
-    tail = [window.term(i) for i in range(tail_start, window.last_index + 1)]
-    return berlekamp_massey(tail, start_index=tail_start)
+    return berlekamp_massey(window.terms[tail_start - window.offset:], start_index=tail_start)

@@ -39,6 +39,15 @@ from operator import mod, mul
 from .subsets import BigCount
 
 
+def _check_rational(values, what: str) -> None:
+    # A ValueError names the first of values that is not an int or a Fraction.
+    from numbers import Rational
+
+    for i, v in enumerate(values):
+        if type(v) is not int and not isinstance(v, Rational):
+            raise ValueError(f"{what} {i} is a {type(v).__name__}, not an exact rational")
+
+
 @dataclass(frozen=True)
 class LinearRecurrence:
     """a(n) = sum(coeffs[i-1] * a(n-i) for i in 1..order), for every index
@@ -47,7 +56,8 @@ class LinearRecurrence:
     The trailing coefficient must be nonzero, so the stored order is the
     true order of the representation. Coefficients are normally ints;
     exact rationals are accepted (discovery can produce them) but modular
-    evaluation then refuses to run.
+    evaluation then refuses to run. Anything else, a float or a Decimal,
+    is a ValueError.
     """
 
     coeffs: tuple
@@ -57,6 +67,8 @@ class LinearRecurrence:
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
         initials = tuple(self.initials)
+        _check_rational(coeffs, "coefficient")
+        _check_rational(initials, "initial")
         if not coeffs:
             raise ValueError("recurrence needs at least one coefficient")
         if len(initials) != len(coeffs):
@@ -467,55 +479,3 @@ def eval_fast(
         return _eval_poly(j, coeffs, initials, mode)
     return _eval_matrix(j, coeffs, initials, mode)
 
-
-FAMILY_FIBONACCI = "fibonacci"
-FAMILY_SCHREIER_ZECKENDORF = "schreier-zeckendorf"
-FAMILY_GENFIB = "genfib"
-TAIL_FAMILIES = (FAMILY_FIBONACCI, FAMILY_SCHREIER_ZECKENDORF, FAMILY_GENFIB)
-
-
-def tail_recurrence_of(
-    family: str,
-    *,
-    alpha: int | None = None,
-    beta: int | None = None,
-    n: int | None = None,
-) -> LinearRecurrence:
-    """Catalog recurrence for a named family, with initials placed so that
-    every index >= valid_from + order genuinely satisfies the relation.
-
-    For the Schreier-Zeckendorf counting family the order is alpha + beta
-    and the initials are the linear-branch values n - alpha + 2 at indices
-    alpha .. 2*alpha + beta - 1.
-    """
-    if family == FAMILY_FIBONACCI:
-        return LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
-    if family == FAMILY_SCHREIER_ZECKENDORF:
-        if alpha is None or beta is None or alpha < 1 or beta < 1:
-            raise ValueError("schreier-zeckendorf needs alpha >= 1 and beta >= 1")
-        order = alpha + beta
-        coeffs = tuple(1 if i in (1, order) else 0 for i in range(1, order + 1))
-        initials = tuple(i - alpha + 2 for i in range(alpha, 2 * alpha + beta))
-        return LinearRecurrence(coeffs=coeffs, initials=initials, valid_from=alpha)
-    if family == FAMILY_GENFIB:
-        if n is None or n < 2:
-            raise ValueError("genfib needs n >= 2")
-        coeffs = tuple(1 if i in (1, n) else 0 for i in range(1, n + 1))
-        initials = (0,) + (1,) * (n - 1)
-        return LinearRecurrence(coeffs=coeffs, initials=initials, valid_from=0)
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(TAIL_FAMILIES)}")
-
-
-def schreier_zeckendorf_count(alpha: int, beta: int, n: int) -> BigCount:
-    """Count for a single ambient n without enumerating: branch formulas for
-    small n, fast recurrence evaluation beyond."""
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n <= alpha - 1:
-        return 1
-    if n <= 2 * alpha + beta - 1:
-        return n - alpha + 2
-    rec = tail_recurrence_of(FAMILY_SCHREIER_ZECKENDORF, alpha=alpha, beta=beta)
-    return eval_fast(rec, n)

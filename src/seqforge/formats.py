@@ -10,6 +10,7 @@ term at a time; format_window joins what it writes.
 from __future__ import annotations
 
 import json
+import re
 from itertools import count, islice
 from typing import Iterable
 
@@ -66,12 +67,38 @@ def render_int(value: int) -> str:
     return str(convert(value, levels))
 
 
+# The least digit cap the interpreter accepts (sys.int_info's
+# str_digits_check_threshold): int() reads this many digits under any cap.
+_PIECE_DIGITS = 640
+
+
+def _parse_int(text: str) -> int:
+    """int(text), past the interpreter's digit cap too. A wider token of the
+    form int() reads, blanks, a sign, then digits with single underscores
+    between them, is read in halves joined as hi * 10^len(lo) + lo, down to
+    pieces that int() reads under any cap."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text[:200]!r}")
+    value = _join_digits(re.sub(r"\D", "", text))
+    return -value if "-" in text else value
+
+
+def _join_digits(digits: str) -> int:
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    cut = len(digits) // 2
+    return _join_digits(digits[:-cut]) * 10**cut + _join_digits(digits[-cut:])
+
+
 def format_bfile(window: SequenceWindow) -> str:
     return format_window(window, "bfile")
 
 
 def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
-    """Inverse of format_bfile; indices must be contiguous and ascending."""
+    """Inverse of format_bfile, for terms of any width; indices must be
+    contiguous and ascending."""
     offset = None
     expected = None
     terms = []
@@ -82,7 +109,7 @@ def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
-        index, value = int(parts[0]), int(parts[1])
+        index, value = int(parts[0]), _parse_int(parts[1])
         if offset is None:
             offset = expected = index
         if index != expected:
@@ -107,11 +134,8 @@ def format_table(window: SequenceWindow) -> str:
 
 
 def format_window(window: SequenceWindow, fmt: str) -> str:
-    # Builtin str() prints every term unless one is big enough for render_int
-    # to take another path.
-    big = max(map(int.bit_length, window.terms), default=0) > STR_MAX_BITS
-    digits = map(render_int if big else str, window.terms)
     out: list[str] = []
+    digits = map(render_int, window.terms)
     _write_window(out.append, fmt, window.name, window.offset, window.last_index, digits)
     return "".join(out)
 

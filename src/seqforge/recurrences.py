@@ -1,6 +1,7 @@
 """Named integer sequences, each the series of a rational generating
 function P/Q, and condition_count, the one function that counts the
 subsets matching a Condition, from that Condition's generating function.
+schreier_zeckendorf_count and tail_recurrence_of are views of the same.
 
 Every term is an exact Python int. Window names double as the CLI family
 identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
@@ -336,14 +337,31 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Combinatorics 1, ch. 4). forced_max is not a clause of the sum; count it
     as the difference of two counts (condition_count).
     """
-    lead, p, taps, ones, pluses = _condition_parts(cond)
+    gf = _condition_parts(cond)
+    return (0,) * gf[0] + tuple(gf[1]), _denominator(gf)
+
+
+def _denominator(gf: tuple) -> tuple[int, ...]:
+    # Q = (1-x)^ones (1+x)^pluses R of a generating function in factors.
+    _, _, taps, ones, pluses = gf
     q = [1] + [0] * max(taps)
     for j, c in taps.items():
         q[j] -= c
     for factor, times in (([1, -1], ones), ([1, 1], pluses)):
         for _ in range(times):
             q = _poly_mul(q, factor)
-    return (0,) * lead + tuple(p), tuple(q)
+    return tuple(q)
+
+
+def _gf_recurrence(gf: tuple, start: int = 0) -> LinearRecurrence:
+    # The recurrence of the denominator Q of a generating function in
+    # factors, k = deg Q, with its series at start .. start + k - 1 as the
+    # initials: every later coefficient satisfies it when x^lead P has
+    # degree below start + k.
+    q = _denominator(gf)
+    k = len(q) - 1
+    initials = tuple(islice(_series(*gf), start, start + k))
+    return LinearRecurrence(tuple(-c for c in q[1:]), initials, start)
 
 
 def _order_gf(n: int, sums: int) -> tuple:
@@ -426,19 +444,6 @@ def _decimal_series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) ->
     return _series(lead, map(Decimal, p), taps, ones, pluses)
 
 
-def _gf_term(cond: Condition, n: int, carry: bool) -> BigCount:
-    # Coefficient n of condition_gf(cond) for min_size = 0, where
-    # deg P < deg Q = k (before cancelling, deg P <= 1 + deg E < deg Q): the
-    # series gives the first k terms, the recurrence Q gives the rest.
-    q = condition_gf(cond)[1]
-    k = len(q) - 1
-    head = list(islice(_series(*_condition_parts(cond)), min(n + 1, k)))
-    if n < k:
-        return head[n]
-    rec = LinearRecurrence(tuple(-c for c in q[1:]), tuple(head))
-    return eval_fast(rec, n, _DECIMAL if carry else EXACT)
-
-
 def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCount:
     """Number of subsets of {1..n} matching cond, for any Condition and n,
     without enumerating.
@@ -507,5 +512,47 @@ def _count(n: int, cond: Condition, carry: bool) -> BigCount:
         else:
             total = even_gap_family_size(n)
     else:
-        total = _gf_term(replace(cond, min_size=0), n, carry)
+        # The coefficient of the min_size-free condition_gf, whose
+        # deg P < deg Q (before cancelling, deg P <= 1 + deg E < deg Q).
+        rec = _gf_recurrence(_condition_parts(replace(cond, min_size=0)))
+        total = eval_fast(rec, n, _DECIMAL if carry else EXACT)
     return total - below
+
+
+def schreier_zeckendorf_count(alpha: int, beta: int, n: int) -> BigCount:
+    """Number of subsets of {1..n} that are alpha-Schreier and
+    beta-Zeckendorf, without enumerating: condition_count of
+    Condition(alpha=alpha, beta=beta)."""
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return condition_count(n, Condition(alpha=alpha, beta=beta))
+
+
+def tail_recurrence_of(
+    family: str,
+    *,
+    alpha: int | None = None,
+    beta: int | None = None,
+    n: int | None = None,
+) -> LinearRecurrence:
+    """Catalog recurrence of "fibonacci", "schreier-zeckendorf" (alpha,
+    beta >= 1) or "genfib" (n >= 2), read from the family's generating
+    function: its denominator 1 - x - x^k, and its series at valid_from ..
+    valid_from + k - 1 as the initials, valid_from = alpha for the
+    Schreier-Zeckendorf counts (past their linear head) and 0 otherwise.
+    Every index >= valid_from + k satisfies the relation.
+    """
+    if family == "fibonacci":
+        gf, start = _order_gf(2, 0), 0
+    elif family == "schreier-zeckendorf" and None not in (alpha, beta):
+        gf, start = _schreier_zeckendorf_spec(alpha, beta, 1)[3], alpha
+    elif family == "genfib" and n is not None:
+        gf, start = _gen_fib_spec(n, 0)[3], 0
+    else:
+        raise ValueError(
+            "known families: fibonacci, schreier-zeckendorf with alpha and beta, "
+            f"genfib with n; got {family!r}"
+        )
+    return _gf_recurrence(gf, start)

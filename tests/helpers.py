@@ -5,8 +5,10 @@ enumeration instead of the library's pruned search, hand-written term loops
 and a size-bucket DP instead of the generating-function series, a
 definitional weighted sum for the twice-accumulated Fibonacci values, a
 series that takes each factor 1 + x as a running sum between sign flips,
-straight iteration instead of fast recurrence evaluation, fast doubling for
-modular Fibonacci, exact Gaussian elimination for recurrence fitting, and
+straight iteration instead of fast recurrence evaluation, the catalog
+recurrences and the Schreier-Zeckendorf branch rule derived by hand instead
+of read from the generating functions, fast doubling for modular Fibonacci,
+exact Gaussian elimination for recurrence fitting, and
 each output format's text built whole (the JSON by the json encoder)
 instead of the streaming writer.
 """
@@ -20,7 +22,7 @@ from itertools import accumulate, chain, cycle, repeat, tee
 from operator import add, mul
 from typing import NamedTuple
 
-from seqforge.fasteval import EXACT, _prepared
+from seqforge.fasteval import EXACT, LinearRecurrence, _prepared, eval_fast
 from seqforge.identities import decimal_string
 from seqforge.recurrences import SequenceWindow, even_gap_family_size
 
@@ -176,6 +178,36 @@ def eval_iterative(rec, n, mode=EXACT):
         window.pop(0)
         window.append(mode.reduce(nxt))
     return window[-1]
+
+
+def catalog_recurrence(family, *, alpha=None, beta=None, n=None):
+    """The catalog recurrence of a named family, derived by hand: Fibonacci;
+    the Schreier-Zeckendorf counts, a(n) = a(n-1) + a(n-(alpha+beta)) with
+    the linear-branch values n - alpha + 2 at indices alpha .. 2*alpha +
+    beta - 1 as initials; the order-n Fibonacci analogue, 0 then n - 1
+    ones."""
+    if family == "fibonacci":
+        return LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
+    if family == "schreier-zeckendorf":
+        order = alpha + beta
+        coeffs = tuple(1 if i in (1, order) else 0 for i in range(1, order + 1))
+        initials = tuple(i - alpha + 2 for i in range(alpha, 2 * alpha + beta))
+        return LinearRecurrence(coeffs=coeffs, initials=initials, valid_from=alpha)
+    if family == "genfib":
+        coeffs = tuple(1 if i in (1, n) else 0 for i in range(1, n + 1))
+        return LinearRecurrence(coeffs=coeffs, initials=(0,) + (1,) * (n - 1), valid_from=0)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def sz_branch_count(alpha, beta, n):
+    """Schreier-Zeckendorf count at one n by the three-branch rule: 1 while
+    n <= alpha-1, n-alpha+2 while n <= 2*alpha+beta-1, then the catalog
+    recurrence by fast evaluation."""
+    if n <= alpha - 1:
+        return 1
+    if n <= 2 * alpha + beta - 1:
+        return n - alpha + 2
+    return eval_fast(catalog_recurrence("schreier-zeckendorf", alpha=alpha, beta=beta), n)
 
 
 class RatioSample(NamedTuple):

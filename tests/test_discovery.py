@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import tail_recurrence_of
 from seqforge.discovery import (
     BM_SAFETY_MARGIN,
     _bm_connection,
@@ -13,7 +14,7 @@ from seqforge.discovery import (
     discover_order,
     verify_recurrence,
 )
-from seqforge.fasteval import LinearRecurrence, tail_recurrence_of
+from seqforge.fasteval import LinearRecurrence
 from seqforge.recurrences import schreier_zeckendorf_seq
 
 from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence

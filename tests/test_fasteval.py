@@ -9,18 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import fasteval
-from seqforge.fasteval import (
-    EXACT,
-    EvalMode,
-    LinearRecurrence,
-    eval_fast,
-    schreier_zeckendorf_count,
-    tail_recurrence_of,
-)
+from seqforge import fasteval, schreier_zeckendorf_count, tail_recurrence_of
+from seqforge.fasteval import EXACT, EvalMode, LinearRecurrence, eval_fast
 from seqforge.recurrences import schreier_zeckendorf_seq
 
-from helpers import eval_iterative, fib_mod
+from helpers import catalog_recurrence, eval_iterative, fib_mod, sz_branch_count
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 MOD = 1_000_000_007
@@ -52,6 +45,16 @@ class TestLinearRecurrence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             LinearRecurrence(coeffs=(), initials=())
+
+    @pytest.mark.parametrize("coeffs, initials, where", [
+        ((1.5, 0.5), (1, 2), "coefficient 0 is a float"),
+        ((1, 1), (0.5, 1), "initial 0 is a float"),
+        ((1, Decimal(1)), (0, 1), "coefficient 1 is a Decimal"),
+        ((1, 1), (0, Decimal(1)), "initial 1 is a Decimal"),
+    ])
+    def test_rejects_inexact_values(self, coeffs, initials, where):
+        with pytest.raises(ValueError, match=f"{where}, not an exact rational"):
+            LinearRecurrence(coeffs=coeffs, initials=initials)
 
 
 class TestEvalMode:
@@ -297,9 +300,9 @@ class TestToomSquaring:
             "import seqforge\n"
             "from seqforge import fasteval as f\n"
             "assert f._toom_table.cache_info().currsize == 0\n"
-            "f.eval_fast(f.tail_recurrence_of('schreier-zeckendorf', alpha=3, beta=4), 1000)\n"
+            "f.eval_fast(seqforge.tail_recurrence_of('schreier-zeckendorf', alpha=3, beta=4), 1000)\n"
             "assert f._toom_table.cache_info().currsize == 0\n"
-            "f.eval_fast(f.tail_recurrence_of('schreier-zeckendorf', alpha=3, beta=4), 10**5)\n"
+            "f.eval_fast(seqforge.tail_recurrence_of('schreier-zeckendorf', alpha=3, beta=4), 10**5)\n"
             "assert f._toom_table.cache_info().currsize == 1\n"
         )
         done = subprocess.run(
@@ -512,6 +515,16 @@ class TestTailRecurrenceOf:
         with pytest.raises(ValueError):
             tail_recurrence_of("genfib")
 
+    def test_equals_the_hand_derived_catalog(self):
+        # The modular benchmark's Schreier-Zeckendorf shapes go up to (100, 100).
+        shapes = [("fibonacci", {})]
+        shapes += [("genfib", {"n": n}) for n in range(2, 61)]
+        shapes += [("schreier-zeckendorf", {"alpha": a, "beta": b}) for a in range(1, 31) for b in range(1, 31)]
+        shapes += [("schreier-zeckendorf", {"alpha": a, "beta": a}) for a in (40, 60, 80, 100)]
+        for family, params in shapes:
+            rec, want = tail_recurrence_of(family, **params), catalog_recurrence(family, **params)
+            assert (rec.coeffs, rec.initials, rec.valid_from) == (want.coeffs, want.initials, want.valid_from), params
+
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])
     def test_fast_eval_matches_generator_window(self, alpha, beta):
@@ -528,6 +541,12 @@ class TestCountShortcut:
             window = schreier_zeckendorf_seq(alpha, beta, 50)
             for n in range(1, 51):
                 assert schreier_zeckendorf_count(alpha, beta, n) == window.term(n)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_equals_the_branch_rule(self, alpha, beta):
+        for n in [*range(1, 3 * (alpha + beta) + 6), 10**4]:
+            assert schreier_zeckendorf_count(alpha, beta, n) == sz_branch_count(alpha, beta, n), n
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

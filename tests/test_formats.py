@@ -52,6 +52,26 @@ class TestBfile:
         with pytest.raises(ValueError):
             parse_bfile("\n\n")
 
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(["", "+", "-", " ", "_", "-_"]),
+        st.text("0123456789", min_size=641, max_size=700),
+        st.lists(st.tuples(st.integers(0, 700), st.sampled_from("_+- \n.a\u0663\u3000")), max_size=3),
+    )
+    def test_wide_tokens_read_as_int_does(self, head, digits, inserts):
+        # Tokens past the 640 digits that int() reads under any cap, but below
+        # the default cap: the piecewise reader takes and refuses what int() does.
+        token = head + digits
+        for at, char in inserts:
+            token = token[:at] + char + token[at:]
+        try:
+            want = int(token)
+        except ValueError:
+            with pytest.raises(ValueError):
+                formats._parse_int(token)
+        else:
+            assert formats._parse_int(token) == want
+
     @settings(max_examples=60)
     @given(
         st.integers(min_value=-5, max_value=10),
@@ -211,8 +231,9 @@ class TestRenderInt:
         assert render_int(value + 1) == "1234567890" * (m - 1) + "1234567891"
 
     def test_wide_int_windows_under_the_default_digit_cap(self):
-        # A library window with a 15,000-digit int renders in every format while
-        # the interpreter refuses str() past 4300 digits.
+        # A library window with a 15,000-digit int renders in every format, and
+        # its b-file reads back, while the interpreter refuses str() and int()
+        # past 4300 digits.
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("no int-to-str digit cap on this interpreter")
         m = 1_500
@@ -222,9 +243,11 @@ class TestRenderInt:
         sys.set_int_max_str_digits(4300)
         try:
             texts = {fmt: format_window(window, fmt) for fmt in ("table", "csv", "json", "bfile")}
+            parsed = parse_bfile(texts["bfile"], name="big")
         finally:
             sys.set_int_max_str_digits(saved)
         assert texts["bfile"] == "7 5\n8 " + "1234567890" * m + "\n"
+        assert parsed == window
         for text in texts.values():
             assert "1234567890" * m in text
 

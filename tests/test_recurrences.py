@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge.fasteval import schreier_zeckendorf_count
 from seqforge.formats import render_int
 from seqforge.recurrences import (
     _NESTED_SUMS,
@@ -39,6 +38,7 @@ from helpers import (
     partial_sum,
     poly_gcd_degree,
     sign_trick_series,
+    sz_branch_count,
     truncated_product,
 )
 
@@ -536,7 +536,7 @@ class TestConditionCount:
         p, q = condition_gf(Condition(alpha=alpha, beta=beta))
         assert q == (1, -1, *[0] * (alpha + beta - 2), -1)
         n = 10**4
-        assert condition_count(n, Condition(alpha=alpha, beta=beta)) == schreier_zeckendorf_count(alpha, beta, n)
+        assert condition_count(n, Condition(alpha=alpha, beta=beta)) == sz_branch_count(alpha, beta, n)
 
     @pytest.mark.parametrize("parity", [GAP_ALL_ODD, GAP_ALL_EVEN])
     @pytest.mark.parametrize("min_size", [0, 1, 3])
