@@ -46,7 +46,6 @@ from .recurrences import (
     _min_size_odd_gap_spec,
     _schreier_zeckendorf_spec,
     condition_count,
-    even_gap_family_size,
 )
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
@@ -98,7 +97,7 @@ def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
     from fractions import Fraction
 
     odd = condition_count(to, Condition(gap_parity=GAP_ALL_ODD))
-    even = even_gap_family_size(to) - (to + 1)
+    even = condition_count(to, Condition(gap_parity=GAP_ALL_EVEN)) - (to + 1)
     gap = Fraction(even, odd + even)
     shown, bound = decimal_string(gap), decimal_string(args.threshold)
     if gap < args.threshold:

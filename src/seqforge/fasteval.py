@@ -113,11 +113,11 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
         raise ValueError(
             f"index {n} is below the recurrence's first valid index {rec.valid_from}"
         )
-    if mode.modulus is not None and not all(isinstance(c, int) for c in rec.coeffs):
-        raise ValueError("modular evaluation requires integer coefficients")
-    coeffs = [mode.reduce(c) if isinstance(c, int) else c for c in rec.coeffs]
-    initials = [mode.reduce(v) if isinstance(v, int) else v for v in rec.initials]
-    return j, coeffs, initials
+    if mode.modulus is not None:
+        for what, values in (("coefficients", rec.coeffs), ("initials", rec.initials)):
+            if not all(isinstance(v, int) for v in values):
+                raise ValueError(f"modular evaluation requires integer {what}")
+    return j, list(map(mode.reduce, rec.coeffs)), list(map(mode.reduce, rec.initials))
 
 
 # --- the exact decimal carrier ---------------------------------------------
@@ -125,18 +125,30 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # conquer (formats.render_int), O(M(B) log B); libmpdec, behind decimal,
 # multiplies big operands by number-theoretic transform and prints an
 # integral Decimal in linear time. So a count that will print wide may be
-# carried as integral Decimals (exponent 0) from _CARRY_BITS on: a power
-# once it will end at least _CARRY_WIDTH bits wide, below which libmpdec's
-# own Karatsuba loses to CPython's (see _eval_poly); the gap-parity totals
-# of recurrences once they print past formats.STR_MAX_BITS. A `seq` window
-# is read in them whole (recurrences._decimal_series). Converting a
-# Decimal back to an int is quadratic, so a carried count stays one.
-# Measured with CPython 3.11 on a 2-vCPU x86-64 machine, a square as a
-# Decimal against as an int: 0.04 vs 0.02 ms at 4096 bits, 0.26 vs 0.20
-# at 20,000, 1.3 vs 1.6 at 10^5, 5.4 vs 20 at 5*10^5; `count` of a
-# 54,000-bit order-6 power took 18 ms carried against 12 ms on ints.
+# carried as integral Decimals (exponent 0), decided once in _eval_poly at
+# the first step whose power has _CARRY_BITS bits. From MIN_TOOM_ORDER on
+# the power moves if it will end at least _CARRY_WIDTH bits wide, below
+# which libmpdec's own Karatsuba loses to CPython's. At orders 1 and 2 a
+# step is three products either way, so only the printing differs: the
+# power moves if it will end wider than STR_MAX_BITS, past which an int
+# would print by divide and conquer. A `seq` window is read in them whole
+# (recurrences._decimal_series). Converting a Decimal back to an int is
+# quadratic, so a carried count stays one. Measured with CPython 3.11 on a
+# 2-vCPU x86-64 machine, a square as a Decimal against as an int: 0.04 vs
+# 0.02 ms at 4096 bits, 0.26 vs 0.20 at 20,000, 1.3 vs 1.6 at 10^5, 5.4 vs
+# 20 at 5*10^5; `count` of a 54,000-bit order-6 power took 18 ms carried
+# against 12 ms on ints.
 _CARRY_BITS = 4096
 _CARRY_WIDTH = 150_000
+
+# Builtin str() takes time quadratic in the digit count, and by default the
+# interpreter refuses it past 4300 digits (about 14,284 bits), so
+# formats.render_int calls str() only up to this width. Measured with
+# CPython 3.11 on a 2-vCPU x86-64 machine, divide and conquer against
+# str(): 0.39 vs 0.32 ms at 4300 digits, 1.35 vs 1.65 ms at 10,000, 2.1
+# vs 3.7 ms at 15,000; at 10^5 digits str() takes about 4x as long, at
+# 3*10^5 digits about 15x.
+STR_MAX_BITS = 14_000
 
 
 @lru_cache(maxsize=None)
@@ -178,13 +190,14 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
     # Exact int powers switch to Toom squaring for good at the first step
     # whose widest coefficient reaches the cutover, and in _DecimalMode to
     # Decimal at the first step past _CARRY_BITS and that cutover if it will
-    # end wide. The bits double each step, so x^p, p = j >> left, ends about
-    # j / p times as wide as it is.
+    # end at least `wide` bits wide. The bits double each step, so x^p,
+    # p = j >> left, ends about j / p times as wide as it is.
     toom_bits = carry_bits = None
     if mode.modulus is None and all(isinstance(c, int) for c in coeffs):
         toom_bits = _toom_cutover(k) if k >= MIN_TOOM_ORDER else None
         if isinstance(mode, _DecimalMode):
             carry_bits = max(_CARRY_BITS, toom_bits or 0)
+            wide = _CARRY_WIDTH if toom_bits else STR_MAX_BITS + 1
     result = [1] + [0] * (k - 1)  # x^0
     left = j.bit_length()
     for bit in bin(j)[2:]:
@@ -193,7 +206,7 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
             if toom_bits and width >= toom_bits:
                 step, toom_bits = _toom_step(coeffs), None
             if carry_bits and width >= carry_bits:
-                if width * j >= _CARRY_WIDTH * (j >> left):
+                if width * j >= wide * (j >> left):
                     from decimal import Decimal
 
                     result = list(map(Decimal, result))

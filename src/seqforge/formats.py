@@ -14,18 +14,11 @@ import re
 from itertools import count, islice
 from typing import Iterable
 
-from .fasteval import _exact_context
+from .fasteval import STR_MAX_BITS, _exact_context
 from .recurrences import SequenceWindow
 
 FORMATS = ("table", "csv", "json", "bfile")
 
-# Builtin str() takes time quadratic in the digit count, and by default the
-# interpreter refuses it past 4300 digits (about 14,284 bits), so str() is
-# used only below that cap. Measured with CPython 3.11 on a 2-vCPU x86-64
-# machine, divide and conquer against str(): 0.39 vs 0.32 ms at 4300
-# digits, 1.35 vs 1.65 ms at 10,000, 2.1 vs 3.7 ms at 15,000; at 10^5 digits
-# str() takes about 4x as long, at 3*10^5 digits about 15x.
-STR_MAX_BITS = 14_000
 # Pieces of at most this many bits convert to Decimal directly.
 _LEAF_BITS = 1024
 

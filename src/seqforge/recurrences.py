@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, cycle, islice, repeat, tee
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator
 
 from .fasteval import (
@@ -68,18 +68,8 @@ def fibonacci(n: int) -> BigCount:
     """Exact n-th Fibonacci number (F_0 = 0, F_1 = 1), by fast doubling."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _fibonacci(n, False)
-
-
-def _fibonacci(n: int, carry: bool) -> BigCount:
-    # Fast doubling; with carry (inside fasteval._exact_context), the pair
-    # moves to integral Decimals once it reaches _CARRY_BITS bits.
     a, b = 0, 1  # (F_k, F_{k+1}), k built up from the high bit of n
     for bit in bin(n)[2:]:
-        if carry and b.bit_length() >= _CARRY_BITS:
-            from decimal import Decimal
-
-            a, b, carry = Decimal(a), Decimal(b), False
         a, b = a * (2 * b - a), a * a + b * b  # (F_2k, F_2k+1)
         if bit == "1":
             a, b = b, a + b
@@ -337,31 +327,33 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Combinatorics 1, ch. 4). forced_max is not a clause of the sum; count it
     as the difference of two counts (condition_count).
     """
-    gf = _condition_parts(cond)
-    return (0,) * gf[0] + tuple(gf[1]), _denominator(gf)
-
-
-def _denominator(gf: tuple) -> tuple[int, ...]:
-    # Q = (1-x)^ones (1+x)^pluses R of a generating function in factors.
-    _, _, taps, ones, pluses = gf
-    q = [1] + [0] * max(taps)
+    lead, p, taps, ones, pluses = _condition_parts(cond)
+    q = [1] + [0] * max(taps)  # Q = (1-x)^ones (1+x)^pluses R
     for j, c in taps.items():
         q[j] -= c
     for factor, times in (([1, -1], ones), ([1, 1], pluses)):
         for _ in range(times):
             q = _poly_mul(q, factor)
-    return tuple(q)
+    return (0,) * lead + tuple(p), tuple(q)
 
 
-def _gf_recurrence(gf: tuple, start: int = 0) -> LinearRecurrence:
-    # The recurrence of the denominator Q of a generating function in
-    # factors, k = deg Q, with its series at start .. start + k - 1 as the
-    # initials: every later coefficient satisfies it when x^lead P has
-    # degree below start + k.
-    q = _denominator(gf)
-    k = len(q) - 1
-    initials = tuple(islice(_series(*gf), start, start + k))
-    return LinearRecurrence(tuple(-c for c in q[1:]), initials, start)
+def _gf_recurrence(gf: tuple, start: int = 0, differences: bool = False) -> LinearRecurrence:
+    # The recurrence of E, the R of a generating function in factors
+    # x^lead P / ((1-x)^ones E), order k = deg E, read from its series t at
+    # start .. start + k. It needs ones <= 1, no 1 + x, a proper fraction,
+    # and P(1) = -E(1) when ones = 1, as every min_size-free condition has
+    # (P(1) = 1, E(1) = -1). Then the partial fractions (Stanley, EC1 4.1)
+    # are A/(1-x) + N/E, A = P(1)/E(1) = -ones and deg N < k, so t_i + ones
+    # is [x^i] N/E from i = 0 on. With differences the recurrence is of
+    # t_i - t_(i-1) from i = start + 1: (1-x) times the generating function
+    # is a fraction over E whose numerator has degree at most k.
+    _, _, taps, ones, _ = gf
+    k = max(taps)
+    coeffs = tuple(taps.get(j, 0) for j in range(1, k + 1))
+    terms = [t + ones for t in islice(_series(*gf), start, start + k + 1)]
+    if differences:
+        return LinearRecurrence(coeffs, tuple(map(sub, terms[1:], terms)), start + 1)
+    return LinearRecurrence(coeffs, tuple(terms[:k]), start)
 
 
 def _order_gf(n: int, sums: int) -> tuple:
@@ -448,19 +440,19 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     """Number of subsets of {1..n} matching cond, for any Condition and n,
     without enumerating.
 
-    The total without the size bound is F_{n+3} - 1 or
-    even_gap_family_size(n) for a gap parity alone (any beta is implied by
-    it), else the coefficient of the min_size-free condition_gf (the series
-    for the first terms, eval_fast on the reduced denominator beyond). The
-    size classes below min_size, each a binomial closed form
-    (_size_classes), come off that total. When the classes from min_size up
-    are no more than those below it, or than the generating function's
-    order (as for every n below that order), they are summed instead. A
-    size bound is not put into the generating function, as its order grows
-    by about one (two under a parity) per unit of min_size: alpha = 2,
-    min_size = 3 at n = 10^6 is order 6 and 584 ms that way, against
-    order 3 plus three classes in 166 ms. Fixing the maximum at m is the
-    count at m less that at m - 1.
+    The total without the size bound is one eval_fast power of the
+    recurrence of E, the last factor of the min_size-free condition_gf
+    (_gf_recurrence; order deg E, a + b for alpha a, beta b). The size
+    classes below min_size, each a binomial closed form (_size_classes),
+    come off that total. When the classes from min_size up are no more
+    than those below it, or than the order (as for every n below that
+    order), they are summed instead. A size bound is not put into the
+    generating function, as its order grows by about one (two under a
+    parity) per unit of min_size: alpha = 2, min_size = 3 at n = 10^6 is
+    order 6 and 584 ms that way, against order 3 plus three classes in
+    166 ms. Fixing the maximum at m is the count at m less that at m - 1:
+    the differences of the totals follow the same recurrence, so it is
+    still one power, and only the size classes are summed at both.
 
     _decimal is for the CLI, which prints the count: a count that will be
     wide may then come back as an integral decimal.Decimal, computed in
@@ -481,42 +473,31 @@ def _count(n: int, cond: Condition, carry: bool) -> BigCount:
     # condition_count; with carry, a wide count may be an integral Decimal.
     alpha, gap, size = cond.alpha or 0, cond.least_gap, cond.min_size
     parity = cond.gap_parity != GAP_ANY
-    closed = not alpha and gap <= 2 and parity  # a total by closed form
     top = cond.forced_max
     if top is not None:
         if top > n:
             raise ValueError(f"forced_max {top} exceeds n={n}")
-        free = replace(cond, forced_max=None)
-        # Two even-gap totals differ by a power of two, which render_int
-        # prints about as fast as Decimal builds one of them.
-        carry = carry and not (closed and gap == 2 and not size)
-        return _count(top, free, carry) - _count(top - 1, free, carry)
+        n = top
+    tops = (n,) if top is None else (n, n - 1)
+
+    def classes(first: int, many: int | None = None) -> BigCount:
+        # Up to many size classes from first on, at n, or at n less at n - 1.
+        at = [sum(islice(_size_classes(t, first, alpha, gap, parity), many)) for t in tops]
+        return at[0] - sum(at[1:])
+
     # The largest k with rest >= 0 in _size_classes.
     largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
     if largest - size < max(size, alpha + gap + 2):
-        return sum(_size_classes(n, size, alpha, gap, parity))
-    below = sum(islice(_size_classes(n, 0, alpha, gap, parity), size))
+        return classes(size)
+    below = classes(0, size)
     # A Decimal takes an int in quadratic time, so only a narrow one.
     carry = carry and below.bit_length() <= _CARRY_BITS
-    if closed:
-        if carry:
-            from .formats import STR_MAX_BITS  # formats imports this module
-
-            carry = n // 2 > STR_MAX_BITS  # both totals have n/2 bits or more
-        if gap == 1:
-            total = _fibonacci(n + 3, carry) - 1
-        elif carry:  # even_gap_family_size, the power of two by libmpdec
-            from decimal import Decimal
-
-            total = (2 + n % 2) * Decimal(2) ** (n // 2) - 1
-        else:
-            total = even_gap_family_size(n)
+    gf = _condition_parts(replace(cond, min_size=0, forced_max=None))
+    if top is None:  # the power is of the total plus ones
+        rec, below = _gf_recurrence(gf), below + gf[3]
     else:
-        # The coefficient of the min_size-free condition_gf, whose
-        # deg P < deg Q (before cancelling, deg P <= 1 + deg E < deg Q).
-        rec = _gf_recurrence(_condition_parts(replace(cond, min_size=0)))
-        total = eval_fast(rec, n, _DECIMAL if carry else EXACT)
-    return total - below
+        rec = _gf_recurrence(gf, differences=True)
+    return eval_fast(rec, n, _DECIMAL if carry else EXACT) - below
 
 
 def schreier_zeckendorf_count(alpha: int, beta: int, n: int) -> BigCount:

@@ -291,7 +291,7 @@ class TestDecimalCount:
         ("--alpha", "3", "--beta", "3"),
         ("--alpha", "3", "--beta", "4"),
         ("--alpha", "4", "--beta", "4"),
-        # signed taps: (1 - x)(1 - x^2 - x^h)
+        # under a parity E = 1 - x^2 - x^h, order 2 to 5
         ("--alpha", "1", "--gap-parity", "odd"),
         ("--alpha", "2", "--gap-parity", "odd"),
         ("--alpha", "2", "--gap-parity", "even"),
@@ -326,6 +326,7 @@ class TestDecimalCount:
         ("--n", "40000", "--gap-parity", "even", "--min-size", "1", "--forced-max", "39999"),
         ("--n", "250000", "--beta", "2"),
         ("--n", "300000", "--alpha", "1", "--beta", "2"),
+        ("--n", "200000", "--gap-parity", "even", "--forced-max", "200000"),
     ])
     def test_past_the_switch(self, capsys, monkeypatch, argv):
         from decimal import Decimal
@@ -338,7 +339,7 @@ class TestDecimalCount:
     @pytest.mark.parametrize("argv", [
         ("--n", "20000", "--gap-parity", "odd"),
         ("--n", "150000", "--alpha", "2", "--beta", "4"),
-        ("--n", "200000", "--gap-parity", "even", "--forced-max", "200000"),
+        ("--n", "20000", "--gap-parity", "even", "--forced-max", "20000"),
         ("--n", "12", "--alpha", "2"),
     ])
     def test_below_the_switch_the_count_is_an_int(self, capsys, monkeypatch, argv):

@@ -56,6 +56,15 @@ class TestLinearRecurrence:
         with pytest.raises(ValueError, match=f"{where}, not an exact rational"):
             LinearRecurrence(coeffs=coeffs, initials=initials)
 
+    @pytest.mark.parametrize("coeffs, initials, what", [
+        ((Fraction(1), 1), (0, 1), "coefficients"),
+        ((1, 1, 1), (Fraction(1, 2), 1, 1), "initials"),
+    ])
+    def test_modular_evaluation_refuses_fractions(self, coeffs, initials, what):
+        rec = LinearRecurrence(coeffs=coeffs, initials=initials)
+        with pytest.raises(ValueError, match=f"modular evaluation requires integer {what}"):
+            eval_fast(rec, 100, EvalMode(7))
+
 
 class TestEvalMode:
     def test_exact_is_identity(self):
@@ -584,9 +593,17 @@ class TestDecimalCarrier:
         assert isinstance(got, Decimal) and got.as_tuple().exponent == 0
         assert got == eval_fast(rec, n)
 
+    def test_orders_one_and_two_carry_past_str_max_bits(self):
+        doubling = LinearRecurrence(coeffs=(2,), initials=(1,))
+        with localcontext(fasteval._exact_context()):
+            fib = eval_fast(FIB, 10**5, fasteval._DECIMAL)  # 69,000 bits
+            power = eval_fast(doubling, 20_000, fasteval._DECIMAL)
+        assert isinstance(fib, Decimal) and fib == eval_fast(FIB, 10**5)
+        assert isinstance(power, Decimal) and power == 1 << 20_000
+
     def test_narrow_powers_and_fractions_stay_as_they_are(self):
         with localcontext(fasteval._exact_context()):
-            assert type(eval_fast(FIB, 10**5, fasteval._DECIMAL)) is int  # 69,000 bits
+            assert type(eval_fast(FIB, 20_000, fasteval._DECIMAL)) is int  # 13,900 bits
             rational = LinearRecurrence(
                 coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7)), initials=(1, 2, 3)
             )

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from itertools import islice
 from math import comb
 
@@ -49,14 +50,36 @@ def series_head(cond, count):
     return list(islice(_series(*_condition_parts(cond)), count))
 
 
-def parity_count(n, parity, min_size=0):
-    return condition_count(n, Condition(gap_parity=parity, min_size=min_size))
+def parity_count(n, parity, min_size=0, **kwargs):
+    return condition_count(n, Condition(gap_parity=parity, min_size=min_size), **kwargs)
 
 
-def parity_counts(n, parity):
+def parity_counts(n, parity, **kwargs):
     # (count containing n, total count) of subsets of {1..n} whose gaps all
     # have the parity.
-    return condition_count(n, Condition(gap_parity=parity, forced_max=n)), parity_count(n, parity)
+    forced = condition_count(n, Condition(gap_parity=parity, forced_max=n), **kwargs)
+    return forced, parity_count(n, parity, **kwargs)
+
+
+# Wide n for the gap-parity counts, whose independent references are the
+# Fibonacci doubling and a shift.
+WIDE_PARITY_N = (10**5, 10**5 + 1, 10**6)
+
+
+def printed(value):
+    # The decimal text of an int or of a carried integral Decimal; comparing
+    # texts spares converting a wide int to a Decimal, which is quadratic.
+    return render_int(value) if type(value) is int else str(value)
+
+
+def assert_wide_parity_counts(parity, want):
+    # Both the library's ints and the CLI's carried counts against want(n),
+    # (count containing n, total count), at each wide n.
+    for n in WIDE_PARITY_N:
+        expected = want(n)
+        assert parity_counts(n, parity) == expected, n
+        carried = parity_counts(n, parity, _decimal=True)
+        assert tuple(map(printed, carried)) == tuple(map(render_int, expected)), n
 
 
 # Row values of the published order-3 table, indices 0..12.
@@ -323,6 +346,7 @@ class TestOddGapCounts:
         # F_{n+1} of them contain n, and F_{n+3} - 1 is their total.
         for n in (*range(1, 200), 10**4):
             assert parity_counts(n, GAP_ALL_ODD) == (fibonacci(n + 1), fibonacci(n + 3) - 1), n
+        assert_wide_parity_counts(GAP_ALL_ODD, lambda n: (fibonacci(n + 1), fibonacci(n + 3) - 1))
 
     def test_matches_oracle(self):
         for n in range(1, 13):
@@ -356,6 +380,7 @@ class TestEvenGapCounts:
         for n in (*range(1, 200), 10**4, 10**4 + 1):
             want = (1 << (n - 1) // 2, even_gap_family_size(n))
             assert parity_counts(n, GAP_ALL_EVEN) == want, n
+        assert_wide_parity_counts(GAP_ALL_EVEN, lambda n: (1 << (n - 1) // 2, even_gap_family_size(n)))
 
     def test_matches_oracle(self):
         for n in range(1, 13):
@@ -505,10 +530,10 @@ class TestConditionCount:
 
     def test_every_shape_at_two_hundred(self):
         # At small n many shapes have few enough size classes to be summed
-        # directly; at n = 200 each takes its total (closed form or
-        # generating function) less the classes, checked against the series
-        # of the sized generating function, itself checked against the
-        # oracle above.
+        # directly; at n = 200 each takes its total (one power of the
+        # generating function's recurrence) less the classes, checked
+        # against the series of the sized generating function, itself
+        # checked against the oracle above.
         n = 200
         for alpha in (None, 1, 2, 3):
             for beta in (None, 1, 2, 3):
@@ -530,6 +555,45 @@ class TestConditionCount:
         )
         assert condition_count(n, cond) == count_subsets(n, cond)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_forced_max_is_a_difference_of_two_counts(self, data):
+        # The differenced recurrence, one power, against two powers.
+        m = data.draw(st.integers(1, 3000))
+        n = m + data.draw(st.integers(0, 5))
+        free = Condition(
+            data.draw(st.none() | st.integers(1, 6)),
+            data.draw(st.none() | st.integers(1, 6)),
+            data.draw(st.sampled_from(PARITIES)),
+            data.draw(st.integers(0, 8)),
+        )
+        forced = condition_count(n, replace(free, forced_max=m))
+        assert forced == condition_count(m, free) - condition_count(m - 1, free)
+
+    def test_at_most_one_power_per_count(self, monkeypatch):
+        from seqforge import recurrences
+
+        calls = []
+        real = recurrences.eval_fast
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(recurrences, "eval_fast", spy)
+        n = 3000
+        for alpha in (None, 1, 3):
+            for beta in (None, 1, 2, 5):
+                for parity in PARITIES:
+                    for min_size in (0, 2, 40):
+                        for forced_max in (None, n, n // 2):
+                            for decimal in (False, True):
+                                calls.clear()
+                                cond = Condition(alpha, beta, parity, min_size, forced_max)
+                                condition_count(n, cond, _decimal=decimal)
+                                assert len(calls) <= 1, cond
+        assert calls  # the spy sees the engine's calls
+
     @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (1, 3), (3, 4), (5, 2)])
     def test_schreier_zeckendorf_at_ten_thousand(self, alpha, beta):
         # The reduced denominator is the catalog recurrence's, order alpha + beta.
@@ -541,7 +605,7 @@ class TestConditionCount:
     @pytest.mark.parametrize("parity", [GAP_ALL_ODD, GAP_ALL_EVEN])
     @pytest.mark.parametrize("min_size", [0, 1, 3])
     def test_gap_parity_at_ten_thousand(self, parity, min_size):
-        # The closed forms at every n up to 10^4, times Q, give P.
+        # The counts at every n up to 10^4, times Q, give P.
         n = 10**4
         p, q = condition_gf(Condition(gap_parity=parity, min_size=min_size))
         counts = [parity_count(m, parity, min_size) for m in range(n + 1)]
@@ -639,6 +703,10 @@ class TestDecimalCarrier:
         (50_000, Condition(gap_parity=GAP_ALL_ODD, forced_max=49_000)),
         (250_000, Condition(beta=2)),  # order 2, 173,500 bits
         (300_000, Condition(alpha=1, beta=2)),  # Toom order 3, 165,500 bits
+        # Orders 1 and 2 carry once they print past formats.STR_MAX_BITS.
+        (28_000, Condition(gap_parity=GAP_ALL_EVEN)),  # 14,001 bits
+        (100_000, Condition(alpha=1, beta=1)),  # 69,400 bits at order 2
+        (10**6, Condition(gap_parity=GAP_ALL_EVEN, forced_max=10**6)),  # a power of two
     ]
 
     @pytest.mark.parametrize("n, cond", WIDE)
@@ -678,10 +746,10 @@ class TestDecimalCarrier:
 
     @pytest.mark.parametrize("n, cond", [
         (20_000, Condition(gap_parity=GAP_ALL_ODD)),  # 13,900 bits: str() prints it
-        (28_000, Condition(gap_parity=GAP_ALL_EVEN)),  # 14,000 bits
+        (20_000, Condition(alpha=1, beta=1)),  # 13,900 bits at order 2
         (150_000, Condition(alpha=2, beta=4)),  # 54,300 bits: a narrow power
-        (100_000, Condition(alpha=1, beta=1)),  # 69,400 bits at order 2
-        (10**6, Condition(gap_parity=GAP_ALL_EVEN, forced_max=10**6)),  # a power of two
+        (20_000, Condition(gap_parity=GAP_ALL_EVEN, forced_max=20_000)),  # 10,000 bits
+        (20_000, Condition(gap_parity=GAP_ALL_ODD, forced_max=20_000)),  # 13,900 bits
         (40, Condition(alpha=2, beta=1)),
         (0, Condition()),
     ])
