@@ -36,17 +36,7 @@ from .identities import (
     check_odd_gap_h,
     decimal_string,
 )
-from .recurrences import (
-    _decimal_series,
-    _fibonacci_spec,
-    _gen_fib_spec,
-    _gen_h_spec,
-    _h_spec,
-    _k_spec,
-    _min_size_odd_gap_spec,
-    _schreier_zeckendorf_spec,
-    condition_count,
-)
+from .recurrences import FAMILIES, _decimal_series, condition_count, family_spec
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_EVEN,
@@ -72,20 +62,6 @@ _PARITY_FLAGS = {"any": GAP_ANY, "odd": GAP_ALL_ODD, "even": GAP_ALL_EVEN}
 
 class UsageError(Exception):
     """Bad flags, bad config, or an unknown family/identity id."""
-
-
-# family -> (spec, the flags it takes before --to). The spec is the private
-# one behind the family's window function (recurrences), whose series `seq`
-# reads in decimal (recurrences._decimal_series).
-FAMILIES = {
-    "fib": (_fibonacci_spec, ()),
-    "H": (_h_spec, ()),
-    "schreier-zeckendorf": (_schreier_zeckendorf_spec, ("alpha", "beta")),
-    "genfib": (_gen_fib_spec, ("n",)),
-    "genk": (_k_spec, ("n",)),
-    "genh": (_gen_h_spec, ("n",)),
-    "minsize-oddgap": (lambda k, to: _min_size_odd_gap_spec(to, k), ("k",)),
-}
 
 
 def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
@@ -330,8 +306,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     family, to = _require(args, "family"), _require(args, "to")
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    spec, needs = FAMILIES[family]
-    name, offset, last, gf = spec(*[_require(args, dest) for dest in needs], to)
+    params = {dest: _require(args, dest) for dest, _ in FAMILIES[family].bounds}
+    name, offset, last, gf = family_spec(family, to, **params)
     if args.start is not None:
         if args.start > last:
             raise UsageError(f"clip start {args.start} beyond window end {last}")

@@ -9,6 +9,7 @@ down their own order are reported inconclusive rather than guessed at.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
@@ -159,5 +160,8 @@ def discover_order(alpha: int, beta: int, probe_len: int) -> RecurrenceReport:
             f"probe of {probe_len} terms is too short "
             f"(need at least {4 * (alpha + beta)})",
         )
-    window = schreier_zeckendorf_seq(alpha, beta, tail_start + probe_len - 1)
+    last = tail_start + probe_len - 1
+    if last >= sys.maxsize:  # the window's last index, as islice stops there
+        raise ValueError(f"2*alpha + beta + probe_len - 1 = {last} must be < {sys.maxsize}")
+    window = schreier_zeckendorf_seq(alpha, beta, last)
     return berlekamp_massey(window.terms[tail_start - window.offset:], start_index=tail_start)

@@ -7,11 +7,12 @@ strings are produced only for rendering, never for comparison.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
-from .recurrences import _condition_parts, _order_gf, _series
+from .recurrences import FAMILIES, _series
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
@@ -109,7 +110,7 @@ def check_fib_h(n_max: int) -> IdentityReport:
     plus n + 3, exactly, for n = 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    fib, acc = _series(*_order_gf(2, 0)), _series(*_order_gf(2, 2))
+    fib, acc = _series(*FAMILIES["fib"].gf()), _series(*FAMILIES["H"].gf())
     triples = (
         (n, f, h + n + 3) for n, f, h in zip(range(n_max + 1), islice(fib, 4, None), acc)
     )
@@ -119,11 +120,11 @@ def check_fib_h(n_max: int) -> IdentityReport:
 def check_gen_sum(n: int, k_max: int) -> IdentityReport:
     """Front sums of the order-n family telescope: the sum of terms 0..k+1
     equals term k+1+n minus one, for k = 0..k_max."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n < sys.maxsize:  # islice reads no term past sys.maxsize
+        raise ValueError(f"n must be >= 2 and < {sys.maxsize}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    sums, terms = _series(*_order_gf(n, 1)), _series(*_order_gf(n, 0))
+    sums, terms = _series(*FAMILIES["genk"].gf(n)), _series(*FAMILIES["genfib"].gf(n))
     triples = (
         (k, s, t - 1)
         for k, s, t in zip(range(k_max + 1), islice(sums, 1, None), islice(terms, n + 1, None))
@@ -134,11 +135,11 @@ def check_gen_sum(n: int, k_max: int) -> IdentityReport:
 def check_gen_shift(n: int, m_max: int) -> IdentityReport:
     """The order-n family shifted 2n ahead equals its twice-accumulated
     form plus m + (n + 1), for m = 0..m_max."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= sys.maxsize // 2:  # islice reads no term past sys.maxsize
+        raise ValueError(f"n must be >= 2 and <= {sys.maxsize // 2}")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    terms, acc = _series(*_order_gf(n, 0)), _series(*_order_gf(n, 2))
+    terms, acc = _series(*FAMILIES["genfib"].gf(n)), _series(*FAMILIES["genh"].gf(n))
     triples = (
         (m, t, h + m + n + 1)
         for m, t, h in zip(range(m_max + 1), islice(terms, 2 * n, None), acc)
@@ -162,9 +163,9 @@ def check_odd_gap_h(
 
     def triples():
         oracle = (count_subsets(n, cond, limit) for n in range(1, n_max_oracle + 1))
-        yield from zip(range(1, n_max_oracle + 1), oracle, _series(*_order_gf(2, 2)))
-        series = islice(_series(*_condition_parts(cond)), 1, None)
-        yield from zip(range(1, n_max_gf + 1), series, _series(*_order_gf(2, 2)))
+        yield from zip(range(1, n_max_oracle + 1), oracle, _series(*FAMILIES["H"].gf()))
+        series = islice(_series(*FAMILIES["minsize-oddgap"].gf(2)), 1, None)
+        yield from zip(range(1, n_max_gf + 1), series, _series(*FAMILIES["H"].gf()))
 
     return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), triples())
 

@@ -3,12 +3,14 @@ function P/Q, and condition_count, the one function that counts the
 subsets matching a Condition, from that Condition's generating function.
 schreier_zeckendorf_count and tail_recurrence_of are views of the same.
 
-Every term is an exact Python int. Window names double as the CLI family
-identifiers (``fib``, ``H``, ``sz[a,b]``, ``genfib[n]``, ...).
+Every term is an exact Python int. The named sequences are the rows of
+FAMILIES, keyed by the CLI family names (``fib``, ``schreier-zeckendorf``, ...).
 """
 
 from __future__ import annotations
 
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, cycle, islice, repeat, tee
 from math import comb
@@ -76,32 +78,54 @@ def fibonacci(n: int) -> BigCount:
     return a
 
 
-# Each window function reads the series of its spec, (name, offset, last
-# index, generating function in factors), built by a private _*_spec of the
-# same arguments that also checks them; a spec's P may be a one-shot
-# iterator, so build one per series.
+# The named sequences by `seq --family` name. A window is the series of
+# gf(*params), a generating function in factors (see _series; build one per
+# series), from index first to its last index, named last (>= first); bounds
+# pairs each parameter, in gf's order, with its least value.
+Family = namedtuple("Family", "prefix bounds last first gf")
+FAMILIES = {
+    "fib": Family("fib", (), "n_max", 0, lambda: _order_gf(2, 0)),
+    "H": Family("H", (), "n_max", 0, lambda: _order_gf(2, 2)),
+    "schreier-zeckendorf": Family(
+        "sz", (("alpha", 1), ("beta", 1)), "n_max", 1,
+        lambda alpha, beta: _condition_parts(Condition(alpha=alpha, beta=beta)),
+    ),
+    "genfib": Family("genfib", (("n", 2),), "m_max", 0, lambda n: _order_gf(n, 0)),
+    "genk": Family("genk", (("n", 2),), "m_max", 0, lambda n: _order_gf(n, 1)),
+    "genh": Family("genh", (("n", 2),), "m_max", 0, lambda n: _order_gf(n, 2)),
+    "minsize-oddgap": Family(
+        "minsize-oddgap", (("k", 0),), "n_max", 1,
+        lambda k: _condition_parts(Condition(gap_parity=GAP_ALL_ODD, min_size=k)),
+    ),
+}
+
+
+def family_spec(family: str, last: int, **params: int) -> tuple:
+    """(window name, first index, last, generating function in factors) of a
+    FAMILIES row, with params and last checked against its bounds. The
+    window is named prefix, or prefix[p1,p2,...] with parameters."""
+    prefix, bounds, last_name, first, gf = FAMILIES[family]
+    values = [params[name] for name, _ in bounds]
+    for (name, least), value in zip(bounds, values):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+    if last < first:
+        raise ValueError(f"{last_name} must be >= {first}")
+    if last >= sys.maxsize:  # islice stops there
+        raise ValueError(f"{last_name} must be < {sys.maxsize}")
+    name = f"{prefix}[{','.join(map(str, values))}]" if values else prefix
+    return name, first, last, gf(*values)
+
 
 def fibonacci_seq(n_max: int) -> SequenceWindow:
     """Window of F_0 .. F_{n_max}: the series of x/(1-x-x^2)."""
-    return _window(*_fibonacci_spec(n_max))
-
-
-def _fibonacci_spec(n_max: int) -> tuple:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return "fib", 0, n_max, _order_gf(2, 0)
+    return _window(*family_spec("fib", n_max))
 
 
 def h_seq(n_max: int) -> SequenceWindow:
     """The Fibonacci sequence accumulated twice, 0, 1, 3, 7, 14, 26, 46, ...:
     the series of x/((1-x)^2 (1-x-x^2))."""
-    return _window(*_h_spec(n_max))
-
-
-def _h_spec(n_max: int) -> tuple:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return "H", 0, n_max, _order_gf(2, 2)
+    return _window(*family_spec("H", n_max))
 
 
 def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow:
@@ -113,52 +137,23 @@ def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow
     alpha <= n <= 2*alpha+beta-1; then the order-(alpha+beta) recurrence
     a(n) = a(n-1) + a(n-(alpha+beta)).
     """
-    return _window(*_schreier_zeckendorf_spec(alpha, beta, n_max))
-
-
-def _schreier_zeckendorf_spec(alpha: int, beta: int, n_max: int) -> tuple:
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be >= 1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    gf = _condition_parts(Condition(alpha=alpha, beta=beta))
-    return f"sz[{alpha},{beta}]", 1, n_max, gf
+    return _window(*family_spec("schreier-zeckendorf", n_max, alpha=alpha, beta=beta))
 
 
 def gen_fib_seq(n: int, m_max: int) -> SequenceWindow:
     """Order-n Fibonacci analogue: 0, then n ones, then each term is the
     previous term plus the term n places back; the series of x/(1-x-x^n)."""
-    return _window(*_gen_fib_spec(n, m_max))
-
-
-def _gen_fib_spec(n: int, m_max: int) -> tuple:
-    return _order_spec("genfib", n, m_max, 0)
+    return _window(*family_spec("genfib", m_max, n=n))
 
 
 def k_seq(n: int, m_max: int) -> SequenceWindow:
     """gen_fib_seq accumulated once: x/((1-x)(1-x-x^n))."""
-    return _window(*_k_spec(n, m_max))
-
-
-def _k_spec(n: int, m_max: int) -> tuple:
-    return _order_spec("genk", n, m_max, 1)
+    return _window(*family_spec("genk", m_max, n=n))
 
 
 def gen_h_seq(n: int, m_max: int) -> SequenceWindow:
     """gen_fib_seq accumulated twice: x/((1-x)^2 (1-x-x^n))."""
-    return _window(*_gen_h_spec(n, m_max))
-
-
-def _gen_h_spec(n: int, m_max: int) -> tuple:
-    return _order_spec("genh", n, m_max, 2)
-
-
-def _order_spec(family: str, n: int, m_max: int, sums: int) -> tuple:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    return f"{family}[{n}]", 0, m_max, _order_gf(n, sums)
+    return _window(*family_spec("genh", m_max, n=n))
 
 
 def even_gap_family_size(n: int) -> BigCount:
@@ -225,16 +220,7 @@ def _size_classes(n: int, first: int, alpha: int, gap: int, parity: bool) -> Ite
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     """Counts of subsets of {1..n} with >= k elements and all gaps odd, for
     n = 1..n_max: the series of their condition_gf."""
-    return _window(*_min_size_odd_gap_spec(n_max, k))
-
-
-def _min_size_odd_gap_spec(n_max: int, k: int) -> tuple:
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    gf = _condition_parts(Condition(gap_parity=GAP_ALL_ODD, min_size=k))
-    return f"minsize-oddgap[{k}]", 1, n_max, gf
+    return _window(*family_spec("minsize-oddgap", n_max, k=k))
 
 
 def min_size_odd_gap_count(n: int, k: int) -> BigCount:
@@ -281,7 +267,8 @@ def _condition_parts(cond: Condition) -> tuple:
     taps = {2 if parity else 1: 1}  # E = D - x^h
     taps[h] = taps.get(h, 0) + 1
     if cond.min_size == 0 and not parity:  # (1 + x^m + ... + x^(h-1)) / E
-        return 0, chain((1,), repeat(0, m - 1), repeat(1, h - m)), taps, 0, 0
+        zeros, run = (min(j, sys.maxsize) for j in (m - 1, h - m))  # as in _series
+        return 0, chain((1,), repeat(0, zeros), repeat(1, run)), taps, 0, 0
     if cond.min_size == 0:  # (x^m (1+x) + E) / ((1-x) E)
         p = {0: 1}
         for j, c in ((2, -1), (h, -1), (m, 1), (m + 1, 1)):
@@ -394,12 +381,13 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
     the even terms and one over the odd; each other 1 - x is a running sum,
     and each other 1 + x is one too with the signs of the terms alternated
     before and after (substitute -x for x). The lead zeros come first, so
-    reading them runs none of this.
+    reading them runs none of this. A lead or lag longer than sys.maxsize,
+    past which islice reads nothing, is cut to it: exact below it.
     """
     def terms():
         total = None
         for (j, c), copy in zip(taps.items(), copies):
-            lagged = chain(repeat(0, j), copy)  # a_{i-j}
+            lagged = chain(repeat(0, min(j, sys.maxsize)), copy)  # a_{i-j}
             if c != 1:
                 lagged = map(mul, repeat(c), lagged)
             total = lagged if total is None else map(add, total, lagged)
@@ -418,7 +406,7 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
     if pluses > pairs:
         signs = map(mul, stream, cycle((1, -1)))
         stream = map(mul, _running_sums(signs, pluses - pairs), cycle((1, -1)))
-    return chain(repeat(0, lead), _running_sums(stream, ones - pairs))
+    return chain(repeat(0, min(lead, sys.maxsize)), _running_sums(stream, ones - pairs))
 
 
 def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
@@ -511,29 +499,20 @@ def schreier_zeckendorf_count(alpha: int, beta: int, n: int) -> BigCount:
     return condition_count(n, Condition(alpha=alpha, beta=beta))
 
 
-def tail_recurrence_of(
-    family: str,
-    *,
-    alpha: int | None = None,
-    beta: int | None = None,
-    n: int | None = None,
-) -> LinearRecurrence:
+def tail_recurrence_of(family: str, **params: int) -> LinearRecurrence:
     """Catalog recurrence of "fibonacci", "schreier-zeckendorf" (alpha,
     beta >= 1) or "genfib" (n >= 2), read from the family's generating
-    function: its denominator 1 - x - x^k, and its series at valid_from ..
-    valid_from + k - 1 as the initials, valid_from = alpha for the
-    Schreier-Zeckendorf counts (past their linear head) and 0 otherwise.
+    function in FAMILIES: its denominator 1 - x - x^k, and its series at
+    valid_from .. valid_from + k - 1 as the initials, valid_from = alpha for
+    the Schreier-Zeckendorf counts (past their linear head) and 0 otherwise.
     Every index >= valid_from + k satisfies the relation.
     """
-    if family == "fibonacci":
-        gf, start = _order_gf(2, 0), 0
-    elif family == "schreier-zeckendorf" and None not in (alpha, beta):
-        gf, start = _schreier_zeckendorf_spec(alpha, beta, 1)[3], alpha
-    elif family == "genfib" and n is not None:
-        gf, start = _gen_fib_spec(n, 0)[3], 0
-    else:
+    key = {"fibonacci": "fib"}.get(family, family)
+    params = {name: params.get(name) for name, _ in FAMILIES[key].bounds} if key in FAMILIES else {}
+    if family not in ("fibonacci", "schreier-zeckendorf", "genfib") or None in params.values():
         raise ValueError(
             "known families: fibonacci, schreier-zeckendorf with alpha and beta, "
             f"genfib with n; got {family!r}"
         )
-    return _gf_recurrence(gf, start)
+    gf = family_spec(key, FAMILIES[key].first, **params)[3]
+    return _gf_recurrence(gf, params.get("alpha", 0))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from itertools import islice
@@ -555,6 +556,73 @@ class TestSeq:
         assert path.read_text() == out
 
 
+# The public window function of each row of recurrences.FAMILIES, called
+# with the row's parameters (a dict) and the last index.
+WINDOWS = {
+    "fib": lambda p, to: fibonacci_seq(to),
+    "H": lambda p, to: h_seq(to),
+    "schreier-zeckendorf": lambda p, to: schreier_zeckendorf_seq(p["alpha"], p["beta"], to),
+    "genfib": lambda p, to: gen_fib_seq(p["n"], to),
+    "genk": lambda p, to: k_seq(p["n"], to),
+    "genh": lambda p, to: gen_h_seq(p["n"], to),
+    "minsize-oddgap": lambda p, to: min_size_odd_gap_seq(to, p["k"]),
+}
+
+
+class TestFamilyTable:
+    """`seq` and the window functions read each family from one row of
+    recurrences.FAMILIES."""
+
+    PARAMS = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
+
+    def test_parameters_are_seq_flags(self):
+        dests = {spec.get("dest", flag[2:]) for flag, spec in cli.SCHEMA["seq"][1].items()}
+        assert set(WINDOWS) == set(cli.FAMILIES)
+        for family, row in cli.FAMILIES.items():
+            assert {name for name, _ in row.bounds} <= dests, family
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+    @pytest.mark.parametrize("family", list(WINDOWS))
+    def test_seq_prints_the_window_function(self, capsys, family, fmt):
+        params = {name: self.PARAMS[name] for name, _ in cli.FAMILIES[family].bounds}
+        flags = [arg for name, value in params.items() for arg in (f"--{name}", str(value))]
+        for to in (1, 7):
+            code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", str(to), "--format", fmt)
+            assert (code, out, err) == (0, format_window(WINDOWS[family](params, to), fmt), "")
+
+    @pytest.mark.parametrize("family, name", [
+        (family, name) for family, row in recurrences.FAMILIES.items() for name, _ in row.bounds
+    ])
+    def test_parameter_past_sys_maxsize(self, capsys, family, name):
+        # A lead, lag or run of P that long is cut to sys.maxsize, past which
+        # no window reads, so the terms are exact.
+        params = {other: least for other, least in cli.FAMILIES[family].bounds}
+        params[name] = 10**20
+        flags = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+        to = 12
+        code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", str(to), "--format", "bfile")
+        assert (code, err) == (0, "")
+        rows = [tuple(map(int, line.split())) for line in out.splitlines()]
+        if family == "schreier-zeckendorf":
+            cond = Condition(alpha=params["alpha"], beta=params["beta"])
+        elif family == "minsize-oddgap":
+            cond = Condition(gap_parity=GAP_ALL_ODD, min_size=params["k"])
+        else:  # no window this short tells n from to + 1
+            offset, terms = family_oracle(family, {"n": to + 1}, to)
+            assert rows == list(enumerate(terms, offset))
+            return
+        assert rows == [(i, condition_count(i, cond)) for i in range(1, to + 1)]
+
+    @pytest.mark.parametrize("family", list(WINDOWS))
+    def test_last_index_past_sys_maxsize_is_usage_error(self, capsys, family):
+        params = {name: self.PARAMS[name] for name, _ in cli.FAMILIES[family].bounds}
+        flags = [arg for name, value in params.items() for arg in (f"--{name}", str(value))]
+        code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", str(sys.maxsize))
+        assert (code, out) == (2, "")
+        last = cli.FAMILIES[family].last
+        assert err == f"error: {last} must be < {sys.maxsize}\n"
+
+
 # (family, flags, a window function call with the same parameters, --to
 # just past the width from which `seq` once read a window again in
 # decimal). That width grew with the running sums of the family's
@@ -612,8 +680,9 @@ class TestSeqCarried:
 
     def test_every_family_is_read_in_integral_decimals(self):
         params = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
-        for family, (spec, needs) in cli.FAMILIES.items():
-            _, _, last, gf = spec(*[params[d] for d in needs], 60)
+        for family, row in cli.FAMILIES.items():
+            needs = {dest: params[dest] for dest, _ in row.bounds}
+            _, _, last, gf = recurrences.family_spec(family, 60, **needs)
             with decimal.localcontext(fasteval._exact_context()):
                 terms = list(islice(recurrences._decimal_series(*gf), last + 1))
             assert isinstance(terms[-1], decimal.Decimal), family
@@ -784,6 +853,49 @@ class TestVerify:
         assert errors.count("error:") <= 1 and "Traceback" not in errors, argv
         assert (code == 0) == (errors == ""), argv
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_verify_config(self, data):
+        # Each value goes in as a flag, in the config file, or not at all;
+        # --enum-limit stays at most 12, so no check scans past 2**12 subsets.
+        identity = data.draw(st.sampled_from([*cli.IDENTITIES, "all", "fermat"]), label="id")
+        argv, config = ["verify"], {}
+        for dest, values in (
+            ("identity", st.just(identity)),
+            ("n", st.integers(-2, 6)),
+            ("to", st.integers(-2, 40)),
+            ("oracle_to", st.integers(-2, 10)),
+            ("enum_limit", st.integers(-1, 12)),
+            ("threshold", st.sampled_from(["1/1000", "1e-3", "0", "-1", "2/3", "1/0", "x", "1e99999"])),
+        ):
+            value = data.draw(values, label=dest)
+            where = data.draw(st.sampled_from(["flag", "config"]), label=f"{dest} in")
+            if dest in ("identity", "enum_limit") or data.draw(st.booleans(), label=f"{dest} given"):
+                if where == "config":
+                    config[dest] = value
+                else:
+                    flag = "--id" if dest == "identity" else "--" + dest.replace("_", "-")
+                    argv.append(f"{flag}={value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "verify.json"
+            path.write_text(json.dumps(config))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(path)])
+        errors = err.getvalue()
+        assert code in (0, 1, 2, 3), (argv, config, errors)
+        assert errors.count("error:") <= 1 and "Traceback" not in errors, (argv, config)
+        assert (code == 0) == (errors == ""), (argv, config)
+
+    @pytest.mark.parametrize("identity, bound", [
+        ("gen-sum", f"n must be >= 2 and < {sys.maxsize}"),
+        ("gen-shift", f"n must be >= 2 and <= {sys.maxsize // 2}"),
+        ("all", f"n must be >= 2 and < {sys.maxsize}"),
+    ])
+    def test_order_past_sys_maxsize_is_usage_error(self, capsys, identity, bound):
+        code, out, err = run_cli(capsys, "verify", "--id", identity, "--n", "99999999999999999999", "--to", "3")
+        assert (code, out, err) == (2, "", f"error: {bound}\n")
+
     @pytest.mark.parametrize("to", ["1", "-5", "5"])
     def test_bijection_range_below_a_lag_is_usage_error(self, capsys, to):
         # The battery's largest lag is alpha + beta = 6; below it some pairs
@@ -852,6 +964,15 @@ class TestDiscover:
     def test_expectation_mismatch_fails(self, capsys):
         code, out, err = run_cli(capsys, "discover", "--alpha", "1", "--beta", "1", "--expect-order", "3")
         assert code == 1 and "expected 3" in err
+
+    @pytest.mark.parametrize("alpha", ["99999999999999999999", "1152921504606846976"])
+    def test_probe_past_sys_maxsize_is_usage_error(self, capsys, alpha):
+        # The stock probe, 8 * (alpha + beta) terms from 2 * alpha + beta on,
+        # ends past the last index a window can reach.
+        code, out, err = run_cli(capsys, "discover", "--alpha", alpha, "--beta", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 2*alpha + beta + probe_len - 1 = ") and err.count("\n") == 1
+        assert err.endswith(f" must be < {sys.maxsize}\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

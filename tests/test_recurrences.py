@@ -215,6 +215,27 @@ class TestFamiliesAgainstHandLoops:
         for to in self.ends(order)[1:]:
             self.check(min_size_odd_gap_seq(to, k), "minsize-oddgap", {"k": k}, to)
 
+    @pytest.mark.parametrize("window, family, params", [
+        (lambda to: gen_fib_seq(10**20, to), "genfib", {}),
+        (lambda to: k_seq(10**20, to), "genk", {}),
+        (lambda to: gen_h_seq(10**20, to), "genh", {}),
+        (lambda to: schreier_zeckendorf_seq(10**20, 1, to), "schreier-zeckendorf", {"alpha": 10**20, "beta": 1}),
+        (lambda to: schreier_zeckendorf_seq(1, 10**20, to), "schreier-zeckendorf", {"alpha": 1, "beta": 10**20}),
+        (lambda to: min_size_odd_gap_seq(to, 10**20), "minsize-oddgap", {"k": 10**20}),
+    ])
+    def test_parameters_past_sys_maxsize(self, window, family, params):
+        # repeat() takes at most sys.maxsize copies; a longer lead, lag or
+        # run of P is cut to that, which no window reads past.
+        to = 8
+        if family == "schreier-zeckendorf":
+            cond = Condition(**params)
+        elif family == "minsize-oddgap":
+            cond = Condition(gap_parity=GAP_ALL_ODD, min_size=params["k"])
+        else:  # no window this short tells n from to + 1
+            self.check(window(to), family, {"n": to + 1}, to)
+            return
+        assert window(to).terms == tuple(condition_count(i, cond) for i in range(1, to + 1))
+
     def test_min_size_odd_gap_large_k(self):
         # Below n = k every term is zero: x^k leads the numerator, so these
         # are read before any running sum. Expanding Q, of degree 2k, took
