@@ -307,10 +307,13 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     params = {dest: _require(args, dest) for dest, _ in FAMILIES[family].bounds}
-    name, offset, last, gf = family_spec(family, to, **params)
+    # The parameters are checked first, at the first index, and then --to.
+    name, offset, gf = family_spec(family, FAMILIES[family].first, **params)
+    if not offset <= to < sys.maxsize:  # islice stops at sys.maxsize
+        raise UsageError(f"--to must be >= {offset}" if to < offset else f"--to must be < {sys.maxsize}")
     if args.start is not None:
-        if args.start > last:
-            raise UsageError(f"clip start {args.start} beyond window end {last}")
+        if args.start > to:
+            raise UsageError(f"clip start {args.start} beyond window end {to}")
         offset = max(offset, args.start)
     # The terms are read, printed and written a chunk at a time, all inside
     # the exact context, so only the last few terms and one chunk of text
@@ -318,8 +321,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     from decimal import localcontext
 
     with _output(args.output) as write, localcontext(_exact_context()):
-        digits = map(str, islice(_decimal_series(*gf), offset, last + 1))
-        _write_window(write, args.fmt, name, offset, last, digits)
+        digits = map(str, islice(_decimal_series(*gf), offset, to + 1))
+        _write_window(write, args.fmt, name, offset, to, digits)
     return OK
 
 

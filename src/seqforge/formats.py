@@ -85,13 +85,9 @@ def _join_digits(digits: str) -> int:
     return _join_digits(digits[:-cut]) * 10**cut + _join_digits(digits[-cut:])
 
 
-def format_bfile(window: SequenceWindow) -> str:
-    return format_window(window, "bfile")
-
-
 def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
-    """Inverse of format_bfile, for terms of any width; indices must be
-    contiguous and ascending."""
+    """Inverse of format_window(window, "bfile"), for terms of any width;
+    indices must be contiguous and ascending."""
     offset = None
     expected = None
     terms = []
@@ -114,19 +110,8 @@ def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
     return SequenceWindow(name, offset, tuple(terms))
 
 
-def format_csv(window: SequenceWindow) -> str:
-    return format_window(window, "csv")
-
-
-def format_json(window: SequenceWindow) -> str:
-    return format_window(window, "json")
-
-
-def format_table(window: SequenceWindow) -> str:
-    return format_window(window, "table")
-
-
 def format_window(window: SequenceWindow, fmt: str) -> str:
+    """The text of window in fmt, one of FORMATS."""
     out: list[str] = []
     digits = map(render_int, window.terms)
     _write_window(out.append, fmt, window.name, window.offset, window.last_index, digits)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, cycle, islice, repeat, tee
+from functools import partial, reduce
+from itertools import accumulate, chain, islice, repeat, tee
 from math import comb
 from operator import add, mul, sub
 from typing import Iterator
@@ -80,52 +81,58 @@ def fibonacci(n: int) -> BigCount:
 
 # The named sequences by `seq --family` name. A window is the series of
 # gf(*params), a generating function in factors (see _series; build one per
-# series), from index first to its last index, named last (>= first); bounds
-# pairs each parameter, in gf's order, with its least value.
-Family = namedtuple("Family", "prefix bounds last first gf")
+# series), from index first to a last index >= first; bounds pairs each
+# parameter, in gf's order, with its least value.
+Family = namedtuple("Family", "prefix bounds first gf")
 FAMILIES = {
-    "fib": Family("fib", (), "n_max", 0, lambda: _order_gf(2, 0)),
-    "H": Family("H", (), "n_max", 0, lambda: _order_gf(2, 2)),
+    "fib": Family("fib", (), 0, lambda: _order_gf(2, 0)),
+    "H": Family("H", (), 0, lambda: _order_gf(2, 2)),
     "schreier-zeckendorf": Family(
-        "sz", (("alpha", 1), ("beta", 1)), "n_max", 1,
+        "sz", (("alpha", 1), ("beta", 1)), 1,
         lambda alpha, beta: _condition_parts(Condition(alpha=alpha, beta=beta)),
     ),
-    "genfib": Family("genfib", (("n", 2),), "m_max", 0, lambda n: _order_gf(n, 0)),
-    "genk": Family("genk", (("n", 2),), "m_max", 0, lambda n: _order_gf(n, 1)),
-    "genh": Family("genh", (("n", 2),), "m_max", 0, lambda n: _order_gf(n, 2)),
+    "genfib": Family("genfib", (("n", 2),), 0, lambda n: _order_gf(n, 0)),
+    "genk": Family("genk", (("n", 2),), 0, lambda n: _order_gf(n, 1)),
+    "genh": Family("genh", (("n", 2),), 0, lambda n: _order_gf(n, 2)),
     "minsize-oddgap": Family(
-        "minsize-oddgap", (("k", 0),), "n_max", 1,
+        "minsize-oddgap", (("k", 0),), 1,
         lambda k: _condition_parts(Condition(gap_parity=GAP_ALL_ODD, min_size=k)),
     ),
 }
 
 
 def family_spec(family: str, last: int, **params: int) -> tuple:
-    """(window name, first index, last, generating function in factors) of a
-    FAMILIES row, with params and last checked against its bounds. The
-    window is named prefix, or prefix[p1,p2,...] with parameters."""
-    prefix, bounds, last_name, first, gf = FAMILIES[family]
-    values = [params[name] for name, _ in bounds]
-    for (name, least), value in zip(bounds, values):
-        if value < least:
+    """(window name, first index, generating function in factors) of a
+    FAMILIES row, with params, named as in the row, and last checked
+    against its bounds. The window is named prefix, or prefix[p1,p2,...]
+    with parameters."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    prefix, bounds, first, gf = FAMILIES[family]
+    extra = [name for name in params if name not in dict(bounds)]
+    if extra:
+        raise ValueError(f"family {family!r} has no parameter {extra[0]!r}")
+    values = []
+    for name, least in bounds:
+        if name not in params:
+            raise ValueError(f"family {family!r} needs parameter {name!r}")
+        if params[name] < least:
             raise ValueError(f"{name} must be >= {least}")
+        values.append(params[name])
     if last < first:
-        raise ValueError(f"{last_name} must be >= {first}")
+        raise ValueError(f"last must be >= {first}")
     if last >= sys.maxsize:  # islice stops there
-        raise ValueError(f"{last_name} must be < {sys.maxsize}")
+        raise ValueError(f"last must be < {sys.maxsize}")
     name = f"{prefix}[{','.join(map(str, values))}]" if values else prefix
-    return name, first, last, gf(*values)
+    return name, first, gf(*values)
 
 
-def fibonacci_seq(n_max: int) -> SequenceWindow:
-    """Window of F_0 .. F_{n_max}: the series of x/(1-x-x^2)."""
-    return _window(*family_spec("fib", n_max))
-
-
-def h_seq(n_max: int) -> SequenceWindow:
-    """The Fibonacci sequence accumulated twice, 0, 1, 3, 7, 14, 26, 46, ...:
-    the series of x/((1-x)^2 (1-x-x^2))."""
-    return _window(*family_spec("H", n_max))
+def window(family: str, last: int, **params: int) -> SequenceWindow:
+    """Terms first..last of the sequence of a FAMILIES row, with the row's
+    parameters by name: window("genfib", 12, n=3) is the order-3 Fibonacci
+    analogue at indices 0..12."""
+    name, first, gf = family_spec(family, last, **params)
+    return SequenceWindow(name, first, tuple(islice(_series(*gf), first, last + 1)))
 
 
 def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow:
@@ -137,23 +144,7 @@ def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow
     alpha <= n <= 2*alpha+beta-1; then the order-(alpha+beta) recurrence
     a(n) = a(n-1) + a(n-(alpha+beta)).
     """
-    return _window(*family_spec("schreier-zeckendorf", n_max, alpha=alpha, beta=beta))
-
-
-def gen_fib_seq(n: int, m_max: int) -> SequenceWindow:
-    """Order-n Fibonacci analogue: 0, then n ones, then each term is the
-    previous term plus the term n places back; the series of x/(1-x-x^n)."""
-    return _window(*family_spec("genfib", m_max, n=n))
-
-
-def k_seq(n: int, m_max: int) -> SequenceWindow:
-    """gen_fib_seq accumulated once: x/((1-x)(1-x-x^n))."""
-    return _window(*family_spec("genk", m_max, n=n))
-
-
-def gen_h_seq(n: int, m_max: int) -> SequenceWindow:
-    """gen_fib_seq accumulated twice: x/((1-x)^2 (1-x-x^n))."""
-    return _window(*family_spec("genh", m_max, n=n))
+    return window("schreier-zeckendorf", n_max, alpha=alpha, beta=beta)
 
 
 def even_gap_family_size(n: int) -> BigCount:
@@ -220,7 +211,7 @@ def _size_classes(n: int, first: int, alpha: int, gap: int, parity: bool) -> Ite
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     """Counts of subsets of {1..n} with >= k elements and all gaps odd, for
     n = 1..n_max: the series of their condition_gf."""
-    return _window(*family_spec("minsize-oddgap", n_max, k=k))
+    return window("minsize-oddgap", n_max, k=k)
 
 
 def min_size_odd_gap_count(n: int, k: int) -> BigCount:
@@ -368,7 +359,9 @@ def _flat_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
 
 def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterator[BigCount]:
     """The coefficients of x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 -
-    sum of c x^j over taps {j: c}, one at a time and without end.
+    sum of c x^j over taps {j: c}, one at a time and without end. taps is
+    not empty and pluses <= ones, as every generating function in factors
+    built here has (_order_gf, _condition_parts).
 
     The series of P/R is a_i = p_i + c_1 a_{i-1} + ... + c_d a_{i-d}, with
     a_i = 0 for i < 0: a map over copies of the stream itself, one per tap,
@@ -378,40 +371,27 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
     runs in C. The copies read what the stream has already yielded, so it
     holds only its last d terms, give or take one of tee's small blocks.
     Each pair of factors (1-x)(1+x) = 1 - x^2 is then a running sum over
-    the even terms and one over the odd; each other 1 - x is a running sum,
-    and each other 1 + x is one too with the signs of the terms alternated
-    before and after (substitute -x for x). The lead zeros come first, so
-    reading them runs none of this. A lead or lag longer than sys.maxsize,
-    past which islice reads nothing, is cut to it: exact below it.
+    the even terms and one over the odd, and each other 1 - x is a running
+    sum. The lead zeros come first, so reading them runs none of this. A
+    lead or lag longer than sys.maxsize, past which islice reads nothing,
+    is cut to it: exact below it.
     """
     def terms():
-        total = None
+        lagged = []
         for (j, c), copy in zip(taps.items(), copies):
-            lagged = chain(repeat(0, min(j, sys.maxsize)), copy)  # a_{i-j}
-            if c != 1:
-                lagged = map(mul, repeat(c), lagged)
-            total = lagged if total is None else map(add, total, lagged)
-        if total is None:  # R = 1
-            total = repeat(0)
+            run = chain(repeat(0, min(j, sys.maxsize)), copy)  # a_{i-j}
+            lagged.append(run if c == 1 else map(mul, repeat(c), run))
+        total = reduce(partial(map, add), lagged)
         yield chain(map(add, p, total), total)
 
     stream, *copies = tee(chain.from_iterable(terms()), len(taps) + 1)
-    pairs = min(ones, pluses)
-    if pairs:
+    if pluses:
         even, odd = tee(stream)
         stream = chain.from_iterable(zip(
-            _running_sums(islice(even, 0, None, 2), pairs),
-            _running_sums(islice(odd, 1, None, 2), pairs),
+            _running_sums(islice(even, 0, None, 2), pluses),
+            _running_sums(islice(odd, 1, None, 2), pluses),
         ))
-    if pluses > pairs:
-        signs = map(mul, stream, cycle((1, -1)))
-        stream = map(mul, _running_sums(signs, pluses - pairs), cycle((1, -1)))
-    return chain(repeat(0, min(lead, sys.maxsize)), _running_sums(stream, ones - pairs))
-
-
-def _window(name: str, offset: int, last: int, gf: tuple) -> SequenceWindow:
-    # Coefficients offset..last of the series of gf, in factors.
-    return SequenceWindow(name, offset, tuple(islice(_series(*gf), offset, last + 1)))
+    return chain(repeat(0, min(lead, sys.maxsize)), _running_sums(stream, ones - pluses))
 
 
 def _decimal_series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterator[BigCount]:
@@ -507,12 +487,8 @@ def tail_recurrence_of(family: str, **params: int) -> LinearRecurrence:
     the Schreier-Zeckendorf counts (past their linear head) and 0 otherwise.
     Every index >= valid_from + k satisfies the relation.
     """
-    key = {"fibonacci": "fib"}.get(family, family)
-    params = {name: params.get(name) for name, _ in FAMILIES[key].bounds} if key in FAMILIES else {}
-    if family not in ("fibonacci", "schreier-zeckendorf", "genfib") or None in params.values():
-        raise ValueError(
-            "known families: fibonacci, schreier-zeckendorf with alpha and beta, "
-            f"genfib with n; got {family!r}"
-        )
-    gf = family_spec(key, FAMILIES[key].first, **params)[3]
+    if family not in ("fibonacci", "schreier-zeckendorf", "genfib"):
+        raise ValueError(f"known families: fibonacci, schreier-zeckendorf, genfib; got {family!r}")
+    key = "fib" if family == "fibonacci" else family
+    gf = family_spec(key, FAMILIES[key].first, **params)[2]
     return _gf_recurrence(gf, params.get("alpha", 0))

@@ -22,12 +22,9 @@ from seqforge.identities import (
 from seqforge.recurrences import (
     condition_count,
     even_gap_family_size,
-    gen_fib_seq,
-    gen_h_seq,
-    h_seq,
-    k_seq,
     min_size_odd_gap_seq,
     schreier_zeckendorf_seq,
+    window,
 )
 from seqforge.subsets import GAP_ALL_ODD, Condition, count_subsets
 
@@ -42,12 +39,12 @@ def check(num, label, ok, detail=""):
 
 
 def test_c01_h_prefix_golden():
-    h_seq(6)  # warm any lazy imports before timing
+    window("H", 6)  # warm any lazy imports before timing
     best = min(
-        _timed(lambda: h_seq(6))[1] for _ in range(3)
+        _timed(lambda: window("H", 6))[1] for _ in range(3)
     )
-    window = h_seq(6)
-    ok = window.terms == (0, 1, 3, 7, 14, 26, 46) and best < 0.001
+    h = window("H", 6)
+    ok = h.terms == (0, 1, 3, 7, 14, 26, 46) and best < 0.001
     check(1, "twice-accumulated Fibonacci prefix 0..46", ok, f"best run {best * 1e6:.0f} us")
 
 
@@ -59,9 +56,9 @@ def _timed(fn):
 
 def test_c02_order_three_table():
     ok = (
-        gen_fib_seq(3, 12).terms == (0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41)
-        and k_seq(3, 12).terms == (0, 1, 2, 3, 5, 8, 12, 18, 27, 40, 59, 87, 128)
-        and gen_h_seq(3, 12).terms == (0, 1, 3, 6, 11, 19, 31, 49, 76, 116, 175, 262, 390)
+        window("genfib", 12, n=3).terms == (0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41)
+        and window("genk", 12, n=3).terms == (0, 1, 2, 3, 5, 8, 12, 18, 27, 40, 59, 87, 128)
+        and window("genh", 12, n=3).terms == (0, 1, 3, 6, 11, 19, 31, 49, 76, 116, 175, 262, 390)
     )
     check(2, "order-3 family table, all 3 x 13 entries", ok)
 
@@ -90,7 +87,7 @@ def test_c04_counting_grid_vs_oracle():
 def test_c05_parity_forms_vs_oracle():
     start = time.perf_counter()
     fib = fib_list(23)
-    acc = h_seq(19)
+    acc = window("H", 19)
     bad = []
     for n in range(1, 21):
         odd_total = odd_contain = even_total = even_contain = 0
@@ -217,6 +214,6 @@ def test_c11_cli_bfile_round_trip(capsys):
     second = main(["seq", "--family", "H", "--to", "100", "--format", "bfile"])
     out_second = capsys.readouterr().out
     ok = first == second == 0 and out_first == out_second
-    ok = ok and parse_bfile(out_first, name="H") == h_seq(100)
+    ok = ok and parse_bfile(out_first, name="H") == window("H", 100)
     with capsys.disabled():
         check(11, "CLI determinism and b-file round trip", ok)

@@ -21,14 +21,10 @@ from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import format_window, parse_bfile
 from seqforge.recurrences import (
     condition_count,
-    fibonacci_seq,
-    gen_fib_seq,
-    gen_h_seq,
-    h_seq,
-    k_seq,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
     schreier_zeckendorf_seq,
+    window,
 )
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets, enumerate_subsets
 
@@ -425,7 +421,7 @@ class TestSeq:
     def test_bfile_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "--family", "H", "--to", "100", "--format", "bfile")
         assert code == 0
-        assert parse_bfile(out, name="H") == h_seq(100)
+        assert parse_bfile(out, name="H") == window("H", 100)
 
     def test_deterministic_output(self, capsys):
         first = run_cli(capsys, "seq", "--family", "genfib", "--n", "3", "--to", "12", "--format", "bfile")
@@ -556,39 +552,26 @@ class TestSeq:
         assert path.read_text() == out
 
 
-# The public window function of each row of recurrences.FAMILIES, called
-# with the row's parameters (a dict) and the last index.
-WINDOWS = {
-    "fib": lambda p, to: fibonacci_seq(to),
-    "H": lambda p, to: h_seq(to),
-    "schreier-zeckendorf": lambda p, to: schreier_zeckendorf_seq(p["alpha"], p["beta"], to),
-    "genfib": lambda p, to: gen_fib_seq(p["n"], to),
-    "genk": lambda p, to: k_seq(p["n"], to),
-    "genh": lambda p, to: gen_h_seq(p["n"], to),
-    "minsize-oddgap": lambda p, to: min_size_odd_gap_seq(to, p["k"]),
-}
-
-
 class TestFamilyTable:
-    """`seq` and the window functions read each family from one row of
+    """`seq` and recurrences.window read each family from one row of
     recurrences.FAMILIES."""
 
     PARAMS = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
 
     def test_parameters_are_seq_flags(self):
         dests = {spec.get("dest", flag[2:]) for flag, spec in cli.SCHEMA["seq"][1].items()}
-        assert set(WINDOWS) == set(cli.FAMILIES)
+        assert {family for family, *_ in CARRIED} == set(cli.FAMILIES)
         for family, row in cli.FAMILIES.items():
             assert {name for name, _ in row.bounds} <= dests, family
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
-    @pytest.mark.parametrize("family", list(WINDOWS))
+    @pytest.mark.parametrize("family", list(recurrences.FAMILIES))
     def test_seq_prints_the_window_function(self, capsys, family, fmt):
         params = {name: self.PARAMS[name] for name, _ in cli.FAMILIES[family].bounds}
         flags = [arg for name, value in params.items() for arg in (f"--{name}", str(value))]
         for to in (1, 7):
             code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", str(to), "--format", fmt)
-            assert (code, out, err) == (0, format_window(WINDOWS[family](params, to), fmt), "")
+            assert (code, out, err) == (0, format_window(window(family, to, **params), fmt), "")
 
     @pytest.mark.parametrize("family, name", [
         (family, name) for family, row in recurrences.FAMILIES.items() for name, _ in row.bounds
@@ -613,29 +596,37 @@ class TestFamilyTable:
             return
         assert rows == [(i, condition_count(i, cond)) for i in range(1, to + 1)]
 
-    @pytest.mark.parametrize("family", list(WINDOWS))
+    @pytest.mark.parametrize("family", list(recurrences.FAMILIES))
     def test_last_index_past_sys_maxsize_is_usage_error(self, capsys, family):
         params = {name: self.PARAMS[name] for name, _ in cli.FAMILIES[family].bounds}
         flags = [arg for name, value in params.items() for arg in (f"--{name}", str(value))]
         code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", str(sys.maxsize))
         assert (code, out) == (2, "")
-        last = cli.FAMILIES[family].last
-        assert err == f"error: {last} must be < {sys.maxsize}\n"
+        assert err == f"error: --to must be < {sys.maxsize}\n"
+
+    @pytest.mark.parametrize("family", list(recurrences.FAMILIES))
+    def test_last_index_below_first_is_usage_error(self, capsys, family):
+        params = {name: self.PARAMS[name] for name, _ in cli.FAMILIES[family].bounds}
+        flags = [arg for name, value in params.items() for arg in (f"--{name}", str(value))]
+        first = cli.FAMILIES[family].first
+        for to in (first - 1, -5):
+            code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", str(to))
+            assert (code, out, err) == (2, "", f"error: --to must be >= {first}\n")
 
 
-# (family, flags, a window function call with the same parameters, --to
+# (family, flags, a library window call with the same parameters, --to
 # just past the width from which `seq` once read a window again in
 # decimal). That width grew with the running sums of the family's
 # generating function: none for fib, genfib and schreier-zeckendorf, one for
 # genk, two for H and genh, k + k - 2 for minsize-oddgap.
 CARRIED = [
-    ("fib", (), lambda to: fibonacci_seq(to), 3_000),
-    ("H", (), lambda to: h_seq(to), 3_300),
+    ("fib", (), lambda to: window("fib", to), 3_000),
+    ("H", (), lambda to: window("H", to), 3_300),
     ("schreier-zeckendorf", ("--alpha", "2", "--beta", "3"),
      lambda to: schreier_zeckendorf_seq(2, 3, to), 5_200),
-    ("genfib", ("--n", "3"), lambda to: gen_fib_seq(3, to), 3_700),
-    ("genk", ("--n", "4"), lambda to: k_seq(4, to), 4_500),
-    ("genh", ("--n", "2"), lambda to: gen_h_seq(2, to), 3_300),
+    ("genfib", ("--n", "3"), lambda to: window("genfib", to, n=3), 3_700),
+    ("genk", ("--n", "4"), lambda to: window("genk", to, n=4), 4_500),
+    ("genh", ("--n", "2"), lambda to: window("genh", to, n=2), 3_300),
     ("minsize-oddgap", ("--k", "3"), lambda to: min_size_odd_gap_seq(to, 3), 3_500),
 ]
 
@@ -682,9 +673,9 @@ class TestSeqCarried:
         params = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
         for family, row in cli.FAMILIES.items():
             needs = {dest: params[dest] for dest, _ in row.bounds}
-            _, _, last, gf = recurrences.family_spec(family, 60, **needs)
+            gf = recurrences.family_spec(family, 60, **needs)[2]
             with decimal.localcontext(fasteval._exact_context()):
-                terms = list(islice(recurrences._decimal_series(*gf), last + 1))
+                terms = list(islice(recurrences._decimal_series(*gf), 61))
             assert isinstance(terms[-1], decimal.Decimal), family
             assert terms[-1].as_tuple().exponent == 0, family
 
@@ -738,7 +729,7 @@ class TestSeqCarried:
         assert len(sink.writes) > 1
         for text in sink.writes:
             assert len(text) <= formats._CHUNK_CHARS or text.count("\n") == 1, len(text)
-        assert "".join(sink.writes) == format_window(fibonacci_seq(20000), "bfile")
+        assert "".join(sink.writes) == format_window(window("fib", 20000), "bfile")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
     def test_large_k_prints_at_once(self, capsys, fmt):
@@ -1105,7 +1096,7 @@ class TestErrors:
         monkeypatch.setattr(cli, "_decimal_series", series)
         code, out, err = run_cli(capsys, "seq", "--family", "H", "--to", "6", "--output", str(path))
         assert (code, out, err, opened) == (0, "", "", [True])
-        assert path.read_text() == format_window(h_seq(6), "table")
+        assert path.read_text() == format_window(window("H", 6), "table")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
     @pytest.mark.parametrize("argv", [

@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from seqforge import formats
 from seqforge.formats import (
     STR_MAX_BITS,
-    format_bfile,
-    format_csv,
-    format_json,
-    format_table,
     format_window,
     parse_bfile,
     render_int,
 )
-from seqforge.recurrences import SequenceWindow, h_seq
+from seqforge.recurrences import SequenceWindow, window
 
 from helpers import window_text
 
@@ -26,14 +22,14 @@ WINDOW = SequenceWindow("demo", 2, (4, 9, 25))
 
 class TestBfile:
     def test_shape(self):
-        assert format_bfile(WINDOW) == "2 4\n3 9\n4 25\n"
+        assert format_window(WINDOW, "bfile") == "2 4\n3 9\n4 25\n"
 
     def test_round_trip_golden(self):
-        assert parse_bfile(format_bfile(WINDOW), name="demo") == WINDOW
+        assert parse_bfile(format_window(WINDOW, "bfile"), name="demo") == WINDOW
 
     def test_round_trip_large_window(self):
-        window = h_seq(300)
-        assert parse_bfile(format_bfile(window), name="H") == window
+        h = window("H", 300)
+        assert parse_bfile(format_window(h, "bfile"), name="H") == h
 
     def test_blank_lines_are_skipped(self):
         assert parse_bfile("2 4\n\n3 9\n", name="demo").terms == (4, 9)
@@ -79,15 +75,15 @@ class TestBfile:
     )
     def test_round_trip_property(self, offset, terms):
         window = SequenceWindow("w", offset, tuple(terms))
-        assert parse_bfile(format_bfile(window), name="w") == window
+        assert parse_bfile(format_window(window, "bfile"), name="w") == window
 
 
 class TestOtherFormats:
     def test_csv(self):
-        assert format_csv(WINDOW) == "index,value\n2,4\n3,9\n4,25\n"
+        assert format_window(WINDOW, "csv") == "index,value\n2,4\n3,9\n4,25\n"
 
     def test_json(self):
-        payload = json.loads(format_json(WINDOW))
+        payload = json.loads(format_window(WINDOW, "json"))
         assert payload == {
             "schema": 1,
             "family": "demo",
@@ -96,13 +92,13 @@ class TestOtherFormats:
         }
 
     def test_table_lists_every_index(self):
-        text = format_table(WINDOW)
+        text = format_window(WINDOW, "table")
         lines = text.splitlines()
         assert lines[0].startswith("demo")
         assert lines[1:] == ["2  4", "3  9", "4  25"]
 
     def test_dispatch_and_unknown(self):
-        assert format_window(WINDOW, "bfile") == format_bfile(WINDOW)
+        assert format_window(WINDOW, "bfile") == "2 4\n3 9\n4 25\n"
         with pytest.raises(ValueError):
             format_window(WINDOW, "yaml")
 
@@ -119,7 +115,7 @@ class TestOtherFormats:
         SequenceWindow("x", 3, ()),
         SequenceWindow("demo", 2, (4,)),
         SequenceWindow('quote " slash \\ é\n', -5, (1, -2, 10**30)),
-        h_seq(40),
+        window("H", 40),
     ])
     def test_json_is_the_encoders_text(self, window):
         payload = {
@@ -128,11 +124,11 @@ class TestOtherFormats:
             "offset": window.offset,
             "terms": [str(v) for v in window.terms],
         }
-        assert format_json(window) == json.dumps(payload, indent=2) + "\n"
+        assert format_window(window, "json") == json.dumps(payload, indent=2) + "\n"
 
     def test_table_pads_to_the_widest_index(self):
         window = SequenceWindow("w", -12, tuple(range(14)))
-        lines = format_table(window).splitlines()
+        lines = format_window(window, "table").splitlines()
         assert lines[1] == "-12  0" and lines[-1] == "  1  13"
 
     @pytest.mark.parametrize("chunk", [1, 50, 4096, formats._CHUNK_CHARS])
@@ -140,7 +136,7 @@ class TestOtherFormats:
     @pytest.mark.parametrize("window", [
         SequenceWindow("x", 3, ()),
         SequenceWindow('quote " é', -5, (1, -2, 10**30)),
-        h_seq(700),
+        window("H", 700),
     ], ids=["empty", "short", "h700"])
     def test_every_chunk_size_writes_the_whole_text(self, monkeypatch, window, fmt, chunk):
         monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
@@ -255,5 +251,5 @@ class TestRenderInt:
         big = 3**40_000
         window = SequenceWindow("big", 5, (1, big, -big))
         expected = "".join(f"{i} {v}\n" for i, v in window.items())
-        assert format_bfile(window) == expected
-        assert json.loads(format_json(window))["terms"] == ["1", str(big), str(-big)]
+        assert format_window(window, "bfile") == expected
+        assert json.loads(format_window(window, "json"))["terms"] == ["1", str(big), str(-big)]

@@ -17,7 +17,7 @@ from seqforge.identities import (
     scan_identity,
     shift_up_adjoin_max,
 )
-from seqforge.recurrences import condition_count, even_gap_family_size, fibonacci, h_seq
+from seqforge.recurrences import condition_count, even_gap_family_size, fibonacci, window
 from seqforge.subsets import (
     GAP_ALL_ODD,
     Condition,
@@ -63,7 +63,7 @@ class TestFibH:
 
     def test_small_value(self):
         # F_6 = 8 and the twice-accumulated value at 2 is 3, so 3 + 2 + 3.
-        assert fibonacci(6) == 8 == h_seq(2).term(2) + 2 + 3
+        assert fibonacci(6) == 8 == window("H", 2).term(2) + 2 + 3
 
     def test_sweep_to_200(self):
         report = check_fib_h(200)

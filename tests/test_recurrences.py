@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from seqforge.formats import render_int
 from seqforge.recurrences import (
     _NESTED_SUMS,
+    FAMILIES,
     SequenceWindow,
     _condition_parts,
     _series,
@@ -17,15 +18,12 @@ from seqforge.recurrences import (
     condition_count,
     condition_gf,
     even_gap_family_size,
+    family_spec,
     fibonacci,
-    fibonacci_seq,
-    gen_fib_seq,
-    gen_h_seq,
-    h_seq,
-    k_seq,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
     schreier_zeckendorf_seq,
+    window,
 )
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, Condition, count_subsets
 
@@ -111,11 +109,20 @@ class TestSequenceWindow:
                 w.clip(start)
 
 
+# The generating functions in factors that _series reads: taps not empty
+# (SERIES_TAPS) and pluses <= ones (ones_and_pluses, drawn as (ones, pluses)).
+SERIES_TAPS = st.dictionaries(st.integers(1, 6), st.integers(-5, 5), min_size=1, max_size=3)
+
+
+def ones_and_pluses(most):
+    return st.integers(0, most).flatmap(lambda ones: st.tuples(st.just(ones), st.integers(0, ones)))
+
+
 class TestSeries:
     @staticmethod
     def denominator(taps, ones, pluses):
         # (1 - sum of c x^j over taps) (1-x)^ones (1+x)^pluses, expanded.
-        q = [1] + [0] * max(taps, default=0)
+        q = [1] + [0] * max(taps)
         for j, c in taps.items():
             q[j] -= c
         for sign, times in ((-1, ones), (1, pluses)):
@@ -124,32 +131,22 @@ class TestSeries:
         return q
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(0, 3),
-        st.lists(st.integers(-5, 5), max_size=6),
-        st.dictionaries(st.integers(1, 6), st.integers(-5, 5), max_size=3),
-        st.integers(0, 3),
-        st.integers(0, 3),
-    )
-    def test_times_q_gives_p(self, lead, p, taps, ones, pluses):
+    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), max_size=6), SERIES_TAPS, ones_and_pluses(3))
+    def test_times_q_gives_p(self, lead, p, taps, counts):
         # Any x^lead P over any Q in factors: the series times the expanded
         # Q agrees with x^lead P term by term.
+        ones, pluses = counts
         q = self.denominator(taps, ones, pluses)
         count = 40
         terms = list(islice(_series(lead, p, taps, ones, pluses), count))
         assert truncated_product(terms, q, count) == ([0] * lead + p + [0] * count)[:count]
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(0, 3),
-        st.lists(st.integers(-5, 5), max_size=6),
-        st.dictionaries(st.integers(1, 6), st.integers(-5, 5), max_size=3),
-        st.integers(0, 6),
-        st.integers(0, 6),
-    )
-    def test_matches_the_sign_trick(self, lead, p, taps, ones, pluses):
+    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), max_size=6), SERIES_TAPS, ones_and_pluses(6))
+    def test_matches_the_sign_trick(self, lead, p, taps, counts):
         # Pairs of (1-x)(1+x) read as 1 - x^2 give the terms that a running
         # sum between sign flips per 1 + x gives.
+        ones, pluses = counts
         count = 40
         terms = list(islice(_series(lead, p, taps, ones, pluses), count))
         assert terms == list(islice(sign_trick_series(lead, p, taps, ones, pluses), count))
@@ -163,13 +160,25 @@ class TestSeries:
         assert truncated_product(terms, q, 60) == [0, 0, 1, -1, 3] + [0] * 55
 
     def test_depth_beyond_the_c_stack(self):
-        # 1/(1-x^2)^b = 1/((1-x)^b (1+x)^b): 1, 0, b, 0, C(b+1, 2). Nested
-        # passes this deep would overflow the C stack.
+        # 1/(1-x^2)^(b+1) = 1/((1-x^2) (1-x)^b (1+x)^b): 1, 0, b+1, 0,
+        # C(b+2, 2). Nested passes this deep would overflow the C stack.
         b = 10**5
-        assert list(islice(_series(0, (1,), {}, b, b), 5)) == [1, 0, b, 0, comb(b + 1, 2)]
+        assert list(islice(_series(0, (1,), {2: 1}, b, b), 5)) == [1, 0, b + 1, 0, comb(b + 2, 2)]
 
-    def test_polynomial_over_one(self):
-        assert list(islice(_series(1, (3, 0, -2), {}), 6)) == [0, 3, 0, -2, 0, 0]
+    def test_every_generating_function_has_a_read_shape(self):
+        # Every family, at its least parameters and larger ones, and every
+        # condition without forced_max, has taps and no more pluses than ones.
+        for family, row in FAMILIES.items():
+            for extra in (0, 1, 3, 10):
+                _, _, taps, ones, pluses = row.gf(*(least + extra for _, least in row.bounds))
+                assert taps and pluses <= ones, (family, extra)
+        for alpha in (None, 1, 2, 3):
+            for beta in (None, 1, 2, 3):
+                for parity in PARITIES:
+                    for min_size in range(5):
+                        cond = Condition(alpha, beta, parity, min_size)
+                        _, _, taps, ones, pluses = _condition_parts(cond)
+                        assert taps and pluses <= ones, cond
 
 
 class TestFamiliesAgainstHandLoops:
@@ -186,15 +195,15 @@ class TestFamiliesAgainstHandLoops:
 
     def test_fibonacci_and_h(self):
         for to in self.ends(2):
-            self.check(fibonacci_seq(to), "fib", {}, to)
-            self.check(h_seq(to), "H", {}, to)
+            self.check(window("fib", to), "fib", {}, to)
+            self.check(window("H", to), "H", {}, to)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_order_n_families(self, n):
         for to in self.ends(n):
-            self.check(gen_fib_seq(n, to), "genfib", {"n": n}, to)
-            self.check(k_seq(n, to), "genk", {"n": n}, to)
-            self.check(gen_h_seq(n, to), "genh", {"n": n}, to)
+            self.check(window("genfib", to, n=n), "genfib", {"n": n}, to)
+            self.check(window("genk", to, n=n), "genk", {"n": n}, to)
+            self.check(window("genh", to, n=n), "genh", {"n": n}, to)
 
     @pytest.mark.parametrize("alpha", range(1, 7))
     def test_schreier_zeckendorf(self, alpha):
@@ -216,9 +225,9 @@ class TestFamiliesAgainstHandLoops:
             self.check(min_size_odd_gap_seq(to, k), "minsize-oddgap", {"k": k}, to)
 
     @pytest.mark.parametrize("window, family, params", [
-        (lambda to: gen_fib_seq(10**20, to), "genfib", {}),
-        (lambda to: k_seq(10**20, to), "genk", {}),
-        (lambda to: gen_h_seq(10**20, to), "genh", {}),
+        (lambda to: window("genfib", to, n=10**20), "genfib", {}),
+        (lambda to: window("genk", to, n=10**20), "genk", {}),
+        (lambda to: window("genh", to, n=10**20), "genh", {}),
         (lambda to: schreier_zeckendorf_seq(10**20, 1, to), "schreier-zeckendorf", {"alpha": 10**20, "beta": 1}),
         (lambda to: schreier_zeckendorf_seq(1, 10**20, to), "schreier-zeckendorf", {"alpha": 1, "beta": 10**20}),
         (lambda to: min_size_odd_gap_seq(to, 10**20), "minsize-oddgap", {"k": 10**20}),
@@ -247,6 +256,19 @@ class TestFamiliesAgainstHandLoops:
         self.check(min_size_odd_gap_seq(2010, 2000), "minsize-oddgap", {"k": 2000}, 2010)
 
 
+class TestWindow:
+    @pytest.mark.parametrize("family, params, message", [
+        ("nope", {}, "unknown family 'nope'; known: fib, H, schreier-zeckendorf, genfib, genk, genh, minsize-oddgap"),
+        ("schreier-zeckendorf", {"beta": 1}, "family 'schreier-zeckendorf' needs parameter 'alpha'"),
+        ("fib", {"n": 3}, "family 'fib' has no parameter 'n'"),
+    ], ids=["unknown-family", "missing-parameter", "unexpected-parameter"])
+    @pytest.mark.parametrize("read", [family_spec, window])
+    def test_refuses_bad_input(self, read, family, params, message):
+        with pytest.raises(ValueError) as info:
+            read(family, 5, **params)
+        assert str(info.value) == message
+
+
 class TestFibonacci:
     def test_base_terms(self):
         assert fibonacci(0) == 0
@@ -258,7 +280,7 @@ class TestFibonacci:
     def test_doubling_agrees_with_recurrence(self):
         expected = fib_list(400)
         assert [fibonacci(n) for n in range(401)] == expected
-        assert fibonacci_seq(400).terms == tuple(expected)
+        assert window("fib", 400).terms == tuple(expected)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -271,7 +293,7 @@ class TestPartialSum:
         assert partial_sum(w).terms == (0, 1, 2, 4, 7, 12)
 
     def test_twice_on_fibonacci_gives_published_prefix(self):
-        doubled = partial_sum(partial_sum(fibonacci_seq(6)))
+        doubled = partial_sum(partial_sum(window("fib", 6)))
         assert doubled.terms == (0, 1, 3, 7, 14, 26, 46)
 
     def test_empty(self):
@@ -294,15 +316,15 @@ class TestPartialSum:
 
 class TestHSeq:
     def test_published_prefix(self):
-        w = h_seq(6)
+        w = window("H", 6)
         assert w.term(0) == 0 and w.term(2) == 3 and w.term(6) == 46
         assert w.terms == (0, 1, 3, 7, 14, 26, 46)
 
     def test_equals_double_partial_sum(self):
-        assert h_seq(500).terms == partial_sum(partial_sum(fibonacci_seq(500))).terms
+        assert window("H", 500).terms == partial_sum(partial_sum(window("fib", 500))).terms
 
     def test_equals_weighted_sum_definition(self):
-        w = h_seq(300)
+        w = window("H", 300)
         for n in (0, 1, 2, 7, 50, 151, 300):
             assert w.term(n) == h_definitional(n)
 
@@ -341,20 +363,20 @@ class TestSchreierZeckendorfSeq:
 
 class TestGenFib:
     def test_published_table(self):
-        assert gen_fib_seq(3, 12).terms == TABLE_GENFIB_3
-        assert k_seq(3, 12).terms == TABLE_GENK_3
-        assert gen_h_seq(3, 12).terms == TABLE_GENH_3
+        assert window("genfib", 12, n=3).terms == TABLE_GENFIB_3
+        assert window("genk", 12, n=3).terms == TABLE_GENK_3
+        assert window("genh", 12, n=3).terms == TABLE_GENH_3
 
     def test_order_two_is_fibonacci(self):
-        assert gen_fib_seq(2, 300).terms == fibonacci_seq(300).terms
+        assert window("genfib", 300, n=2).terms == window("fib", 300).terms
 
     def test_leading_shape(self):
-        w = gen_fib_seq(5, 5)
+        w = window("genfib", 5, n=5)
         assert w.terms == (0, 1, 1, 1, 1, 1)
 
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
-            gen_fib_seq(1, 10)
+            window("genfib", 10, n=1)
 
 
 class TestOddGapCounts:
@@ -432,7 +454,7 @@ class TestMinSizeOddGap:
             assert min_size_odd_gap_count(n, k) == expected
 
     def test_min_two_equals_h_shifted(self):
-        acc = h_seq(499)
+        acc = window("H", 499)
         dp = min_size_odd_gap_seq(500, 2)
         for n in range(1, 501):
             assert dp.term(n) == acc.term(n - 1)
@@ -440,11 +462,11 @@ class TestMinSizeOddGap:
     def test_min_two_equals_h_shifted_at_scale(self):
         # Both sides run incrementally, so 1e5 terms stay around a second.
         n = 100_000
-        assert min_size_odd_gap_seq(n, 2).term(n) == h_seq(n - 1).term(n - 1)
+        assert min_size_odd_gap_seq(n, 2).term(n) == window("H", n - 1).term(n - 1)
 
     def test_min_zero_equals_odd_gap_total(self):
         dp = min_size_odd_gap_seq(300, 0)
-        fib = fibonacci_seq(303)
+        fib = window("fib", 303)
         for n in range(1, 301):
             assert dp.term(n) == fib.term(n + 3) - 1
 
