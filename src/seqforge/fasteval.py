@@ -16,6 +16,9 @@ high half back below degree k, and a shift for each 1-bit.
 - Exact int powers that the CLI will print wide may move to integral
   decimal.Decimals (the decimal carrier, below), whose big multiplies are
   libmpdec's number-theoretic transform; the squaring is the same.
+- The last bit of an exact int power at orders 1 and 2, or past the Toom
+  cutover, reads the term as a quadratic form in the first 2k terms: at
+  most k squares of the widest coefficients, and no fold.
 - Residues mod p at order 3 and up square as one big int: the k residues
   are packed into one int, W = ceil((2 bits(p) + bits(2k)) / 8) bytes a
   slot, so that CPython's own multiply does the product (Kronecker
@@ -181,7 +184,9 @@ _DECIMAL = _DecimalMode()
 def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount:
     # x^j modulo the characteristic polynomial, by square-and-shift over the
     # bits of j from the top; the term is then sum(q_i * initials[i]) over
-    # the coefficients q_i of the remainder.
+    # the coefficients q_i of the remainder. Exact int recurrences read the
+    # last square as a quadratic form instead (_square_form), where it would
+    # be a Toom step or the order is below MIN_TOOM_ORDER.
     k = len(coeffs)
     if mode.modulus is None or k < MIN_PACKED_ORDER:
         step = _slice_step(coeffs, mode.modulus)
@@ -193,8 +198,11 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
     # end at least `wide` bits wide. The bits double each step, so x^p,
     # p = j >> left, ends about j / p times as wide as it is.
     toom_bits = carry_bits = None
+    ints = by_form = False
     if mode.modulus is None and all(isinstance(c, int) for c in coeffs):
         toom_bits = _toom_cutover(k) if k >= MIN_TOOM_ORDER else None
+        ints = all(isinstance(a, int) for a in initials)
+        by_form = ints and not toom_bits
         if isinstance(mode, _DecimalMode):
             carry_bits = max(_CARRY_BITS, toom_bits or 0)
             wide = _CARRY_WIDTH if toom_bits else STR_MAX_BITS + 1
@@ -204,7 +212,7 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
         if toom_bits or carry_bits:
             width = max(map(int.bit_length, result))
             if toom_bits and width >= toom_bits:
-                step, toom_bits = _toom_step(coeffs), None
+                step, toom_bits, by_form = _toom_step(coeffs), None, ints
             if carry_bits and width >= carry_bits:
                 if width * j >= wide * (j >> left):
                     from decimal import Decimal
@@ -212,8 +220,62 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
                     result = list(map(Decimal, result))
                 carry_bits = None
         left -= 1
+        if by_form and not left:
+            return _square_form(result, coeffs, initials, bit == "1")
         result = step(result, bit == "1")
     return mode.reduce(sum(map(mul, result, initials)))
+
+
+def _square_form(result: list, coeffs: list, initials: list, s: bool) -> BigCount:
+    # a_j for j = 2h + s, from the coefficients r_i of R = x^h mod the
+    # characteristic polynomial. x^j = x^s R^2 and x^m reads as a_m, so a_j
+    # = sum(r_i r_l a_(i+l+s)) = r^T H r, with H the Hankel matrix of the
+    # recurrence's first 2k terms: k squares, not the 2k - 1 of a Toom step
+    # (Fiduccia, SIAM J. Comput. 1985, for the x^h mod Q powering). Over the
+    # support of R, r^T H r = sum((h_t . r)^2 / (d_(t-1) d_t)) + r^T M r / d_T
+    # for the pivot rows h_t, leading minors d_t and live block M of
+    # _hankel_form, read by Horner's rule from the last pivot back: each
+    # partial value is r^T M_t r for the integer block M_t after t pivots,
+    # so every division is exact, on ints or integral Decimals alike.
+    support = tuple(i for i, v in enumerate(result) if v)
+    pivots, rest = _hankel_form(tuple(coeffs), tuple(initials), s, support)
+    r = [result[i] for i in support]
+    total = sum(r[i] * sum(c * r[l] for l, c in row) for i, row in rest)
+    for cols, row, prev, d in pivots:
+        x = sum(map(mul, row, map(r.__getitem__, cols)))
+        total = (x * x + prev * total) // d
+    return total
+
+
+@lru_cache(maxsize=256)
+def _hankel_form(coeffs: tuple, initials: tuple, s: bool, support: tuple):
+    # Fraction-free (Bareiss) symmetric elimination of H = [a_(i+l+s)] over
+    # support, pivoting on the first nonzero diagonal entry left. The block
+    # after t pivots is d_t times the Schur complement, so its entries stay
+    # ints (minors of H) and each division by d_(t-1) is exact. Returns the
+    # pivots, last first, as (columns, row h_t there, d_(t-1), d_t), and the
+    # rows (i, ((l, M_il), ...)) of the live block M once no diagonal entry
+    # is nonzero; positions index support. O(|support|^3) products of
+    # minors: at Toom orders about the cost of the _toom_table that the same
+    # power has built. Tuples, as the cache hands one result to every call.
+    k = len(coeffs)
+    terms = list(initials)
+    while len(terms) < 2 * k:
+        terms.append(sum(map(mul, coeffs, reversed(terms[-k:]))))
+    m = [[terms[i + l + s] for l in support] for i in support]
+    live, pivots, prev = list(range(len(support))), [], 1
+    while (p := next((i for i in live if m[i][i]), None)) is not None:
+        row, d = m[p], m[p][p]
+        cols = tuple(l for l in live if row[l])
+        pivots.append((cols, tuple(row[l] for l in cols), prev, d))
+        live.remove(p)
+        for a, i in enumerate(live):
+            mi = m[i]
+            for l in live[a:]:
+                mi[l] = m[l][i] = (d * mi[l] - row[i] * row[l]) // prev
+        prev = d
+    rest = ((i, tuple((l, m[i][l]) for l in live if m[i][l])) for i in live)
+    return tuple(pivots[::-1]), tuple((i, row) for i, row in rest if row)
 
 
 def _fold_taps(prod: list, k: int, taps: list, modulus: int | None) -> list:
@@ -474,11 +536,14 @@ def eval_fast(
     Exact: k(k+1)/2 coefficient products per bit of n for order k; from
     order 3, once the coefficients have max(2048, 128k) bits, 2k - 1
     big-int squares per bit by evaluation and interpolation instead. Then
-    a fold visiting only the nonzero coefficients; modular orders 1 and 2
-    square and fold as exact mode does below the cutover. Modular from
-    order 3: one big-int square per bit, of k packed slots of
-    2 bits(p) + bits(2k) bits or more, plus a fold by the nonzero taps (at
-    most max(2, k // 10)) or by k products with packed rows.
+    a fold visiting only the nonzero coefficients. With int coefficients
+    and initials, the last bit at orders 1 and 2 or past that cutover is
+    k squares of the widest coefficients and k^2 small-by-big products,
+    a quadratic form in the recurrence's first 2k terms, with no fold.
+    Modular orders 1 and 2 square and fold as exact mode does below the
+    cutover. Modular from order 3: one big-int square per bit, of k packed
+    slots of 2 bits(p) + bits(2k) bits or more, plus a fold by the nonzero
+    taps (at most max(2, k // 10)) or by k products with packed rows.
     method="matrix" selects the companion-matrix implementation instead of
     polynomial powering.
     """

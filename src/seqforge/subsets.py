@@ -138,7 +138,7 @@ def is_beta_zeckendorf(s: Subset, beta: int) -> bool:
 
 
 def _passes(elems: tuple, cond: Condition) -> bool:
-    # Hot path shared by matches/count/enumerate; elems must be sorted.
+    # Hot path shared by count and enumerate; elems must be sorted.
     k = len(elems)
     if k < cond.min_size:
         return False
@@ -159,15 +159,6 @@ def _passes(elems: tuple, cond: Condition) -> bool:
             if want is not None and g & 1 != want:
                 return False
     return True
-
-
-def matches(s: Subset, cond: Condition, n: int) -> bool:
-    """True iff s, as a subset of {1..n}, satisfies every present clause."""
-    if s.elements and s.elements[-1] > n:
-        raise ValueError(f"malformed query: subset element {s.elements[-1]} exceeds n={n}")
-    if cond.forced_max is not None and cond.forced_max > n:
-        raise ValueError(f"malformed query: forced_max {cond.forced_max} exceeds n={n}")
-    return _passes(s.elements, cond)
 
 
 def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from seqforge.fasteval import EXACT, LinearRecurrence, _prepared, eval_fast
 from seqforge.identities import decimal_string
 from seqforge.recurrences import SequenceWindow, even_gap_family_size
+from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD
 
 
 def iter_subsets_raw(n):
@@ -43,6 +44,26 @@ def iter_subsets_raw(n):
 
 def gaps_of(elems):
     return tuple(b - a for a, b in zip(elems, elems[1:]))
+
+
+def matches(s, cond, n):
+    """True iff the Subset s, as a subset of {1..n}, satisfies every present
+    clause of cond, read clause by clause from its definition; an element
+    or forced_max above n is a malformed query (ValueError)."""
+    elems = s.elements
+    if elems and elems[-1] > n:
+        raise ValueError(f"malformed query: subset element {elems[-1]} exceeds n={n}")
+    if cond.forced_max is not None and cond.forced_max > n:
+        raise ValueError(f"malformed query: forced_max {cond.forced_max} exceeds n={n}")
+    gaps = gaps_of(elems)
+    parity = {GAP_ALL_ODD: 1, GAP_ALL_EVEN: 0}.get(cond.gap_parity)
+    return (
+        len(elems) >= cond.min_size
+        and (cond.forced_max is None or elems[-1:] == (cond.forced_max,))
+        and (cond.alpha is None or not elems or elems[0] >= cond.alpha * len(elems))
+        and (cond.beta is None or all(g >= cond.beta for g in gaps))
+        and (parity is None or all(g % 2 == parity for g in gaps))
+    )
 
 
 def brute_count(n, predicate):

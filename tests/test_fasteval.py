@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from seqforge import fasteval, schreier_zeckendorf_count, tail_recurrence_of
 from seqforge.fasteval import EXACT, EvalMode, LinearRecurrence, eval_fast
-from seqforge.recurrences import schreier_zeckendorf_seq
+from seqforge.formats import render_int
+from seqforge.recurrences import condition_count, schreier_zeckendorf_seq
+from seqforge.subsets import Condition
 
 from helpers import catalog_recurrence, eval_iterative, fib_mod, sz_branch_count
 
@@ -272,12 +274,15 @@ class TestToomSquaring:
             assert got == eval_fast(rec, n, method="matrix"), (rec, n)
 
     def test_family_at_the_cutover(self, monkeypatch):
+        # From n = 40,000 on, order 7, a Toom step comes before the last bit
+        # (the last reads the square as a quadratic form, _square_form).
         calls = spy(monkeypatch, "_toom_square")
         rec = tail_recurrence_of("schreier-zeckendorf", alpha=3, beta=4)
-        window = schreier_zeckendorf_seq(3, 4, 25_000)
-        for n in range(20_000, 25_001, 251):
+        window = schreier_zeckendorf_seq(3, 4, 50_000)
+        for n in range(40_000, 50_001, 503):
+            before = len(calls)
             assert eval_fast(rec, n) == window.term(n)
-        assert calls
+            assert len(calls) > before, n
 
     def test_order_two_and_narrow_powers_square_by_slices(self, monkeypatch):
         calls = spy(monkeypatch, "_toom_square")
@@ -319,6 +324,121 @@ class TestToomSquaring:
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+
+def hankel_value(r, coeffs, initials, s):
+    """sum(r_i r_l a_(i+l+s)) over the first 2k terms of the recurrence."""
+    k = len(coeffs)
+    terms = list(initials)
+    while len(terms) < 2 * k:
+        terms.append(sum(c * terms[-i] for i, c in enumerate(coeffs, start=1)))
+    return sum(ri * rl * terms[i + l + s] for i, ri in enumerate(r) for l, rl in enumerate(r))
+
+
+def wide_recurrence(rng, order, valid_from):
+    """Signed taps with |c_1| > 2 + sum(|c_i|, i >= 2) / 2, so by Rouche the
+    characteristic polynomial has one root of modulus above 2 and x^h mod
+    it has coefficients of more than about h bits."""
+    rest = [rng.randint(-3, 3) for _ in range(order - 1)]
+    if rest:
+        rest[-1] = rng.choice((-2, -1, 1, 2))
+    lead = rng.choice((-1, 1)) * (3 + sum(map(abs, rest)))
+    initials = [rng.randint(-9, 9) for _ in range(order)]
+    return LinearRecurrence((lead, *rest), tuple(initials), valid_from)
+
+
+class TestSquareForm:
+    """The last squaring of an exact int power is read as a_j = r^T H r
+    (fasteval._square_form), for the coefficients r of x^(j // 2) and the
+    Hankel matrix H of the first 2k terms: at orders 1 and 2 always, from
+    order 3 when the last step would square by Toom."""
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_random_recurrences_on_both_sides_of_the_cutover(self, order, monkeypatch):
+        calls = spy(monkeypatch, "_square_form")
+        rng = random.Random(f"square-form:{order}")
+        for valid_from in (-3, 2, 7):
+            rec = wide_recurrence(rng, order, valid_from)
+            # x^h has at most about 465 bits at h <= 100, more than 3000 at
+            # h >= 3000; the cutover is max(2048, 128k) bits.
+            for h, wide in ((rng.randint(8, 100), False), (rng.randint(3000, 4000), True)):
+                for n in (valid_from + 2 * h, valid_from + 2 * h + 1):
+                    before = len(calls)
+                    got = eval_fast(rec, n)
+                    assert got == eval_iterative(rec, n), (rec, n)
+                    assert got == eval_fast(rec, n, method="matrix"), (rec, n)
+                    assert len(calls) - before == (order < fasteval.MIN_TOOM_ORDER or wide), (rec, n)
+
+    def test_form_equals_the_hankel_sum(self):
+        # Any remainder r, with zeros, over singular and zero-pivot H alike.
+        rng = random.Random("hankel-form")
+        for _ in range(400):
+            order = rng.randint(1, 6)
+            coeffs = [rng.randint(-2, 2) for _ in range(order)]
+            coeffs[-1] = rng.choice((-1, 1, 2))
+            initials = [rng.randint(-2, 2) * rng.choice((0, 1)) for _ in range(order)]
+            r = [rng.randint(-(2**70), 2**70) * rng.choice((0, 1, 1)) for _ in range(order)]
+            for s in (False, True):
+                want = hankel_value(r, coeffs, initials, s)
+                assert fasteval._square_form(r, coeffs, initials, s) == want, (coeffs, initials, r, s)
+
+    def test_zero_leading_pivot(self):
+        # Fibonacci from (0, 1): H = [[0, 1], [1, 1]] at even j, so the
+        # elimination pivots on the second diagonal entry first.
+        pivots, rest = fasteval._hankel_form((1, 1), (0, 1), False, (0, 1))
+        assert [d for *_, d in pivots] == [-1, 1] and rest == ()
+        for n in (*range(2, 200), 10**4, 10**4 + 1, 3 * 10**4 + 1):
+            assert eval_fast(FIB, n) == eval_iterative(FIB, n), n
+
+    def test_block_with_no_nonzero_diagonal(self):
+        # a = 0, 1, 0, 1, ...: H = [[0, 1], [1, 0]] at even j has no pivot,
+        # and r^T H r = 2 r_0 r_1 comes from the product remainder.
+        assert fasteval._hankel_form((0, 1), (0, 1), False, (0, 1)) == ((), ((0, ((1, 1),)), (1, ((0, 1),))))
+        r = [3**50, -(5**40)]
+        assert fasteval._square_form(r, [0, 1], [0, 1], False) == 2 * r[0] * r[1]
+        rec = LinearRecurrence(coeffs=(0, 1), initials=(0, 1), valid_from=-4)
+        for n in (*range(-2, 40), 10**9, 10**9 + 1):
+            assert eval_fast(rec, n) == n % 2, n
+
+    def test_monomial_power_costs_one_square(self, monkeypatch):
+        # The even-gap shape: x^h mod x^2 - 2 is 2^(h // 2) x^(h % 2).
+        calls = spy(monkeypatch, "_hankel_form")
+        rec = LinearRecurrence(coeffs=(0, 2), initials=(1, 3))
+        for n in (2, 3, 10, 11, 10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3):
+            assert eval_fast(rec, n) == (1, 3)[n % 2] << n // 2, n
+        assert calls and {len(support) for *_, support in calls} == {1}
+        built = [fasteval._hankel_form(*args) for args in list(calls)]
+        assert {len(pivots) for pivots, _ in built} == {1}
+
+    def test_carried_count_prints_the_int_digits(self, monkeypatch):
+        # A Toom order-3 count of 165,500 bits, carried as integral Decimals.
+        calls = spy(monkeypatch, "_square_form")
+        n, cond = 300_000, Condition(alpha=1, beta=2)
+        carried = condition_count(n, cond, _decimal=True)
+        assert [type(args[0][0]) for args in calls] == [Decimal]
+        assert isinstance(carried, Decimal) and carried.as_tuple().exponent == 0
+        assert str(carried) == render_int(condition_count(n, cond))
+
+    def test_other_powers_never_build_the_form(self, monkeypatch):
+        modular = [FIB, LinearRecurrence((2,), (1,)), wide_recurrence(random.Random(1), 5, 3)]
+        residues = [eval_fast(rec, n) % MOD for rec in modular for n in (50, 10**5, 10**5 + 1)]
+        calls = [spy(monkeypatch, name) for name in ("_square_form", "_hankel_form")]
+        fractions = LinearRecurrence(
+            coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7)), initials=(1, 2, 3)
+        )
+        assert eval_fast(fractions, 3000) == eval_iterative(fractions, 3000)
+        # Int taps past the cutover, but a Fraction initial: the Toom step
+        # runs to the end.
+        half = LinearRecurrence(coeffs=(3, 1, 1), initials=(Fraction(1, 2), 0, 1))
+        assert eval_fast(half, 20_001) == eval_iterative(half, 20_001)
+        # Narrow powers of order 3 and up square by slices to the end.
+        periodic = LinearRecurrence(coeffs=(0, 0, 0, 1), initials=(5, -6, 7, 8))
+        assert eval_fast(periodic, 10**9 + 2) == 7
+        sz = tail_recurrence_of("schreier-zeckendorf", alpha=3, beta=4)
+        assert eval_fast(sz, 1001) == sz_branch_count(3, 4, 1001)
+        got = [eval_fast(rec, n, EvalMode(MOD)) for rec in modular for n in (50, 10**5, 10**5 + 1)]
+        assert got == residues
+        assert calls == [[], []]
 
 
 PACKED_MODULI = [2, 3, 97, 1_000_000_007, 2**61 - 1, 2**64, 2**127 - 1]

@@ -16,10 +16,9 @@ from seqforge.subsets import (
     enumerate_subsets,
     is_alpha_schreier,
     is_beta_zeckendorf,
-    matches,
 )
 
-from helpers import brute_count, gaps_of, iter_subsets_raw
+from helpers import brute_count, gaps_of, iter_subsets_raw, matches
 
 subset_elems = st.lists(st.integers(min_value=1, max_value=40), unique=True, max_size=8)
 
