@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import re
 import sys
@@ -207,6 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_tokens(command: str, path: str) -> list[str]:
     # The config file's values as --flag=value tokens. Numbers keep their
     # literal text, so the flag's type reads them exactly; null is unset.
+    # json is imported only where a command reads or writes it.
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh, parse_float=str)
@@ -365,6 +367,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = [r for r in results if isinstance(r, IdentityReport)]
 
     if args.fmt == "json":
+        import json
+
         payload = {"schema": 1, "reports": [_report_json(r) for r in reports]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -391,6 +395,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
     rec = report.found
     if args.fmt == "json":
+        import json
+
         payload = {
             "schema": 1,
             "order": rec.order,

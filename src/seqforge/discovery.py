@@ -10,23 +10,18 @@ down their own order are reported inconclusive rather than guessed at.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .fasteval import LinearRecurrence, _check_rational
 from .recurrences import schreier_zeckendorf_seq
-
-if TYPE_CHECKING:
-    from fractions import Fraction  # imported where used: it imports decimal
+from .subsets import _Value
 
 # A concluded order L must be backed by at least 2L + margin prefix terms.
 BM_SAFETY_MARGIN = 2
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(_Value):
     """Outcome of a discovery run.
 
     found is None when the prefix was inconclusive (note says why);
@@ -34,10 +29,15 @@ class RecurrenceReport:
     and minimal records that no shorter recurrence fits the same prefix.
     """
 
-    found: LinearRecurrence | None
-    verified_upto: int
-    minimal: bool
-    note: str = ""
+    __slots__ = __match_args__ = ("found", "verified_upto", "minimal", "note")
+
+    def __init__(
+        self, found: LinearRecurrence | None, verified_upto: int, minimal: bool, note: str = ""
+    ) -> None:
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "verified_upto", verified_upto)
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "note", note)
 
 
 def _inconclusive(start_index: int, note: str) -> RecurrenceReport:

@@ -33,13 +33,12 @@ implementation for differential testing. No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import mod, mul
 
-from .subsets import BigCount
+from .subsets import BigCount, _Value
 
 
 def _check_rational(values, what: str) -> None:
@@ -51,8 +50,7 @@ def _check_rational(values, what: str) -> None:
             raise ValueError(f"{what} {i} is a {type(v).__name__}, not an exact rational")
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(_Value):
     """a(n) = sum(coeffs[i-1] * a(n-i) for i in 1..order), for every index
     n >= valid_from + order; initials[j] is the value at valid_from + j.
 
@@ -63,13 +61,11 @@ class LinearRecurrence:
     is a ValueError.
     """
 
-    coeffs: tuple
-    initials: tuple
-    valid_from: int = 0
+    __slots__ = __match_args__ = ("coeffs", "initials", "valid_from")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
-        initials = tuple(self.initials)
+    def __init__(self, coeffs: tuple, initials: tuple, valid_from: int = 0) -> None:
+        coeffs = tuple(coeffs)
+        initials = tuple(initials)
         _check_rational(coeffs, "coefficient")
         _check_rational(initials, "initial")
         if not coeffs:
@@ -83,25 +79,25 @@ class LinearRecurrence:
             raise ValueError("trailing coefficient must be nonzero (minimal-order form)")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "initials", initials)
+        object.__setattr__(self, "valid_from", valid_from)
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class EvalMode:
+class EvalMode(_Value):
     """Exact big-integer arithmetic when modulus is None, else mod modulus."""
 
-    modulus: int | None = None
+    __slots__ = __match_args__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus is None:
-            return
-        if not isinstance(self.modulus, int) or isinstance(self.modulus, bool):
-            raise ValueError(f"modulus must be an int, got {type(self.modulus).__name__}")
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2 when present")
+    def __init__(self, modulus: int | None = None) -> None:
+        if modulus is not None:
+            if not isinstance(modulus, int) or isinstance(modulus, bool):
+                raise ValueError(f"modulus must be an int, got {type(modulus).__name__}")
+            if modulus < 2:
+                raise ValueError("modulus must be >= 2 when present")
+        object.__setattr__(self, "modulus", modulus)
 
     def reduce(self, value: int) -> int:
         return value if self.modulus is None else value % self.modulus
@@ -176,6 +172,8 @@ class _DecimalMode(EvalMode):
     """Exact, but an int power that will end wide moves to integral
     Decimals, and eval_fast returns a Decimal; for use inside
     _exact_context only (recurrences.condition_count, for the CLI)."""
+
+    __slots__ = ()
 
 
 _DECIMAL = _DecimalMode()

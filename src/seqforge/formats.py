@@ -9,10 +9,9 @@ term at a time; format_window joins what it writes.
 
 from __future__ import annotations
 
-import json
 import re
+from collections.abc import Iterable
 from itertools import count, islice
-from typing import Iterable
 
 from .fasteval import STR_MAX_BITS, _exact_context
 from .recurrences import SequenceWindow
@@ -142,6 +141,8 @@ def _write_window(write, fmt: str, name: str, offset: int, last: int, digits: It
         # which escapes the name. The terms are digit strings that need no
         # escaping, so they are written here, in about half the encoder's
         # time: the header and the opening bracket go onto the first term.
+        import json  # only this format needs it
+
         head = json.dumps({"schema": 1, "family": name, "offset": offset}, indent=2)
         head = head[:-2] + ',\n  "terms": '  # without the closing "\n}"
         digits = iter(digits)

@@ -8,9 +8,8 @@ strings are produced only for rendering, never for comparison.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable
 
 from .recurrences import FAMILIES, _series
 from .subsets import (
@@ -18,6 +17,7 @@ from .subsets import (
     GAP_ALL_ODD,
     Condition,
     Subset,
+    _Value,
     check_enum_limit,
     count_subsets,
     enumerate_subsets,
@@ -25,26 +25,28 @@ from .subsets import (
     is_beta_zeckendorf,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction  # imported where used: it imports decimal
-
-
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Value):
     """Result of sweeping one identity over an index interval.
 
     first_counterexample is (index, lhs, rhs) for the earliest mismatch;
     passed is true exactly when it is absent.
     """
 
-    identity_id: str
-    range_checked: tuple[int, int]
-    passed: bool
-    first_counterexample: tuple | None = None
+    __slots__ = __match_args__ = ("identity_id", "range_checked", "passed", "first_counterexample")
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.first_counterexample is None):
+    def __init__(
+        self,
+        identity_id: str,
+        range_checked: tuple[int, int],
+        passed: bool,
+        first_counterexample: tuple | None = None,
+    ) -> None:
+        if passed != (first_counterexample is None):
             raise ValueError("passed must mirror the absence of a counterexample")
+        object.__setattr__(self, "identity_id", identity_id)
+        object.__setattr__(self, "range_checked", range_checked)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_counterexample", first_counterexample)
 
 
 def scan_identity(
@@ -64,6 +66,8 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
     Rounds half away from zero at sig_digits significant digits and trims
     trailing fractional zeros, so the text is a faithful prefix of the value.
     """
+    if sig_digits < 1:
+        raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
     from fractions import Fraction
 
     value = Fraction(value)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat, tee
 from math import comb
 from operator import add, mul, sub
-from typing import Iterator
 
 from .fasteval import (
     _CARRY_BITS,
@@ -26,19 +25,18 @@ from .fasteval import (
     _exact_context,
     eval_fast,
 )
-from .subsets import GAP_ALL_ODD, GAP_ANY, BigCount, Condition
+from .subsets import GAP_ALL_ODD, GAP_ANY, BigCount, Condition, _Value
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
+class SequenceWindow(_Value):
     """A contiguous run of exact terms; terms[i] is the value at offset + i."""
 
-    name: str
-    offset: int
-    terms: tuple[int, ...]
+    __slots__ = __match_args__ = ("name", "offset", "terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, name: str, offset: int, terms: tuple[int, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "terms", tuple(terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -460,7 +458,7 @@ def _count(n: int, cond: Condition, carry: bool) -> BigCount:
     below = classes(0, size)
     # A Decimal takes an int in quadratic time, so only a narrow one.
     carry = carry and below.bit_length() <= _CARRY_BITS
-    gf = _condition_parts(replace(cond, min_size=0, forced_max=None))
+    gf = _condition_parts(Condition(cond.alpha, cond.beta, cond.gap_parity))
     if top is None:  # the power is of the total plus ones
         rec, below = _gf_recurrence(gf), below + gf[3]
     else:

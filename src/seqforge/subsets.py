@@ -12,8 +12,7 @@ it yields is still checked against the clauses' definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 # Counts are exact and unbounded; Python ints never saturate or wrap.
 BigCount = int
@@ -31,11 +30,48 @@ class EnumerationLimitError(ValueError):
     """An exhaustive 2**n scan would exceed the configured limit."""
 
 
-@dataclass(frozen=True, init=False)
-class Subset:
+class _Value:
+    """Base of the package's immutable value classes, which behave as frozen
+    dataclasses would: equality between instances of one class, hash and
+    repr over the fields __match_args__ names, in order, and an
+    AttributeError on assigning or deleting a field. A subclass lists its
+    fields in __slots__ and __match_args__ and sets them in __init__ with
+    object.__setattr__. No dataclasses: it imports inspect, ast and more,
+    and writes each class's methods at import time."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses.
+        return self.__class__, self._values()
+
+
+class Subset(_Value):
     """A finite set of naturals >= 1, stored strictly increasing."""
 
-    elements: tuple[int, ...]
+    __slots__ = __match_args__ = ("elements",)
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
         elems = tuple(sorted(elements))
@@ -46,6 +82,16 @@ class Subset:
             if a == b:
                 raise ValueError(f"duplicate element {a} in subset")
         object.__setattr__(self, "elements", elems)
+
+    # The bijection check compares every subset it enumerates, so these two
+    # skip _Value's loop over the fields.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,31 +119,44 @@ def _trusted_subset(elems: tuple[int, ...]) -> Subset:
     return subset
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(_Value):
     """Conjunction of subset predicates; absent fields impose nothing.
 
     gap_parity constrains every consecutive gap; forced_max, when present,
-    requires the subset to contain exactly that maximum.
+    requires the subset to contain exactly that maximum. The int fields
+    take ints only: not a bool, a float or an int-like.
     """
 
-    alpha: int | None = None
-    beta: int | None = None
-    gap_parity: str = GAP_ANY
-    min_size: int = 0
-    forced_max: int | None = None
+    __slots__ = __match_args__ = ("alpha", "beta", "gap_parity", "min_size", "forced_max")
 
-    def __post_init__(self) -> None:
-        if self.alpha is not None and self.alpha < 1:
+    def __init__(
+        self,
+        alpha: int | None = None,
+        beta: int | None = None,
+        gap_parity: str = GAP_ANY,
+        min_size: int = 0,
+        forced_max: int | None = None,
+    ) -> None:
+        for name, value in (("alpha", alpha), ("beta", beta), ("forced_max", forced_max)):
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+        if type(min_size) is not int:
+            raise ValueError(f"min_size must be an int, got {type(min_size).__name__}")
+        if alpha is not None and alpha < 1:
             raise ValueError("alpha must be >= 1 when present")
-        if self.beta is not None and self.beta < 1:
+        if beta is not None and beta < 1:
             raise ValueError("beta must be >= 1 when present")
-        if self.gap_parity not in GAP_PARITIES:
+        if gap_parity not in GAP_PARITIES:
             raise ValueError(f"gap_parity must be one of {GAP_PARITIES}")
-        if self.min_size < 0:
+        if min_size < 0:
             raise ValueError("min_size must be >= 0")
-        if self.forced_max is not None and self.forced_max < 1:
+        if forced_max is not None and forced_max < 1:
             raise ValueError("forced_max must be >= 1 when present")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gap_parity", gap_parity)
+        object.__setattr__(self, "min_size", min_size)
+        object.__setattr__(self, "forced_max", forced_max)
 
     @property
     def least_gap(self) -> int:

@@ -280,6 +280,14 @@ class TestDecimalString:
     def test_precision_parameter(self):
         assert decimal_string(Fraction(2, 3), sig_digits=4) == "0.6667"
         assert decimal_string(Fraction(12345, 1), sig_digits=3) == "12300"
+        assert decimal_string(Fraction(2, 3), sig_digits=1) == "0.7"
+
+    @pytest.mark.parametrize("value", [Fraction(2, 3), Fraction(0), 7])
+    @pytest.mark.parametrize("sig_digits", [0, -1])
+    def test_no_significant_digits_is_refused(self, value, sig_digits):
+        # No digits is no rendering: not "0", which would misstate 2/3.
+        with pytest.raises(ValueError, match="sig_digits must be >= 1"):
+            decimal_string(value, sig_digits)
 
     @settings(max_examples=300)
     @given(

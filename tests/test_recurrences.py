@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from itertools import islice
 from math import comb
 
@@ -610,7 +609,7 @@ class TestConditionCount:
             data.draw(st.sampled_from(PARITIES)),
             data.draw(st.integers(0, 8)),
         )
-        forced = condition_count(n, replace(free, forced_max=m))
+        forced = condition_count(n, Condition(free.alpha, free.beta, free.gap_parity, free.min_size, m))
         assert forced == condition_count(m, free) - condition_count(m - 1, free)
 
     def test_at_most_one_power_per_count(self, monkeypatch):

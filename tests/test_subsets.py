@@ -65,6 +65,24 @@ class TestCondition:
         with pytest.raises(ValueError):
             Condition(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", 2.0),
+            ("beta", True),
+            ("min_size", 1.5),
+            ("min_size", None),
+            ("min_size", False),
+            ("forced_max", Fraction(3)),
+            ("forced_max", "3"),
+        ],
+    )
+    def test_int_fields_take_ints_only(self, field, value):
+        # Past the constructor, a float min_size would make the oracle count
+        # 1013 subsets of {1..10} for 1.5 and the engine fail inside islice.
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {type(value).__name__}$"):
+            Condition(**{field: value})
+
 
 class TestDifferenceSet:
     def test_empty(self):
