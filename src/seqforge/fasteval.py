@@ -38,7 +38,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import mod, mul
 
-from .subsets import BigCount, _Value
+from .subsets import BigCount, _need_int, _Value
 
 
 def _check_rational(values, what: str) -> None:
@@ -77,6 +77,7 @@ class LinearRecurrence(_Value):
             )
         if coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero (minimal-order form)")
+        _need_int("valid_from", valid_from)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "initials", initials)
         object.__setattr__(self, "valid_from", valid_from)
@@ -547,6 +548,7 @@ def eval_fast(
     """
     if method not in ("poly", "matrix"):
         raise ValueError('method must be "poly" or "matrix"')
+    _need_int("n", n)
     j, coeffs, initials = _prepared(rec, n, mode)
     k = rec.order
     if j < k:

@@ -25,7 +25,7 @@ from .fasteval import (
     _exact_context,
     eval_fast,
 )
-from .subsets import GAP_ALL_ODD, GAP_ANY, BigCount, Condition, _Value
+from .subsets import GAP_ALL_ODD, BigCount, Condition, _need_int, _Value
 
 
 class SequenceWindow(_Value):
@@ -117,6 +117,7 @@ def family_spec(family: str, last: int, **params: int) -> tuple:
         if params[name] < least:
             raise ValueError(f"{name} must be >= {least}")
         values.append(params[name])
+    _need_int("last", last)
     if last < first:
         raise ValueError(f"last must be >= {first}")
     if last >= sys.maxsize:  # islice stops there
@@ -161,19 +162,20 @@ def _move_down(c: BigCount, top: int, j: int, new_top: int) -> BigCount:
     return c
 
 
-def _size_classes(n: int, first: int, alpha: int, gap: int, parity: bool) -> Iterator[BigCount]:
+def _size_classes(n: int, first: int, alpha: int, gap: int, step: int) -> Iterator[BigCount]:
     # c_k, the number of k-subsets of {1..n} whose minimum is at least
-    # max(1, alpha*k) (alpha = 0 when unset) and whose gaps are at least
-    # gap, or gap + 2h (h >= 0) under a parity, for k = first, first + 1,
-    # ... while any exist. The minimum's excess over its bound, the k - 1
-    # gap excesses and the slack n - max sum to rest. Without a parity any
-    # split counts: c_k = C(rest+k, k). Under one the gap excesses sum to an
-    # even 2H; C(H+k-2, k-2) gap lists share each H, each leaving
-    # rest - 2H + 1 places for the minimum, and the sum over H <= rest//2
-    # telescopes (hockey stick) to c_k = (rest+1) C(a, k-1) - 2(k-1) C(a, k),
-    # a = rest//2 + k - 1. From one k to the next rest falls by
-    # d = alpha + gap, so each binomial follows from the last by about d
-    # small multiplies and divides (_move_down) rather than afresh.
+    # max(1, alpha*k) (alpha = 0 when unset) and whose gaps are gap + q t
+    # (q = step, t >= 0), for k = first, first + 1, ... while any exist.
+    # The minimum's excess, the k - 1 gap excesses (multiples of q) and the
+    # slack n - max sum to rest: c_k = [x^rest] 1/((1-x)^2 (1-x^q)^(k-1)),
+    # that is Phi^2 / (1-x^q)^(k+1), Phi = 1 + ... + x^(q-1). With
+    # (a, j) = divmod(rest, q), Phi^2 reaches x^rest twice, and by Pascal
+    #     c_k = (j+1) C(a+k, k) + (q-1-j) C(a+k-1, k)
+    #         = q C(a+k-1, k) + (j+1) C(a+k-1, k-1),
+    # C(rest+k, k) at q = 1, read there without its unit multiplies: one
+    # small multiply and divide per class from the tracked C(a+k-1, k-1).
+    # rest falls by d = alpha + gap per class, so the next one follows by
+    # about d/q more (_move_down), not afresh.
     if first == 0:
         yield 1
     k = max(first, 1)
@@ -181,28 +183,18 @@ def _size_classes(n: int, first: int, alpha: int, gap: int, parity: bool) -> Ite
     rest = n - max(1, alpha * k) - gap * (k - 1)
     if rest < 0:
         return
-    if not parity:
-        top = rest + k
-        c = comb(top, k)
-        while True:
-            yield c
-            rest -= d
-            if rest < 0:
-                return
-            c = _move_down(c * (top - k) // (k + 1), top, k + 1, top - d + 1)
-            k, top = k + 1, top - d + 1
-    a = rest // 2 + k - 1
-    below = comb(a, k - 1)  # C(a, k-1)
+    a, j = divmod(rest, step)
+    below = comb(a + k - 1, k - 1)  # C(a+k-1, k-1)
     while True:
-        at = below * (a - k + 1) // k  # C(a, k)
-        yield (rest + 1) * below - 2 * (k - 1) * at
+        at = below * a // k  # C(a+k-1, k)
+        yield at + below if step == 1 else step * at + (j + 1) * below
         rest -= d
         if rest < 0:
             return
-        next_a = rest // 2 + k
-        # The next class needs C(next_a, k); a grows by at most one (d = 1),
-        # and then Pascal's rule gives it.
-        below = at + below if next_a > a else _move_down(at, a, k, next_a)
+        next_a, j = divmod(rest, step)
+        # The next top, next_a + k, is above a + k - 1 only when a is
+        # unchanged (d < q), and then Pascal's rule gives C(a+k, k).
+        below = at + below if next_a == a else _move_down(at, a + k - 1, k, next_a + k)
         k, a = k + 1, next_a
 
 
@@ -221,10 +213,10 @@ def min_size_odd_gap_count(n: int, k: int) -> BigCount:
 
 # --- counting by rational generating function ---------------------------------
 # Polynomials are int coefficient lists, lowest degree first. The series
-# takes a generating function in factors, (lead, P, taps, ones, pluses):
-# x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 - sum of c x^j over taps
-# {j: c}, P an iterable of coefficients read lazily, so a long P costs
-# only the terms that are read.
+# takes a generating function in factors, (lead, P, taps, ones, pluses, q):
+# x^lead P / ((1-x)^ones Phi^pluses R), Phi = 1 + x + ... + x^(q-1) and
+# R = 1 - sum of c x^j over taps {j: c}, P an iterable of coefficients
+# read lazily, so a long P costs only the terms that are read.
 
 # Up to this many running sums are nested accumulate passes, which run in
 # C but recurse one level deeper per pass on every term (the C stack gives
@@ -249,24 +241,24 @@ def _condition_parts(cond: Condition) -> tuple:
     # parts for each series.
     if cond.forced_max is not None:
         raise ValueError("forced_max has no generating function here; take a difference")
-    parity = cond.gap_parity != GAP_ANY
+    q = cond.gap_step
     h = (cond.alpha or 0) + cond.least_gap
     s = max(cond.min_size, 1)
     m = (cond.alpha or 1) + h * (s - 1)
-    taps = {2 if parity else 1: 1}  # E = D - x^h
+    taps = {q: 1}  # E = D - x^h
     taps[h] = taps.get(h, 0) + 1
-    if cond.min_size == 0 and not parity:  # (1 + x^m + ... + x^(h-1)) / E
-        zeros, run = (min(j, sys.maxsize) for j in (m - 1, h - m))  # as in _series
-        return 0, chain((1,), repeat(0, zeros), repeat(1, run)), taps, 0, 0
-    if cond.min_size == 0:  # (x^m (1+x) + E) / ((1-x) E)
-        p = {0: 1}
-        for j, c in ((2, -1), (h, -1), (m, 1), (m + 1, 1)):
-            p[j] = p.get(j, 0) + c
-        top = max(j for j, c in p.items() if c)
-        return 0, (p.get(j, 0) for j in range(top + 1)), taps, 1, 0
-    if parity and s == 1:  # x^m (1+x) / ((1-x) E)
-        return m, (1, 1), taps, 1, 0
-    return m, (1,), taps, s, s - 2 if parity else 0  # x^m / ((1-x)^s (1+x)^(s-2) E)
+    if s >= 2:  # x^m / ((1-x)^s Phi^(s-2) E)
+        return m, (1,), taps, s, s - 2, q
+    if cond.min_size == 1:  # x^m Phi / ((1-x) E)
+        return m, (1,) * q, taps, 1, 0, q
+    p = {0: 1}  # (x^m Phi + E) / ((1-x) E)
+    for j, c in ((q, -1), (h, -1), *((m + i, 1) for i in range(q))):
+        p[j] = p.get(j, 0) + c
+    top = max(j for j, c in p.items() if c)
+    p, ones = map(p.get, range(top + 1), repeat(0)), 1
+    if q == 1:  # P(1) = q - 1 = 0: its running sums are P / (1-x)
+        p, ones = islice(accumulate(p), min(top, sys.maxsize)), 0  # as in _series
+    return 0, p, taps, ones, 0, q
 
 
 def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -277,10 +269,10 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     each part has a rational generating function (the sequence construction
     of Flajolet & Sedgewick, Analytic Combinatorics, I.4): the minimum is at
     least alpha*k, giving x^(alpha k)/(1-x), or at least 1 without alpha; a
-    gap is at least g = cond.least_gap, G = x^g/D with D = 1 - x, or
-    D = 1 - x^2 = (1-x)(1+x) under a gap parity; the slack is 1/(1-x).
-    Summing the sizes k >= s = max(min_size, 1) is a geometric series in
-    H = x^alpha G:
+    gap is g, g + q, g + 2q, ..., with g = cond.least_gap and stride
+    q = cond.gap_step, giving G = x^g/D with D = 1 - x^q = (1-x) Phi,
+    Phi = 1 + x + ... + x^(q-1); the slack is 1/(1-x). Summing the sizes
+    k >= s = max(min_size, 1) is a geometric series in H = x^alpha G:
 
         1/(1-x) * ([min_size = 0] + F/(1-x) * H^(s-1) / (1 - H)),
 
@@ -289,41 +281,42 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     x^m D, m = (alpha or 1) + h(s-1), plus (1-x) E when min_size = 0.
     Cancelling the factors of D and 1 - x that both share leaves
 
-        min_size = 0:  (1 + x^m + ... + x^(h-1)) / E,
-                       or (x^m (1+x) + E) / ((1-x) E) under a parity;
-        min_size >= 1: x^m / ((1-x)^s E),
-                       or x^m / ((1-x)^s (1+x)^(s-2) E) under a parity,
-                       read as x^m (1+x) / ((1-x) E) when s = 1.
+        min_size >= 2: x^m / ((1-x)^s Phi^(s-2) E),
+        min_size = 1:  x^m Phi / ((1-x) E),
+        min_size = 0:  (x^m Phi + E) / ((1-x) E), whose numerator is q - 1
+                       at 1: at q = 1 it is (1 + x^m + ... + x^(h-1)) / E.
 
-    That is lowest terms. E is prime to x, to 1 - x (E(1) = -1) and to 1 + x
-    (E(-1) is 2 - (-1)^h, or -(-1)^h under a parity), and to every P: mod E
-    the numerator before cancelling is x^m D, prime to E. Of 1 -+ x, no
-    numerator above shares one with its Q. The order of Q is then the order
-    of the minimal recurrence of the counts (Stanley, Enumerative
-    Combinatorics 1, ch. 4). forced_max is not a clause of the sum; count it
-    as the difference of two counts (condition_count).
+    That is lowest terms. E is prime to x, to 1 - x (E(1) = -1), to Phi
+    (E(w) = -w^h, not 0, at each q-th root of unity w other than 1), and to
+    every P: the numerator before cancelling is x^m D = x^(m+h) mod E. No
+    numerator above shares 1 - x or Phi with its Q: Phi(1) = q, and the
+    quotient at q = 1 is h + 1 - m > 0 at 1. The order of Q is then the
+    order of the minimal recurrence of the counts (Stanley, Enumerative
+    Combinatorics 1, ch. 4). forced_max is not a clause of the sum; count
+    it as the difference of two counts (condition_count).
     """
-    lead, p, taps, ones, pluses = _condition_parts(cond)
-    q = [1] + [0] * max(taps)  # Q = (1-x)^ones (1+x)^pluses R
+    lead, p, taps, ones, pluses, q = _condition_parts(cond)
+    den = [1] + [0] * max(taps)  # Q = (1-x)^ones Phi^pluses R
     for j, c in taps.items():
-        q[j] -= c
-    for factor, times in (([1, -1], ones), ([1, 1], pluses)):
+        den[j] -= c
+    for factor, times in (([1, -1], ones), ([1] * q, pluses)):
         for _ in range(times):
-            q = _poly_mul(q, factor)
-    return (0,) * lead + tuple(p), tuple(q)
+            den = _poly_mul(den, factor)
+    return (0,) * lead + tuple(p), tuple(den)
 
 
 def _gf_recurrence(gf: tuple, start: int = 0, differences: bool = False) -> LinearRecurrence:
     # The recurrence of E, the R of a generating function in factors
     # x^lead P / ((1-x)^ones E), order k = deg E, read from its series t at
-    # start .. start + k. It needs ones <= 1, no 1 + x, a proper fraction,
+    # start .. start + k. It needs ones <= 1, no Phi, a proper fraction,
     # and P(1) = -E(1) when ones = 1, as every min_size-free condition has
-    # (P(1) = 1, E(1) = -1). Then the partial fractions (Stanley, EC1 4.1)
-    # are A/(1-x) + N/E, A = P(1)/E(1) = -ones and deg N < k, so t_i + ones
+    # (ones = 1 at q = 2: P(1) = q - 1, E(1) = -1). Then the partial
+    # fractions (Stanley, EC1 4.1) are A/(1-x) + N/E,
+    # A = P(1)/E(1) = -ones and deg N < k, so t_i + ones
     # is [x^i] N/E from i = 0 on. With differences the recurrence is of
     # t_i - t_(i-1) from i = start + 1: (1-x) times the generating function
     # is a fraction over E whose numerator has degree at most k.
-    _, _, taps, ones, _ = gf
+    _, _, taps, ones, _, _ = gf
     k = max(taps)
     coeffs = tuple(taps.get(j, 0) for j in range(1, k + 1))
     terms = [t + ones for t in islice(_series(*gf), start, start + k + 1)]
@@ -335,7 +328,7 @@ def _gf_recurrence(gf: tuple, start: int = 0, differences: bool = False) -> Line
 def _order_gf(n: int, sums: int) -> tuple:
     # x / ((1-x)^sums (1 - x - x^n)) in factors: the order-n Fibonacci
     # analogue accumulated sums times; n = 2 is Fibonacci (sums 0) and H (2).
-    return 1, (1,), {1: 1, n: 1}, sums, 0
+    return 1, (1,), {1: 1, n: 1}, sums, 0, 1
 
 
 def _running_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
@@ -355,11 +348,11 @@ def _flat_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
         yield sums[-1]
 
 
-def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterator[BigCount]:
-    """The coefficients of x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 -
-    sum of c x^j over taps {j: c}, one at a time and without end. taps is
-    not empty and pluses <= ones, as every generating function in factors
-    built here has (_order_gf, _condition_parts).
+def _series(lead: int, p, taps: dict, ones: int, pluses: int, q: int) -> Iterator[BigCount]:
+    """The coefficients of x^lead P / ((1-x)^ones Phi^pluses R), Phi = 1 + x
+    + ... + x^(q-1) and R = 1 - sum of c x^j over taps {j: c}, one at a
+    time and without end. taps is not empty and pluses <= ones, as every
+    generating function in factors built here has (_order_gf, _condition_parts).
 
     The series of P/R is a_i = p_i + c_1 a_{i-1} + ... + c_d a_{i-d}, with
     a_i = 0 for i < 0: a map over copies of the stream itself, one per tap,
@@ -368,8 +361,8 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
     one-shot generator, so that the copies exist by then, and every term
     runs in C. The copies read what the stream has already yielded, so it
     holds only its last d terms, give or take one of tee's small blocks.
-    Each pair of factors (1-x)(1+x) = 1 - x^2 is then a running sum over
-    the even terms and one over the odd, and each other 1 - x is a running
+    Each pair (1-x) Phi = 1 - x^q is then q interleaved running sums, one
+    over the terms at each residue mod q, and each other 1 - x is a running
     sum. The lead zeros come first, so reading them runs none of this. A
     lead or lag longer than sys.maxsize, past which islice reads nothing,
     is cut to it: exact below it.
@@ -384,22 +377,20 @@ def _series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterato
 
     stream, *copies = tee(chain.from_iterable(terms()), len(taps) + 1)
     if pluses:
-        even, odd = tee(stream)
-        stream = chain.from_iterable(zip(
-            _running_sums(islice(even, 0, None, 2), pluses),
-            _running_sums(islice(odd, 1, None, 2), pluses),
-        ))
+        stream = chain.from_iterable(zip(*(
+            _running_sums(islice(lane, i, None, q), pluses) for i, lane in enumerate(tee(stream, q))
+        )))
     return chain(repeat(0, min(lead, sys.maxsize)), _running_sums(stream, ones - pluses))
 
 
-def _decimal_series(lead: int, p, taps: dict, ones: int = 0, pluses: int = 0) -> Iterator[BigCount]:
+def _decimal_series(lead: int, p, taps: dict, ones: int, pluses: int, q: int) -> Iterator[BigCount]:
     # _series with P fed as Decimals, for the CLI. Read in
     # fasteval._exact_context, every term from the first nonzero one on is
     # an integral Decimal whose str() takes linear time. The series is lazy,
     # so it must be read inside the context, not only built there.
     from decimal import Decimal
 
-    return _series(lead, map(Decimal, p), taps, ones, pluses)
+    return _series(lead, map(Decimal, p), taps, ones, pluses, q)
 
 
 def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCount:
@@ -413,10 +404,10 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     come off that total. When the classes from min_size up are no more
     than those below it, or than the order (as for every n below that
     order), they are summed instead. A size bound is not put into the
-    generating function, as its order grows by about one (two under a
-    parity) per unit of min_size: alpha = 2, min_size = 3 at n = 10^6 is
-    order 6 and 584 ms that way, against order 3 plus three classes in
-    166 ms. Fixing the maximum at m is the count at m less that at m - 1:
+    generating function, as its order grows by about q, the stride of the
+    allowed gaps, per unit of min_size: alpha = 2, min_size = 3 at
+    n = 10^6 is order 6 and 584 ms that way, against order 3 plus three
+    classes in 166 ms. Fixing the maximum at m is the count at m less that at m - 1:
     the differences of the totals follow the same recurrence, so it is
     still one power, and only the size classes are summed at both.
 
@@ -425,6 +416,7 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     fasteval._exact_context, whose str() takes linear time (see
     fasteval._CARRY_BITS). Every other caller gets an int.
     """
+    _need_int("n", n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if not _decimal or n < _CARRY_BITS:  # at most 2^n: too narrow to carry
@@ -437,8 +429,7 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
 
 def _count(n: int, cond: Condition, carry: bool) -> BigCount:
     # condition_count; with carry, a wide count may be an integral Decimal.
-    alpha, gap, size = cond.alpha or 0, cond.least_gap, cond.min_size
-    parity = cond.gap_parity != GAP_ANY
+    alpha, gap, step, size = cond.alpha or 0, cond.least_gap, cond.gap_step, cond.min_size
     top = cond.forced_max
     if top is not None:
         if top > n:
@@ -448,7 +439,7 @@ def _count(n: int, cond: Condition, carry: bool) -> BigCount:
 
     def classes(first: int, many: int | None = None) -> BigCount:
         # Up to many size classes from first on, at n, or at n less at n - 1.
-        at = [sum(islice(_size_classes(t, first, alpha, gap, parity), many)) for t in tops]
+        at = [sum(islice(_size_classes(t, first, alpha, gap, step), many)) for t in tops]
         return at[0] - sum(at[1:])
 
     # The largest k with rest >= 0 in _size_classes.

@@ -21,6 +21,8 @@ GAP_ANY = "any"
 GAP_ALL_ODD = "all_odd"
 GAP_ALL_EVEN = "all_even"
 GAP_PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
+# The gaps each parity allows are those = r mod q, keyed as (q, r).
+_GAP_CLASSES = {GAP_ANY: (1, 0), GAP_ALL_ODD: (2, 1), GAP_ALL_EVEN: (2, 0)}
 
 # 2**n work beyond this is refused unless the caller raises the limit.
 DEFAULT_ENUM_LIMIT = 30
@@ -28,6 +30,13 @@ DEFAULT_ENUM_LIMIT = 30
 
 class EnumerationLimitError(ValueError):
     """An exhaustive 2**n scan would exceed the configured limit."""
+
+
+def _need_int(name: str, value: object) -> None:
+    # An index or int field takes an int only, not a bool, a float or an
+    # int-like, which would pass the range checks and fail deep inside.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class _Value:
@@ -138,10 +147,9 @@ class Condition(_Value):
         forced_max: int | None = None,
     ) -> None:
         for name, value in (("alpha", alpha), ("beta", beta), ("forced_max", forced_max)):
-            if value is not None and type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-        if type(min_size) is not int:
-            raise ValueError(f"min_size must be an int, got {type(min_size).__name__}")
+            if value is not None:
+                _need_int(name, value)
+        _need_int("min_size", min_size)
         if alpha is not None and alpha < 1:
             raise ValueError("alpha must be >= 1 when present")
         if beta is not None and beta < 1:
@@ -159,13 +167,17 @@ class Condition(_Value):
         object.__setattr__(self, "forced_max", forced_max)
 
     @property
+    def gap_step(self) -> int:
+        """Stride q of the allowed gaps: 1, or 2 under a gap parity."""
+        return _GAP_CLASSES[self.gap_parity][0]
+
+    @property
     def least_gap(self) -> int:
-        """Smallest consecutive gap the condition allows: beta (1 when
-        unset), raised by one when the gap parity rules that value out."""
-        gap = self.beta or 1
-        if self.gap_parity != GAP_ANY and gap % 2 != (self.gap_parity == GAP_ALL_ODD):
-            gap += 1
-        return gap
+        """Smallest consecutive gap the condition allows: the least g >=
+        beta (1 when unset) in its class r mod q. The allowed gaps are then
+        least_gap + gap_step * t for t >= 0."""
+        q, r = _GAP_CLASSES[self.gap_parity]
+        return (self.beta or 1) + (r - (self.beta or 1)) % q
 
 
 def difference_set(s: Subset) -> tuple[int, ...]:
@@ -221,6 +233,7 @@ def _passes(elems: tuple, cond: Condition) -> bool:
 
 
 def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
+    _need_int("n", n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if cond.forced_max is not None and cond.forced_max > n:
@@ -245,20 +258,20 @@ def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
     # its minimum, so a node precedes its subtree and the subtree of a
     # smaller extension precedes that of a larger one.
     #
-    # Pruning is sound because the alpha, beta and parity clauses survive
-    # dropping the minimum: if S passes them, so does S less min(S) (its
-    # minimum grows, its size shrinks and its gaps are a subset of S's).
-    # Every descendant of a node has the node as its top part, so a node
-    # that fails one of those clauses has no matching descendant. Hence a
-    # node with minimum m and size k is only extended by an e that keeps
-    # them: m - e >= beta (>= 1 unset), m - e of the parity (stride 2,
-    # aligned), and e >= alpha * (k + 1); the top element must be
+    # Pruning is sound because the alpha and gap clauses survive dropping
+    # the minimum: if S passes them, so does S less min(S) (its minimum
+    # grows, its size shrinks and its gaps are a subset of S's). Every
+    # descendant of a node has the node as its top part, so a node that
+    # fails one of those clauses has no matching descendant. Hence a node
+    # with minimum m and size k is only extended by an e that keeps them:
+    # m - e = least_gap + gap_step * t for some t >= 0 (the stride is the
+    # gap clause's), and e >= alpha * (k + 1); the top element must be
     # forced_max when one is given. min_size is not pruned on. Every tuple
     # still goes through _passes, so what is yielded is matched by
     # definition; the cost is O(n) per subset that passes every clause
     # except min_size.
     alpha = cond.alpha or 0
-    step = 1 if cond.gap_parity == GAP_ANY else 2
+    step = cond.gap_step
     gap = cond.least_gap
     if _passes((), cond):
         yield ()

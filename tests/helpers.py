@@ -4,7 +4,7 @@ These deliberately avoid the library's own code paths: raw bitmask
 enumeration instead of the library's pruned search, hand-written term loops
 and a size-bucket DP instead of the generating-function series, a
 definitional weighted sum for the twice-accumulated Fibonacci values, a
-series that takes each factor 1 + x as a running sum between sign flips,
+series that divides out each factor 1 + x + ... + x^(q-1) term by term,
 straight iteration instead of fast recurrence evaluation, the catalog
 recurrences and the Schreier-Zeckendorf branch rule derived by hand instead
 of read from the generating functions, fast doubling for modular Fibonacci,
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, repeat, tee
+from itertools import accumulate, chain, repeat, tee
 from operator import add, mul
 from typing import NamedTuple
 
@@ -363,12 +363,13 @@ def truncated_product(a, b, count):
     ]
 
 
-def sign_trick_series(lead, p, taps, ones=0, pluses=0):
-    """The coefficients of x^lead P / ((1-x)^ones (1+x)^pluses R), R = 1 -
-    sum of c x^j over taps {j: c}, without end, as the library's series
-    read them before it took (1-x)(1+x) as 1 - x^2: a generator re-entered
-    per term feeds the tee'd copies of itself, and each 1 + x is a running
-    sum with the signs alternated before and after."""
+def sign_trick_series(lead, p, taps, ones, pluses, q):
+    """The coefficients of x^lead P / ((1-x)^ones Phi^pluses R), Phi = 1 + x
+    + ... + x^(q-1) and R = 1 - sum of c x^j over taps {j: c}, without end,
+    and without reading (1-x) Phi as 1 - x^q: a generator re-entered per
+    term feeds the tee'd copies of itself, and each Phi is divided out term
+    by term, b_i = a_i - b_(i-1) - ... - b_(i-q+1); at q = 2 that is the
+    sign trick, a running sum with the signs alternated before and after."""
 
     def terms():
         total = None
@@ -382,14 +383,19 @@ def sign_trick_series(lead, p, taps, ones=0, pluses=0):
         yield from chain(map(add, p, total), total)
 
     stream, *copies = tee(terms(), len(taps) + 1)
-    if pluses:
-        stream = map(mul, stream, cycle((1, -1)))
-        for _ in range(pluses):
-            stream = accumulate(stream)
-        stream = map(mul, stream, cycle((1, -1)))
+    for _ in range(pluses):
+        stream = _divided_by_phi(stream, q)
     for _ in range(ones):
         stream = accumulate(stream)
     return chain(repeat(0, lead), stream)
+
+
+def _divided_by_phi(stream, q):
+    last = [0] * (q - 1)  # b_(i-q+1) .. b_(i-1)
+    for a in stream:
+        b = a - sum(last)
+        last = (last + [b])[1:]
+        yield b
 
 
 def poly_gcd_degree(p, q):

@@ -48,6 +48,11 @@ class TestLinearRecurrence:
         with pytest.raises(ValueError):
             LinearRecurrence(coeffs=(), initials=())
 
+    @pytest.mark.parametrize("valid_from", [0.5, 1.0, True, Fraction(1), None])
+    def test_valid_from_takes_ints_only(self, valid_from):
+        with pytest.raises(ValueError, match=f"^valid_from must be an int, got {type(valid_from).__name__}$"):
+            LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=valid_from)
+
     @pytest.mark.parametrize("coeffs, initials, where", [
         ((1.5, 0.5), (1, 2), "coefficient 0 is a float"),
         ((1, 1), (0.5, 1), "initial 0 is a float"),
@@ -152,6 +157,11 @@ class TestEvalFast:
     def test_rejects_index_below_window(self):
         with pytest.raises(ValueError):
             eval_fast(FIB, -2)
+
+    @pytest.mark.parametrize("n", [2.0, True, Fraction(2), Decimal(2), "2"])
+    def test_index_takes_ints_only(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {type(n).__name__}$"):
+            eval_fast(FIB, n)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 from itertools import islice
 from math import comb
 
@@ -109,8 +110,10 @@ class TestSequenceWindow:
 
 
 # The generating functions in factors that _series reads: taps not empty
-# (SERIES_TAPS) and pluses <= ones (ones_and_pluses, drawn as (ones, pluses)).
+# (SERIES_TAPS) and pluses <= ones (ones_and_pluses, drawn as (ones, pluses)),
+# with a stride q of 1 to 4 (STRIDES).
 SERIES_TAPS = st.dictionaries(st.integers(1, 6), st.integers(-5, 5), min_size=1, max_size=3)
+STRIDES = st.integers(1, 4)
 
 
 def ones_and_pluses(most):
@@ -119,64 +122,67 @@ def ones_and_pluses(most):
 
 class TestSeries:
     @staticmethod
-    def denominator(taps, ones, pluses):
-        # (1 - sum of c x^j over taps) (1-x)^ones (1+x)^pluses, expanded.
-        q = [1] + [0] * max(taps)
+    def denominator(taps, ones, pluses, q):
+        # (1 - sum of c x^j over taps) (1-x)^ones (1 + x + ... + x^(q-1))^pluses,
+        # expanded.
+        den = [1] + [0] * max(taps)
         for j, c in taps.items():
-            q[j] -= c
-        for sign, times in ((-1, ones), (1, pluses)):
-            for _ in range(times):
-                q = [a + sign * b for a, b in zip(q + [0], [0] + q)]
-        return q
+            den[j] -= c
+        for _ in range(ones):
+            den = [a - b for a, b in zip(den + [0], [0] + den)]
+        for _ in range(pluses):
+            den = [sum(den[max(0, i - q + 1):i + 1]) for i in range(len(den) + q - 1)]
+        return den
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), max_size=6), SERIES_TAPS, ones_and_pluses(3))
-    def test_times_q_gives_p(self, lead, p, taps, counts):
+    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), max_size=6), SERIES_TAPS, ones_and_pluses(3), STRIDES)
+    def test_times_q_gives_p(self, lead, p, taps, counts, q):
         # Any x^lead P over any Q in factors: the series times the expanded
         # Q agrees with x^lead P term by term.
         ones, pluses = counts
-        q = self.denominator(taps, ones, pluses)
+        den = self.denominator(taps, ones, pluses, q)
         count = 40
-        terms = list(islice(_series(lead, p, taps, ones, pluses), count))
-        assert truncated_product(terms, q, count) == ([0] * lead + p + [0] * count)[:count]
+        terms = list(islice(_series(lead, p, taps, ones, pluses, q), count))
+        assert truncated_product(terms, den, count) == ([0] * lead + p + [0] * count)[:count]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), max_size=6), SERIES_TAPS, ones_and_pluses(6))
-    def test_matches_the_sign_trick(self, lead, p, taps, counts):
-        # Pairs of (1-x)(1+x) read as 1 - x^2 give the terms that a running
-        # sum between sign flips per 1 + x gives.
+    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), max_size=6), SERIES_TAPS, ones_and_pluses(6), STRIDES)
+    def test_matches_the_sign_trick(self, lead, p, taps, counts, q):
+        # Pairs of 1 - x and 1 + x + ... + x^(q-1) read as 1 - x^q give the
+        # terms that dividing by each factor in turn gives.
         ones, pluses = counts
         count = 40
-        terms = list(islice(_series(lead, p, taps, ones, pluses), count))
-        assert terms == list(islice(sign_trick_series(lead, p, taps, ones, pluses), count))
+        terms = list(islice(_series(lead, p, taps, ones, pluses, q), count))
+        assert terms == list(islice(sign_trick_series(lead, p, taps, ones, pluses, q), count))
 
     def test_past_the_nested_sums(self):
         # More running sums than are nested take the flat list of sums.
         ones, pluses = _NESTED_SUMS + 8, _NESTED_SUMS + 3
         taps = {1: 1, 3: -2}
-        q = self.denominator(taps, ones, pluses)
-        terms = list(islice(_series(2, (1, -1, 3), taps, ones, pluses), 60))
-        assert truncated_product(terms, q, 60) == [0, 0, 1, -1, 3] + [0] * 55
+        for q in (1, 2, 3):
+            den = self.denominator(taps, ones, pluses, q)
+            terms = list(islice(_series(2, (1, -1, 3), taps, ones, pluses, q), 60))
+            assert truncated_product(terms, den, 60) == [0, 0, 1, -1, 3] + [0] * 55, q
 
     def test_depth_beyond_the_c_stack(self):
         # 1/(1-x^2)^(b+1) = 1/((1-x^2) (1-x)^b (1+x)^b): 1, 0, b+1, 0,
         # C(b+2, 2). Nested passes this deep would overflow the C stack.
         b = 10**5
-        assert list(islice(_series(0, (1,), {2: 1}, b, b), 5)) == [1, 0, b + 1, 0, comb(b + 2, 2)]
+        assert list(islice(_series(0, (1,), {2: 1}, b, b, 2), 5)) == [1, 0, b + 1, 0, comb(b + 2, 2)]
 
     def test_every_generating_function_has_a_read_shape(self):
         # Every family, at its least parameters and larger ones, and every
         # condition without forced_max, has taps and no more pluses than ones.
         for family, row in FAMILIES.items():
             for extra in (0, 1, 3, 10):
-                _, _, taps, ones, pluses = row.gf(*(least + extra for _, least in row.bounds))
+                _, _, taps, ones, pluses, _ = row.gf(*(least + extra for _, least in row.bounds))
                 assert taps and pluses <= ones, (family, extra)
         for alpha in (None, 1, 2, 3):
             for beta in (None, 1, 2, 3):
                 for parity in PARITIES:
                     for min_size in range(5):
                         cond = Condition(alpha, beta, parity, min_size)
-                        _, _, taps, ones, pluses = _condition_parts(cond)
+                        _, _, taps, ones, pluses, _ = _condition_parts(cond)
                         assert taps and pluses <= ones, cond
 
 
@@ -266,6 +272,11 @@ class TestWindow:
         with pytest.raises(ValueError) as info:
             read(family, 5, **params)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("last", [5.0, True, Fraction(5), "5"])
+    def test_last_takes_ints_only(self, last):
+        with pytest.raises(ValueError, match=f"^last must be an int, got {type(last).__name__}$"):
+            window("fib", last)
 
 
 class TestFibonacci:
@@ -701,19 +712,18 @@ class TestConditionCount:
         # with no generating function of order about alpha + beta built.
         assert condition_count(10, cond) == count_subsets(10, cond) == want
 
-    @pytest.mark.parametrize("parity", [False, True])
-    def test_size_classes_follow_their_closed_forms(self, parity):
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_size_classes_follow_their_closed_forms(self, q):
         # The incremental binomial updates against each class's closed form
-        # computed afresh: C(rest+k, k), or under a parity the sum over
-        # the gap excess 2H of (rest - 2H + 1) gap-list choices.
+        # computed afresh: the sum over the gap excess qH of the
+        # C(H+k-2, k-2) gap lists times the rest - qH + 1 places left for
+        # the minimum.
         def closed(n, k, alpha, gap):
             if k == 0:
                 return 1
             rest = n - max(1, alpha * k) - gap * (k - 1)
-            if not parity:
-                return comb(rest + k, k)
             lists = (lambda h: comb(h + k - 2, k - 2)) if k > 1 else (lambda h: int(h == 0))
-            return sum((rest - 2 * h + 1) * lists(h) for h in range(rest // 2 + 1))
+            return sum((rest - q * h + 1) * lists(h) for h in range(rest // q + 1))
 
         n = 150
         for alpha in (0, 1, 3, 40):
@@ -721,12 +731,19 @@ class TestConditionCount:
                 largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
                 want = [closed(n, k, alpha, gap) for k in range(largest + 1)]
                 for first in (0, 1, 2, largest // 2, largest, largest + 1):
-                    got = list(_size_classes(n, first, alpha, gap, parity))
+                    got = list(_size_classes(n, first, alpha, gap, q))
                     assert got == want[first:], (alpha, gap, first)
 
     def test_rejects_bad_queries(self):
         with pytest.raises(ValueError):
             condition_count(-1, Condition())
+
+    @pytest.mark.parametrize("n", [5.0, True, Fraction(5), "5"])
+    @pytest.mark.parametrize("decimal", [False, True])
+    def test_n_takes_ints_only(self, n, decimal):
+        # True counted as n = 1 (2 subsets); 5.0 failed inside the engine.
+        with pytest.raises(ValueError, match=f"^n must be an int, got {type(n).__name__}$"):
+            condition_count(n, Condition(), _decimal=decimal)
         with pytest.raises(ValueError):
             condition_count(3, Condition(forced_max=4))
         with pytest.raises(ValueError):

@@ -22,6 +22,11 @@ from helpers import brute_count, gaps_of, iter_subsets_raw, matches
 
 subset_elems = st.lists(st.integers(min_value=1, max_value=40), unique=True, max_size=8)
 
+# Values that an index refuses: a bool passed the range checks and counted
+# as 0 or 1, and the others failed deep inside with a TypeError or an
+# AttributeError.
+NOT_INTS = [5.0, True, False, Fraction(5), "5", None]
+
 
 class TestSubset:
     def test_sorts_input(self):
@@ -82,6 +87,17 @@ class TestCondition:
         # 1013 subsets of {1..10} for 1.5 and the engine fail inside islice.
         with pytest.raises(ValueError, match=f"^{field} must be an int, got {type(value).__name__}$"):
             Condition(**{field: value})
+
+    @pytest.mark.parametrize("parity", [GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN])
+    @pytest.mark.parametrize("beta", [None, *range(1, 7)])
+    def test_gaps_are_a_least_gap_plus_a_stride(self, beta, parity):
+        # The gaps that matches, read from the clauses' definitions, accepts
+        # for {1, 1 + g}: the least is least_gap, and up to 20 they are
+        # exactly least_gap + gap_step * t.
+        cond = Condition(beta=beta, gap_parity=parity)
+        accepted = [g for g in range(1, 21) if matches(Subset([1, 1 + g]), cond, 1 + g)]
+        assert accepted[0] == cond.least_gap
+        assert accepted == list(range(cond.least_gap, 21, cond.gap_step))
 
 
 class TestDifferenceSet:
@@ -194,6 +210,11 @@ class TestCountSubsets:
         with pytest.raises(ValueError):
             count_subsets(-1, Condition())
 
+    @pytest.mark.parametrize("n", NOT_INTS)
+    def test_n_takes_ints_only(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {type(n).__name__}$"):
+            count_subsets(n, Condition())
+
     def test_rejects_forced_max_beyond_ambient(self):
         with pytest.raises(ValueError):
             count_subsets(5, Condition(forced_max=6))
@@ -214,6 +235,12 @@ class TestCountSubsets:
 
 
 class TestEnumerateSubsets:
+    @pytest.mark.parametrize("n", NOT_INTS)
+    def test_n_takes_ints_only(self, n):
+        # Refused when called, before the first subset is asked for.
+        with pytest.raises(ValueError, match=f"^n must be an int, got {type(n).__name__}$"):
+            enumerate_subsets(n, Condition())
+
     def test_spec_goldens(self):
         got = list(enumerate_subsets(2, Condition(gap_parity=GAP_ALL_EVEN, forced_max=2)))
         assert [s.elements for s in got] == [(2,)]
