@@ -15,7 +15,7 @@ from operator import mul
 
 from .fasteval import LinearRecurrence, _check_rational
 from .recurrences import schreier_zeckendorf_seq
-from .subsets import _Value
+from .subsets import _Value, _need_int
 
 # A concluded order L must be backed by at least 2L + margin prefix terms.
 BM_SAFETY_MARGIN = 2
@@ -149,6 +149,8 @@ def discover_order(alpha: int, beta: int, probe_len: int) -> RecurrenceReport:
     than 4*(alpha+beta) is refused as inconclusive: minimality claims need
     slack beyond the bare synthesis requirement.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("probe_len", probe_len)):
+        _need_int(name, value)
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be >= 1")
     if probe_len < 1:

@@ -1,5 +1,8 @@
-"""Machine verification of sequence identities and the counting bijection,
-and the exact decimal rendering of rationals that reports them.
+"""Machine verification of sequence identities and of the counting
+bijection, and the exact decimal rendering of rationals that reports them.
+The bijection is checked by mapping each family the oracle enumerates
+through one half and comparing the images with the other family, as
+enumerated, list against list.
 
 All pass/fail decisions compare exact integers or exact rationals; decimal
 strings are produced only for rendering, never for comparison.
@@ -10,6 +13,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 from itertools import islice
+from operator import ne
 
 from .recurrences import FAMILIES, _series
 from .subsets import (
@@ -18,11 +22,11 @@ from .subsets import (
     Condition,
     Subset,
     _Value,
+    _need_int,
+    _passes,
     check_enum_limit,
     count_subsets,
     enumerate_subsets,
-    is_alpha_schreier,
-    is_beta_zeckendorf,
 )
 
 class IdentityReport(_Value):
@@ -112,6 +116,7 @@ def _cmp_pow10(num: int, den: int, exp: int) -> int:
 def check_fib_h(n_max: int) -> IdentityReport:
     """Fibonacci shifted four ahead equals the twice-accumulated sequence
     plus n + 3, exactly, for n = 0..n_max."""
+    _need_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     fib, acc = _series(*FAMILIES["fib"].gf()), _series(*FAMILIES["H"].gf())
@@ -124,6 +129,8 @@ def check_fib_h(n_max: int) -> IdentityReport:
 def check_gen_sum(n: int, k_max: int) -> IdentityReport:
     """Front sums of the order-n family telescope: the sum of terms 0..k+1
     equals term k+1+n minus one, for k = 0..k_max."""
+    _need_int("n", n)
+    _need_int("k_max", k_max)
     if not 2 <= n < sys.maxsize:  # islice reads no term past sys.maxsize
         raise ValueError(f"n must be >= 2 and < {sys.maxsize}")
     if k_max < 0:
@@ -139,6 +146,8 @@ def check_gen_sum(n: int, k_max: int) -> IdentityReport:
 def check_gen_shift(n: int, m_max: int) -> IdentityReport:
     """The order-n family shifted 2n ahead equals its twice-accumulated
     form plus m + (n + 1), for m = 0..m_max."""
+    _need_int("n", n)
+    _need_int("m_max", m_max)
     if not 2 <= n <= sys.maxsize // 2:  # islice reads no term past sys.maxsize
         raise ValueError(f"n must be >= 2 and <= {sys.maxsize // 2}")
     if m_max < 0:
@@ -160,6 +169,8 @@ def check_odd_gap_h(
     The exhaustive oracle carries the check to n_max_oracle; the series of
     the condition's generating function carries it to n_max_gf.
     """
+    _need_int("n_max_oracle", n_max_oracle)
+    _need_int("n_max_gf", n_max_gf)
     if n_max_oracle < 1 or n_max_gf < 1:
         raise ValueError("ranges must be >= 1")
     check_enum_limit(n_max_oracle, limit)
@@ -175,10 +186,8 @@ def check_odd_gap_h(
 
 
 def _require_member(s: Subset, alpha: int, beta: int, role: str) -> None:
-    if not is_alpha_schreier(s, alpha):
-        raise ValueError(f"{role} must be {alpha}-Schreier: {s.elements}")
-    if not is_beta_zeckendorf(s, beta):
-        raise ValueError(f"{role} must be {beta}-Zeckendorf: {s.elements}")
+    if not _passes(s.elements, Condition(alpha=alpha, beta=beta)):
+        raise ValueError(f"{role} must be {alpha}-Schreier and {beta}-Zeckendorf: {s.elements}")
 
 
 def drop_max_shift_down(s: Subset, n: int, alpha: int, beta: int) -> Subset:
@@ -188,6 +197,7 @@ def drop_max_shift_down(s: Subset, n: int, alpha: int, beta: int) -> Subset:
     Input must satisfy both predicates and contain n as its maximum; the
     image satisfies both predicates inside {1 .. n-(alpha+beta)}.
     """
+    _need_int("n", n)
     if s.maximum != n:
         raise ValueError(f"subset must have maximum exactly n={n}: {s.elements}")
     _require_member(s, alpha, beta, "input")
@@ -201,6 +211,7 @@ def shift_up_adjoin_max(s: Subset, n: int, alpha: int, beta: int) -> Subset:
     Input must satisfy both predicates inside {1 .. n-(alpha+beta)}; the
     image satisfies both predicates and has maximum exactly n.
     """
+    _need_int("n", n)
     bound = n - (alpha + beta)
     if s.elements and s.elements[-1] > bound:
         raise ValueError(
@@ -213,13 +224,17 @@ def shift_up_adjoin_max(s: Subset, n: int, alpha: int, beta: int) -> Subset:
 def check_bijection_round_trip(
     alpha: int, beta: int, n_max: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> IdentityReport:
-    """Round-trip both bijection halves over every enumerated family member
-    and compare family sizes, for each ambient n up to n_max.
+    """Map each family by its bijection half and compare the images with the
+    other family as enumerated, for each ambient n up to n_max.
 
-    Per n, two triples are scanned: (n, failures, 0) counting members that
-    fail to round-trip or whose image leaves the target family, and
+    Per n, two triples are scanned: (n, mismatches, 0) counting the places
+    where the forward images of the members with maximum n differ from the
+    enumerated shrunken family, plus those where the inverse images of the
+    shrunken family differ from the members with maximum n; and
     (n, |with max n|, |shrunken ambient|) for equinumerosity.
     """
+    family = Condition(alpha=alpha, beta=beta)
+    _need_int("n_max", n_max)
     lag = alpha + beta
     if n_max < lag:
         raise ValueError(f"n_max must be >= alpha + beta = {lag}, got {n_max}")
@@ -227,34 +242,19 @@ def check_bijection_round_trip(
 
     def triples():
         for n in range(lag, n_max + 1):
-            with_max = list(
-                enumerate_subsets(
-                    n, Condition(alpha=alpha, beta=beta, forced_max=n), limit
-                )
-            )
-            shrunken = list(
-                enumerate_subsets(n - lag, Condition(alpha=alpha, beta=beta), limit)
-            )
-            failures = 0
-            for s in with_max:
-                image = drop_max_shift_down(s, n, alpha, beta)
-                if not (
-                    is_alpha_schreier(image, alpha)
-                    and is_beta_zeckendorf(image, beta)
-                    and (image.maximum or 0) <= n - lag
-                    and shift_up_adjoin_max(image, n, alpha, beta) == s
-                ):
-                    failures += 1
-            for s in shrunken:
-                image = shift_up_adjoin_max(s, n, alpha, beta)
-                if not (
-                    image.maximum == n
-                    and is_alpha_schreier(image, alpha)
-                    and is_beta_zeckendorf(image, beta)
-                    and drop_max_shift_down(image, n, alpha, beta) == s
-                ):
-                    failures += 1
-            yield (n, failures, 0)
+            top = Condition(alpha=alpha, beta=beta, forced_max=n)
+            with_max = list(enumerate_subsets(n, top, limit))
+            shrunken = list(enumerate_subsets(n - lag, family, limit))
+            # enumerate_subsets yields in characteristic-vector order. Each
+            # element below the maximum of an alpha-Schreier set of two or
+            # more is >= 2 alpha > alpha, so dropping n and shifting down by
+            # alpha keeps that order. Equal lists then mean that each half
+            # maps one family onto the other, whose members _passes checked
+            # as they were enumerated, and that the halves are inverses.
+            down = [drop_max_shift_down(s, n, alpha, beta) for s in with_max]
+            up = [shift_up_adjoin_max(t, n, alpha, beta) for t in shrunken]
+            mismatches = sum(map(ne, down, shrunken)) + sum(map(ne, up, with_max))
+            yield (n, mismatches, 0)
             yield (n, len(with_max), len(shrunken))
 
     return scan_identity(

@@ -67,6 +67,7 @@ class SequenceWindow(_Value):
 
 def fibonacci(n: int) -> BigCount:
     """Exact n-th Fibonacci number (F_0 = 0, F_1 = 1), by fast doubling."""
+    _need_int("n", n)
     if n < 0:
         raise ValueError("n must be >= 0")
     a, b = 0, 1  # (F_k, F_{k+1}), k built up from the high bit of n
@@ -114,6 +115,7 @@ def family_spec(family: str, last: int, **params: int) -> tuple:
     for name, least in bounds:
         if name not in params:
             raise ValueError(f"family {family!r} needs parameter {name!r}")
+        _need_int(name, params[name])
         if params[name] < least:
             raise ValueError(f"{name} must be >= {least}")
         values.append(params[name])
@@ -149,6 +151,9 @@ def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow
 def even_gap_family_size(n: int) -> BigCount:
     """Subsets of {1..n} whose gaps are all even: 3*2^((n-1)/2) - 1 for odd
     n, 2*2^(n/2) - 1 for even n."""
+    _need_int("n", n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return ((2 + n % 2) << (n // 2)) - 1
 
 

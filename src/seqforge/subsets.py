@@ -83,10 +83,12 @@ class Subset(_Value):
     __slots__ = __match_args__ = ("elements",)
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
-        elems = tuple(sorted(elements))
+        elems = tuple(elements)
         for e in elems:
+            _need_int("subset element", e)
             if e < 1:
                 raise ValueError(f"subset elements must be >= 1, got {e!r}")
+        elems = tuple(sorted(elems))
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise ValueError(f"duplicate element {a} in subset")
@@ -178,34 +180,6 @@ class Condition(_Value):
         least_gap + gap_step * t for t >= 0."""
         q, r = _GAP_CLASSES[self.gap_parity]
         return (self.beta or 1) + (r - (self.beta or 1)) % q
-
-
-def difference_set(s: Subset) -> tuple[int, ...]:
-    """Consecutive gaps of s, in order; empty when s has <= 1 element."""
-    e = s.elements
-    return tuple(b - a for a, b in zip(e, e[1:]))
-
-
-def is_alpha_schreier(s: Subset, alpha: int) -> bool:
-    """True iff s is empty or min(s) >= alpha * |s|.
-
-    Pure integer comparison, equivalent to the rational test
-    min(s) / alpha >= |s|.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    return not s.elements or s.elements[0] >= alpha * len(s.elements)
-
-
-def is_beta_zeckendorf(s: Subset, beta: int) -> bool:
-    """True iff every consecutive gap of s is >= beta.
-
-    Subsets with at most one element satisfy this vacuously.
-    """
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-    gaps = difference_set(s)
-    return not gaps or min(gaps) >= beta
 
 
 def _passes(elems: tuple, cond: Condition) -> bool:

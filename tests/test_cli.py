@@ -26,7 +26,7 @@ from seqforge.recurrences import (
     schreier_zeckendorf_seq,
     window,
 )
-from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, count_subsets, enumerate_subsets
+from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, Subset, count_subsets, enumerate_subsets
 
 from helpers import family_oracle, fib_list, ratio_report, sz_list, window_text
 
@@ -894,6 +894,19 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--id", "bijection", "--to", to)
         assert (code, out) == (2, "")
         assert err.startswith("error: n_max must be >= alpha + beta") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("half", ["drop_max_shift_down", "shift_up_adjoin_max"])
+    def test_a_wrong_bijection_half_exits_1(self, capsys, monkeypatch, half):
+        # Neither wrong half shifts by alpha; each still makes valid subsets,
+        # so the check fails rather than refusing its input.
+        wrong = {
+            "drop_max_shift_down": lambda s, n, a, b: Subset(s.elements[:-1]),
+            "shift_up_adjoin_max": lambda s, n, a, b: Subset(s.elements + (n,)),
+        }[half]
+        monkeypatch.setattr(identities, half, wrong)
+        code, out, err = run_cli(capsys, "verify", "--id", "bijection")
+        assert code == 1 and out.count("FAIL") == 9
+        assert err.startswith("error: identity check failed: bijection[alpha=1,beta=1],")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--id", "fib-h", "--to", "30000"],

@@ -142,6 +142,16 @@ class TestDiscoverOrder:
         with pytest.raises(ValueError):
             discover_order(1, 1, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.0, 3, 40), "alpha"),
+        ((2, True, 40), "beta"),
+        ((2, 3, 40.0), "probe_len"),
+    ])
+    def test_takes_ints_only(self, args, name):
+        bad = next(a for a in args if type(a) is not int)
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+            discover_order(*args)
+
     def test_found_recurrence_extends_beyond_probe(self):
         report = discover_order(2, 3, 24)
         window = schreier_zeckendorf_seq(2, 3, 120)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import identities
 from seqforge.identities import (
     IdentityReport,
     check_bijection_round_trip,
@@ -23,11 +24,9 @@ from seqforge.subsets import (
     Condition,
     Subset,
     enumerate_subsets,
-    is_alpha_schreier,
-    is_beta_zeckendorf,
 )
 
-from helpers import brute_count, gaps_of, ratio_report
+from helpers import brute_count, gaps_of, matches, ratio_report
 
 
 def odd_gap_family_size(n):
@@ -55,6 +54,30 @@ class TestReportMachinery:
             IdentityReport("demo", (0, 1), True, (0, 1, 2))
         with pytest.raises(ValueError):
             IdentityReport("demo", (0, 1), False, None)
+
+
+class TestIntsOnly:
+    @pytest.mark.parametrize("check, args, name", [
+        (check_fib_h, (5.0,), "n_max"),
+        (check_fib_h, (True,), "n_max"),
+        (check_gen_sum, (3, 2.0), "k_max"),
+        (check_gen_sum, (3.0, 2), "n"),
+        (check_gen_shift, (3, 2.5), "m_max"),
+        (check_odd_gap_h, (3.0, 5), "n_max_oracle"),
+        (check_odd_gap_h, (3, 5.0), "n_max_gf"),
+        (check_bijection_round_trip, (2, 3, 12.0), "n_max"),
+        (check_bijection_round_trip, (2.0, 3, 12), "alpha"),
+        (drop_max_shift_down, (Subset([7]), 7.0, 2, 3), "n"),
+        (shift_up_adjoin_max, (Subset([2]), 7.5, 2, 3), "n"),
+        (shift_up_adjoin_max, (Subset([2]), 7, 2, True), "beta"),
+    ], ids=[
+        "fib-h", "fib-h-bool", "gen-sum", "gen-sum-order", "gen-shift", "oddgap-h-oracle",
+        "oddgap-h-gf", "bijection", "bijection-alpha", "drop-max", "shift-up", "shift-up-beta",
+    ])
+    def test_refuses_non_ints(self, check, args, name):
+        bad = next(a for a in args if type(a) not in (int, Subset))
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+            check(*args)
 
 
 class TestFibH:
@@ -127,10 +150,10 @@ class TestBijections:
 
     def test_forward_requires_family_membership(self):
         # {1, 7} is not 2-Schreier (1 < 2 * 2).
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^input must be 2-Schreier and 3-Zeckendorf: \(1, 7\)$"):
             drop_max_shift_down(Subset([1, 7]), 7, 2, 3)
         # {4, 6, 7} has a gap of 1 < 3.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3-Zeckendorf"):
             drop_max_shift_down(Subset([4, 6, 7]), 7, 2, 3)
 
     def test_inverse_requires_shrunken_ambient(self):
@@ -150,21 +173,37 @@ class TestBijections:
             assert len(with_max) == len(shrunken)
             for s in with_max:
                 image = drop_max_shift_down(s, n, alpha, beta)
-                assert is_alpha_schreier(image, alpha)
-                assert is_beta_zeckendorf(image, beta)
                 assert (image.maximum or 0) <= n - lag
+                assert matches(image, family, n - lag)
                 assert shift_up_adjoin_max(image, n, alpha, beta) == s
             for s in shrunken:
                 image = shift_up_adjoin_max(s, n, alpha, beta)
-                assert image.maximum == n
-                assert is_alpha_schreier(image, alpha)
-                assert is_beta_zeckendorf(image, beta)
+                assert matches(image, Condition(alpha=alpha, beta=beta, forced_max=n), n)
                 assert drop_max_shift_down(image, n, alpha, beta) == s
 
     def test_round_trip_report(self):
         report = check_bijection_round_trip(2, 3, 12)
         assert report.passed is True
         assert report.range_checked == (5, 12)
+        # The check compares image lists with the enumerated families in
+        # order, so it leans on the halves keeping enumeration order.
+        for alpha in range(1, 6):
+            for beta in range(1, 6):
+                assert check_bijection_round_trip(alpha, beta, 16).passed is True, (alpha, beta)
+
+    @pytest.mark.parametrize("half, wrong, first_counterexample", [
+        # Shifting by beta, not alpha, first differs at {4, 7} -> {1}, where
+        # the shrunken family of n = 7 holds {2}.
+        ("drop_max_shift_down", lambda s, n, a, b: Subset(e - b for e in s.elements[:-1]), (7, 1, 0)),
+        ("shift_up_adjoin_max", lambda s, n, a, b: Subset([e + b for e in s.elements] + [n]), (7, 1, 0)),
+        # Keeping the maximum maps {5} to {3}, not the empty set.
+        ("drop_max_shift_down", lambda s, n, a, b: Subset(e - a for e in s.elements), (5, 1, 0)),
+    ], ids=["down-by-beta", "up-by-beta", "down-keeps-max"])
+    def test_a_wrong_half_fails_at_the_first_bad_n(self, monkeypatch, half, wrong, first_counterexample):
+        monkeypatch.setattr(identities, half, wrong)
+        report = check_bijection_round_trip(2, 3, 12)
+        assert report.passed is False
+        assert report.first_counterexample == first_counterexample
 
     def test_range_below_the_lag_is_rejected(self):
         # No n in [alpha + beta, n_max] leaves nothing checked, not a pass.

@@ -23,6 +23,7 @@ from seqforge.recurrences import (
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
     schreier_zeckendorf_seq,
+    tail_recurrence_of,
     window,
 )
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, Condition, count_subsets
@@ -278,6 +279,20 @@ class TestWindow:
         with pytest.raises(ValueError, match=f"^last must be an int, got {type(last).__name__}$"):
             window("fib", last)
 
+    @pytest.mark.parametrize("family, name", [
+        (family, name) for family, row in FAMILIES.items() for name, _ in row.bounds
+    ])
+    @pytest.mark.parametrize("bad", [3.0, 2.5, True, Fraction(3)])
+    def test_parameters_take_ints_only(self, family, name, bad):
+        params = {p: max(least, 2) for p, least in FAMILIES[family].bounds}
+        params[name] = bad
+        message = f"^{name} must be an int, got {type(bad).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            window(family, 5, **params)
+        if family in ("schreier-zeckendorf", "genfib"):
+            with pytest.raises(ValueError, match=message):
+                tail_recurrence_of(family, **params)
+
 
 class TestFibonacci:
     def test_base_terms(self):
@@ -295,6 +310,11 @@ class TestFibonacci:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             fibonacci(-1)
+
+    @pytest.mark.parametrize("n", [10.0, True, Fraction(10), "10"])
+    def test_takes_ints_only(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {type(n).__name__}$"):
+            fibonacci(n)
 
 
 class TestPartialSum:
@@ -425,6 +445,15 @@ def test_parity_counts_match_condition_oracle():
 
 
 class TestEvenGapCounts:
+    @pytest.mark.parametrize("n, message", [
+        (10.0, "n must be an int, got float"),
+        (True, "n must be an int, got bool"),
+        (-3, "n must be >= 0"),
+    ])
+    def test_family_size_refuses_bad_n(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            even_gap_family_size(n)
+
     def test_goldens(self):
         assert parity_counts(1, GAP_ALL_EVEN) == (1, 2)
         assert parity_counts(3, GAP_ALL_EVEN) == (2, 5)

@@ -11,11 +11,9 @@ from seqforge.subsets import (
     Condition,
     EnumerationLimitError,
     Subset,
+    _passes,
     count_subsets,
-    difference_set,
     enumerate_subsets,
-    is_alpha_schreier,
-    is_beta_zeckendorf,
 )
 
 from helpers import brute_count, gaps_of, iter_subsets_raw, matches
@@ -39,6 +37,11 @@ class TestSubset:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Subset([0, 2])
+
+    @pytest.mark.parametrize("value", [1.5, True, Fraction(3), "3"])
+    def test_elements_are_ints_only(self, value):
+        with pytest.raises(ValueError, match=f"^subset element must be an int, got {type(value).__name__}$"):
+            Subset([value, 4])
 
     def test_accessors(self):
         s = Subset([2, 5, 9])
@@ -100,40 +103,13 @@ class TestCondition:
         assert accepted == list(range(cond.least_gap, 21, cond.gap_step))
 
 
-class TestDifferenceSet:
-    def test_empty(self):
-        assert difference_set(Subset()) == ()
-
-    def test_singleton(self):
-        assert difference_set(Subset([5])) == ()
-
-    def test_gaps(self):
-        assert difference_set(Subset([1, 3, 6])) == (2, 3)
-
-
 class TestPredicates:
-    def test_alpha_schreier_examples(self):
-        assert is_alpha_schreier(Subset(), 3) is True
-        assert is_alpha_schreier(Subset([4, 5]), 2) is True
-        assert is_alpha_schreier(Subset([1, 2]), 1) is False
-
-    def test_beta_zeckendorf_examples(self):
-        assert is_beta_zeckendorf(Subset([7]), 5) is True
-        assert is_beta_zeckendorf(Subset([2, 4]), 2) is True
-        assert is_beta_zeckendorf(Subset([2, 4]), 3) is False
-
-    def test_predicate_parameter_validation(self):
-        with pytest.raises(ValueError):
-            is_alpha_schreier(Subset([1]), 0)
-        with pytest.raises(ValueError):
-            is_beta_zeckendorf(Subset([1]), 0)
-
     @settings(max_examples=200)
     @given(subset_elems, st.integers(min_value=1, max_value=5))
     def test_alpha_schreier_matches_rational_test(self, elems, alpha):
         s = Subset(elems)
         rational = True if not elems else Fraction(min(elems), alpha) >= len(elems)
-        assert is_alpha_schreier(s, alpha) == rational
+        assert _passes(s.elements, Condition(alpha=alpha)) == rational
 
 
 class TestMatches:
