@@ -11,7 +11,8 @@ strings are produced only for rendering, never for comparison.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import lru_cache
 from itertools import islice
 from operator import ne
 
@@ -22,10 +23,10 @@ from .subsets import (
     Condition,
     Subset,
     _Value,
+    _counts_upto,
     _need_int,
     _passes,
     check_enum_limit,
-    count_subsets,
     enumerate_subsets,
 )
 
@@ -166,27 +167,34 @@ def check_odd_gap_h(
     """Subsets of {1..n} with >= 2 elements and all-odd gaps are counted by
     the twice-accumulated Fibonacci value at n - 1.
 
-    The exhaustive oracle carries the check to n_max_oracle; the series of
-    the condition's generating function carries it to n_max_gf.
+    The exhaustive oracle carries the check to n_max_oracle, every n from
+    one search of {1..n_max_oracle}; the series of the condition's
+    generating function carries it to n_max_gf.
     """
     _need_int("n_max_oracle", n_max_oracle)
     _need_int("n_max_gf", n_max_gf)
     if n_max_oracle < 1 or n_max_gf < 1:
         raise ValueError("ranges must be >= 1")
-    check_enum_limit(n_max_oracle, limit)
     cond = Condition(gap_parity=GAP_ALL_ODD, min_size=2)
+    oracle = _counts_upto(n_max_oracle, cond, limit)
 
     def triples():
-        oracle = (count_subsets(n, cond, limit) for n in range(1, n_max_oracle + 1))
-        yield from zip(range(1, n_max_oracle + 1), oracle, _series(*FAMILIES["H"].gf()))
+        yield from zip(range(1, n_max_oracle + 1), oracle[1:], _series(*FAMILIES["H"].gf()))
         series = islice(_series(*FAMILIES["minsize-oddgap"].gf(2)), 1, None)
         yield from zip(range(1, n_max_gf + 1), series, _series(*FAMILIES["H"].gf()))
 
     return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), triples())
 
 
+# typed: a bool alpha or beta must miss the entry of the equal int, so that
+# Condition refuses it.
+@lru_cache(maxsize=16, typed=True)
+def _family(alpha: int, beta: int) -> Condition:
+    return Condition(alpha=alpha, beta=beta)
+
+
 def _require_member(s: Subset, alpha: int, beta: int, role: str) -> None:
-    if not _passes(s.elements, Condition(alpha=alpha, beta=beta)):
+    if not _passes(s.elements, _family(alpha, beta)):
         raise ValueError(f"{role} must be {alpha}-Schreier and {beta}-Zeckendorf: {s.elements}")
 
 
@@ -221,6 +229,17 @@ def shift_up_adjoin_max(s: Subset, n: int, alpha: int, beta: int) -> Subset:
     return Subset(tuple(e + alpha for e in s.elements) + (n,))
 
 
+def _image(
+    half: Callable[[Subset, int, int, int], Subset], s: Subset, n: int, alpha: int, beta: int
+) -> Subset | None:
+    # A half that refuses a member of the family it maps has no image there:
+    # a mismatch at n, not a usage error.
+    try:
+        return half(s, n, alpha, beta)
+    except ValueError:
+        return None
+
+
 def check_bijection_round_trip(
     alpha: int, beta: int, n_max: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> IdentityReport:
@@ -230,10 +249,11 @@ def check_bijection_round_trip(
     Per n, two triples are scanned: (n, mismatches, 0) counting the places
     where the forward images of the members with maximum n differ from the
     enumerated shrunken family, plus those where the inverse images of the
-    shrunken family differ from the members with maximum n; and
+    shrunken family differ from the members with maximum n (a member that
+    a half refuses with a ValueError is such a place); and
     (n, |with max n|, |shrunken ambient|) for equinumerosity.
     """
-    family = Condition(alpha=alpha, beta=beta)
+    family = _family(alpha, beta)
     _need_int("n_max", n_max)
     lag = alpha + beta
     if n_max < lag:
@@ -251,8 +271,8 @@ def check_bijection_round_trip(
             # alpha keeps that order. Equal lists then mean that each half
             # maps one family onto the other, whose members _passes checked
             # as they were enumerated, and that the halves are inverses.
-            down = [drop_max_shift_down(s, n, alpha, beta) for s in with_max]
-            up = [shift_up_adjoin_max(t, n, alpha, beta) for t in shrunken]
+            down = [_image(drop_max_shift_down, s, n, alpha, beta) for s in with_max]
+            up = [_image(shift_up_adjoin_max, t, n, alpha, beta) for t in shrunken]
             mismatches = sum(map(ne, down, shrunken)) + sum(map(ne, up, with_max))
             yield (n, mismatches, 0)
             yield (n, len(with_max), len(shrunken))

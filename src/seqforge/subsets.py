@@ -13,6 +13,7 @@ it yields is still checked against the clauses' definitions.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 
 # Counts are exact and unbounded; Python ints never saturate or wrap.
 BigCount = int
@@ -265,14 +266,26 @@ def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
             stack.pop()
 
 
+def _counts_upto(n_max: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> list[BigCount]:
+    # count_subsets(n, cond) for every n = 0..n_max, from one search of
+    # {1..n_max}. Whether a subset matches does not depend on n, so the
+    # matches in {1..n} are those with maximum <= n: the counts by maximum
+    # (the empty set's under 0), summed from the front. Below a forced_max
+    # the entries are 0.
+    _check_enum_bounds(n_max, cond, limit)
+    by_max = [0] * (n_max + 1)
+    for elems in _search(n_max, cond):
+        by_max[elems[-1] if elems else 0] += 1
+    return list(accumulate(by_max))
+
+
 def count_subsets(n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> BigCount:
     """Exact number of subsets of {1..n} satisfying cond, by exhaustive search.
 
     Counts what `enumerate_subsets` would yield; refuses n > limit because
     the work can reach O(2**n * n).
     """
-    _check_enum_bounds(n, cond, limit)
-    return sum(1 for _ in _search(n, cond))
+    return _counts_upto(n, cond, limit)[-1]
 
 
 def enumerate_subsets(

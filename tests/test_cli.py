@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import cli, fasteval, formats, identities, recurrences
+from seqforge import cli, fasteval, formats, identities, recurrences, subsets
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import format_window, parse_bfile
@@ -804,14 +804,14 @@ class TestVerify:
     ])
     def test_enumerating_checks_refuse_before_any_work(self, capsys, monkeypatch, argv):
         # The largest n a check would scan is tested against the limit before
-        # the first scan, so an oracle call here is already too late.
+        # the first scan, so an oracle search here is already too late.
         class Enumerated(BaseException):
             """Escapes main(), which catches only Exception."""
 
         def spy(*args):
             raise Enumerated(args)
 
-        monkeypatch.setattr(identities, "count_subsets", spy)
+        monkeypatch.setattr(subsets, "_search", spy)
         monkeypatch.setattr(identities, "enumerate_subsets", spy)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", *argv)
@@ -907,6 +907,19 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--id", "bijection")
         assert code == 1 and out.count("FAIL") == 9
         assert err.startswith("error: identity check failed: bijection[alpha=1,beta=1],")
+
+    def test_a_bijection_half_refusing_a_member_exits_1(self, capsys, monkeypatch):
+        # Shifting down by beta refuses the element 0 where beta > alpha:
+        # a failed check at that n, not a usage error.
+        monkeypatch.setattr(
+            identities, "drop_max_shift_down", lambda s, n, a, b: Subset(e - b for e in s.elements[:-1])
+        )
+        code, out, err = run_cli(capsys, "verify", "--id", "bijection")
+        assert code == 1 and out.count("FAIL") == 6
+        assert "bijection[alpha=1,beta=2]: FAIL  range [3, 12]\n  first counterexample at 4: 1 != 0\n" in out
+        assert err.startswith("error: identity check failed: bijection[alpha=1,beta=2],")
+        code, out, err = run_cli(capsys, "verify", "--id", "bijection", "--to", "5")
+        assert (code, out) == (2, "") and err.startswith("error: n_max must be >= alpha + beta")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--id", "fib-h", "--to", "30000"],

@@ -132,6 +132,27 @@ class TestOddGapH:
     def test_tiny_ranges(self):
         assert check_odd_gap_h(1, 1).passed is True
 
+    @pytest.mark.parametrize("oracle_to", [1, 2, 16])
+    def test_stock_reports(self, oracle_to):
+        assert check_odd_gap_h(oracle_to, 500) == IdentityReport("oddgap-h", (1, 500), True)
+        assert check_odd_gap_h(oracle_to, 1) == IdentityReport("oddgap-h", (1, oracle_to), True)
+
+    def test_oracle_column_is_read_by_n(self, monkeypatch):
+        # One search counts every n; an entry off by one at n = 7 must be
+        # reported at index 7, not at a neighbour.
+        real = identities._counts_upto
+
+        def off_at_seven(n_max, cond, limit):
+            counts = real(n_max, cond, limit)
+            counts[7] += 1
+            return counts
+
+        monkeypatch.setattr(identities, "_counts_upto", off_at_seven)
+        report = check_odd_gap_h(12, 500)
+        index, lhs, rhs = report.first_counterexample
+        assert (index, lhs - rhs) == (7, 1)
+        assert rhs == brute_count(7, lambda t: len(t) >= 2 and all(g % 2 for g in gaps_of(t)))
+
 
 class TestBijections:
     def test_forward_examples(self):
@@ -155,6 +176,17 @@ class TestBijections:
         # {4, 6, 7} has a gap of 1 < 3.
         with pytest.raises(ValueError, match="3-Zeckendorf"):
             drop_max_shift_down(Subset([4, 6, 7]), 7, 2, 3)
+
+    def test_a_bool_is_refused_after_an_int_call(self):
+        # The halves cache each (alpha, beta) family; True must not be
+        # served the entry of 1.
+        identities._family.cache_clear()
+        assert drop_max_shift_down(Subset([2, 4]), 4, 1, 1) == Subset([1])
+        assert shift_up_adjoin_max(Subset([1]), 4, 1, 1) == Subset([2, 4])
+        with pytest.raises(ValueError, match="^alpha must be an int, got bool$"):
+            drop_max_shift_down(Subset([2, 4]), 4, True, 1)
+        with pytest.raises(ValueError, match="^beta must be an int, got bool$"):
+            shift_up_adjoin_max(Subset([1]), 4, 1, True)
 
     def test_inverse_requires_shrunken_ambient(self):
         with pytest.raises(ValueError):

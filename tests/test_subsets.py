@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import subsets
 from seqforge.subsets import (
     GAP_ALL_EVEN,
     GAP_ALL_ODD,
@@ -11,6 +12,7 @@ from seqforge.subsets import (
     Condition,
     EnumerationLimitError,
     Subset,
+    _counts_upto,
     _passes,
     count_subsets,
     enumerate_subsets,
@@ -208,6 +210,42 @@ class TestCountSubsets:
     def test_monotone_in_n_without_forced_max(self, n, alpha, beta, parity, min_size):
         cond = Condition(alpha=alpha, beta=beta, gap_parity=parity, min_size=min_size)
         assert count_subsets(n, cond) <= count_subsets(n + 1, cond)
+
+
+class TestCountsUpto:
+    """One search of {1..n_max} counts every {1..n} with n <= n_max."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_entries_are_the_counts_of_each_n(self, data):
+        n_max = data.draw(st.integers(0, 14))
+        cond = Condition(
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.sampled_from([GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN])),
+            data.draw(st.integers(0, 6)),
+            data.draw(st.none() if n_max == 0 else st.none() | st.integers(1, n_max)),
+        )
+        counts = _counts_upto(n_max, cond)
+        assert len(counts) == n_max + 1
+        for n, got in enumerate(counts):
+            if cond.forced_max is not None and cond.forced_max > n:
+                # count_subsets refuses such an n; no subset of {1..n} has that maximum.
+                assert got == 0
+            else:
+                assert got == count_subsets(n, cond), (n, cond)
+
+    def test_refuses_past_the_limit_before_searching(self, monkeypatch):
+        def no_search(n, cond):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(subsets, "_search", no_search)
+        with pytest.raises(EnumerationLimitError):
+            _counts_upto(31, Condition())
+        with pytest.raises(EnumerationLimitError):
+            _counts_upto(9, Condition(alpha=2), limit=8)
+        with pytest.raises(ValueError, match="forced_max 6 exceeds n=5"):
+            _counts_upto(5, Condition(forced_max=6))
 
 
 class TestEnumerateSubsets:
