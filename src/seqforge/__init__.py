@@ -23,8 +23,8 @@ from .recurrences import (
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
     schreier_zeckendorf_count,
-    schreier_zeckendorf_seq,
     tail_recurrence_of,
+    window,
 )
 from .subsets import Condition, count_subsets
 
@@ -39,7 +39,7 @@ __all__ = [
     "even_gap_family_size",
     "min_size_odd_gap_count",
     "min_size_odd_gap_seq",
-    "schreier_zeckendorf_seq",
+    "window",
     "LinearRecurrence",
     "EvalMode",
     "eval_fast",

@@ -288,13 +288,8 @@ def _recurrence_count(n: int, cond: Condition):
 
 def _cmd_count(args: argparse.Namespace) -> int:
     n = _require(args, "n")
-    if n < 0:
-        raise UsageError("n must be >= 0")
     limit = _resolve_limit(args.enum_limit)
     cond = _build_condition(args)
-    if cond.forced_max is not None and cond.forced_max > n:
-        raise UsageError(f"forced_max {cond.forced_max} exceeds n={n}")
-
     if args.engine == "oracle":
         value = count_subsets(n, cond, limit)
     else:

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .fasteval import LinearRecurrence, _check_rational
-from .recurrences import schreier_zeckendorf_seq
+from .recurrences import window
 from .subsets import _Value, _need_int
 
 # A concluded order L must be backed by at least 2L + margin prefix terms.
@@ -165,5 +165,5 @@ def discover_order(alpha: int, beta: int, probe_len: int) -> RecurrenceReport:
     last = tail_start + probe_len - 1
     if last >= sys.maxsize:  # the window's last index, as islice stops there
         raise ValueError(f"2*alpha + beta + probe_len - 1 = {last} must be < {sys.maxsize}")
-    window = schreier_zeckendorf_seq(alpha, beta, last)
-    return berlekamp_massey(window.terms[tail_start - window.offset:], start_index=tail_start)
+    sz = window("schreier-zeckendorf", last, alpha=alpha, beta=beta)
+    return berlekamp_massey(sz.terms[tail_start - sz.offset:], start_index=tail_start)

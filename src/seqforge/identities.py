@@ -71,47 +71,28 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
     Rounds half away from zero at sig_digits significant digits and trims
     trailing fractional zeros, so the text is a faithful prefix of the value.
     """
+    _need_int("sig_digits", sig_digits)
     if sig_digits < 1:
         raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
     from fractions import Fraction
 
     value = Fraction(value)
     if value == 0:
         return "0"
-    sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
-    # Near floor(log10(num/den)) from the bit lengths (log10(2) is about
-    # 0.30103), then corrected; str() of a big num or den would hit the
-    # interpreter's digit cap.
-    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while _cmp_pow10(num, den, exp) < 0:
-        exp -= 1
-    while _cmp_pow10(num, den, exp + 1) >= 0:
-        exp += 1
-    shift = sig_digits - 1 - exp
-    if shift >= 0:
-        q, r = divmod(num * 10**shift, den)
-    else:
-        q, r = divmod(num, den * 10**-shift)
-        r = Fraction(r, 10**-shift)
-    if 2 * r >= den:
-        q += 1
-    digits = str(q)
-    if len(digits) > sig_digits:  # rounding carried into a new leading digit
-        digits = digits[:-1]
-        exp += 1
-    if exp >= 0:
-        whole = digits[: exp + 1].ljust(exp + 1, "0")
-        frac = digits[exp + 1:].rstrip("0")
-        return sign + whole + ("." + frac if frac else "")
-    frac = ("0" * (-exp - 1) + digits).rstrip("0")
-    return sign + "0." + (frac if frac else "0")
-
-
-def _cmp_pow10(num: int, den: int, exp: int) -> int:
-    # sign of num/den - 10**exp without leaving the integers
-    lhs, rhs = (num, den * 10**exp) if exp >= 0 else (num * 10**-exp, den)
-    return (lhs > rhs) - (lhs < rhs)
+    # 2^(d-1) < |v| < 2^(d+1) for d the difference of bit lengths, and a
+    # 20-digit log10 2 misses d log10 2 by under 0.04 for any |d| < 2^63,
+    # so e is within one of floor(log10 |v|), found without str() of num
+    # or den (the interpreter caps its digits). q = floor(|v| 10^shift)
+    # then keeps one to three digits past the last one kept, so the
+    # fraction it drops cannot lift a dropped part to half a unit or more.
+    e = (num.bit_length() - den.bit_length()) * 30102999566398119521 // 10**20
+    shift = sig_digits + 1 - e
+    q = num * 10**shift // den if shift >= 0 else num // (den * 10**-shift)
+    ctx = Context(prec=sig_digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    rounded = ctx.create_decimal(q).scaleb(-shift, ctx).normalize(ctx)
+    return ("-" if value < 0 else "") + f"{rounded:f}"
 
 
 def check_fib_h(n_max: int) -> IdentityReport:

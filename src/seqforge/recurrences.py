@@ -136,18 +136,6 @@ def window(family: str, last: int, **params: int) -> SequenceWindow:
     return SequenceWindow(name, first, tuple(islice(_series(*gf), first, last + 1)))
 
 
-def schreier_zeckendorf_seq(alpha: int, beta: int, n_max: int) -> SequenceWindow:
-    """Counts of subsets of {1..n} that are alpha-Schreier and beta-Zeckendorf,
-    for n = 1..n_max: the series of their condition_gf, whose reduced
-    denominator is 1 - x - x^(alpha+beta).
-
-    Three-branch rule: 1 while n <= alpha-1; n-alpha+2 while
-    alpha <= n <= 2*alpha+beta-1; then the order-(alpha+beta) recurrence
-    a(n) = a(n-1) + a(n-(alpha+beta)).
-    """
-    return window("schreier-zeckendorf", n_max, alpha=alpha, beta=beta)
-
-
 def even_gap_family_size(n: int) -> BigCount:
     """Subsets of {1..n} whose gaps are all even: 3*2^((n-1)/2) - 1 for odd
     n, 2*2^(n/2) - 1 for even n."""

@@ -212,7 +212,7 @@ def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
     if cond.forced_max is not None and cond.forced_max > n:
-        raise ValueError(f"malformed query: forced_max {cond.forced_max} exceeds n={n}")
+        raise ValueError(f"forced_max {cond.forced_max} exceeds n={n}")
     check_enum_limit(n, limit)
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from seqforge.fasteval import EXACT, LinearRecurrence, _prepared, eval_fast
 from seqforge.identities import decimal_string
-from seqforge.recurrences import SequenceWindow, even_gap_family_size
+from seqforge.recurrences import SequenceWindow, even_gap_family_size, window
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD
 
 
@@ -90,6 +90,11 @@ def h_list(n_max):
         terms.append(twice)
         a, b = b, a + b
     return terms
+
+
+def schreier_zeckendorf_seq(alpha, beta, n_max):
+    """The library's Schreier-Zeckendorf window, n = 1..n_max (a shorthand, not an oracle)."""
+    return window("schreier-zeckendorf", n_max, alpha=alpha, beta=beta)
 
 
 def sz_list(alpha, beta, n_max):

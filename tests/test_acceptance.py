@@ -23,12 +23,11 @@ from seqforge.recurrences import (
     condition_count,
     even_gap_family_size,
     min_size_odd_gap_seq,
-    schreier_zeckendorf_seq,
     window,
 )
 from seqforge.subsets import GAP_ALL_ODD, Condition, count_subsets
 
-from helpers import eval_iterative, fib_list, fib_mod, iter_subsets_raw, ratio_report
+from helpers import eval_iterative, fib_list, fib_mod, iter_subsets_raw, ratio_report, schreier_zeckendorf_seq
 
 
 def check(num, label, ok, detail=""):

@@ -23,12 +23,11 @@ from seqforge.recurrences import (
     condition_count,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
-    schreier_zeckendorf_seq,
     window,
 )
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, Subset, count_subsets, enumerate_subsets
 
-from helpers import family_oracle, fib_list, ratio_report, sz_list, window_text
+from helpers import family_oracle, fib_list, ratio_report, schreier_zeckendorf_seq, sz_list, window_text
 
 
 def run_cli(capsys, *argv):

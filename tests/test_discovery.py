@@ -15,9 +15,8 @@ from seqforge.discovery import (
     verify_recurrence,
 )
 from seqforge.fasteval import LinearRecurrence
-from seqforge.recurrences import schreier_zeckendorf_seq
 
-from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence
+from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence, schreier_zeckendorf_seq
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from seqforge import fasteval, schreier_zeckendorf_count, tail_recurrence_of
 from seqforge.fasteval import EXACT, EvalMode, LinearRecurrence, eval_fast
 from seqforge.formats import render_int
-from seqforge.recurrences import condition_count, schreier_zeckendorf_seq
+from seqforge.recurrences import condition_count
 from seqforge.subsets import Condition
 
-from helpers import catalog_recurrence, eval_iterative, fib_mod, sz_branch_count
+from helpers import catalog_recurrence, eval_iterative, fib_mod, schreier_zeckendorf_seq, sz_branch_count
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 MOD = 1_000_000_007

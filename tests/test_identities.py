@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -70,12 +71,15 @@ class TestIntsOnly:
         (drop_max_shift_down, (Subset([7]), 7.0, 2, 3), "n"),
         (shift_up_adjoin_max, (Subset([2]), 7.5, 2, 3), "n"),
         (shift_up_adjoin_max, (Subset([2]), 7, 2, True), "beta"),
+        (decimal_string, (Fraction(2, 3), 2.5), "sig_digits"),
+        (decimal_string, (Fraction(2, 3), True), "sig_digits"),
     ], ids=[
         "fib-h", "fib-h-bool", "gen-sum", "gen-sum-order", "gen-shift", "oddgap-h-oracle",
         "oddgap-h-gf", "bijection", "bijection-alpha", "drop-max", "shift-up", "shift-up-beta",
+        "decimal-digits", "decimal-digits-bool",
     ])
     def test_refuses_non_ints(self, check, args, name):
-        bad = next(a for a in args if type(a) not in (int, Subset))
+        bad = next(a for a in args if type(a) not in (int, Subset, Fraction))
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
             check(*args)
 
@@ -310,6 +314,19 @@ class TestRatioReport:
         assert all(v > 0 for v in values)
 
 
+def half_away(value, sig):
+    """value rounded half away from zero at sig significant digits, by
+    exact comparisons and one floor in Fractions."""
+    mag = abs(value)
+    e = (mag.numerator.bit_length() - mag.denominator.bit_length()) * 3 // 10
+    while Fraction(10) ** e > mag:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= mag:
+        e += 1
+    unit = Fraction(10) ** (e - sig + 1)
+    return (1 if value > 0 else -1) * math.floor(mag / unit + Fraction(1, 2)) * unit
+
+
 class TestDecimalString:
     @pytest.mark.parametrize(
         "value,expected",
@@ -385,3 +402,39 @@ class TestDecimalString:
             exponent -= 1
         ulp = Fraction(10) ** (exponent - sig + 1)
         assert abs(parsed - value) <= ulp / 2
+
+    @pytest.mark.parametrize("value, sig_digits, expected", [
+        (Fraction(1, 8), 2, "0.13"),
+        (Fraction(-5, 8), 2, "-0.63"),
+        (Fraction(95, 100), 1, "1"),
+    ])
+    def test_ties_round_away_from_zero(self, value, sig_digits, expected):
+        # Half-even would give 0.12 and -0.62; 0.95 ties up under either rule
+        # and carries into a new leading digit.
+        assert decimal_string(value, sig_digits) == expected
+        assert Fraction(expected) == half_away(value, sig_digits)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=10**40),
+        st.integers(min_value=-60, max_value=60),
+        st.sampled_from((1, -1)),
+    )
+    def test_exact_ties(self, sig, m, e, sign):
+        # m 10^e + 5 10^(e-1) ties at the last digit of m, so at sig digits
+        # whenever m has exactly sig of them.
+        m = 10 ** (sig - 1) + m % (9 * 10 ** (sig - 1))
+        value = sign * (m * Fraction(10) ** e + 5 * Fraction(10) ** (e - 1))
+        assert Fraction(decimal_string(value, sig)) == half_away(value, sig) == sign * (m + 1) * Fraction(10) ** e
+
+    def test_wide_operands_round_exactly(self):
+        # 10^5-bit numerators and denominators, and a tie at 12 digits
+        # 10^5 bits above the units and one 10^5 bits below them.
+        num, den = 3**63093 + 1, 7**35620
+        for value in (Fraction(num, den), Fraction(-den, num)):
+            for sig in (1, 12, 40):
+                assert Fraction(decimal_string(value, sig)) == half_away(value, sig)
+        tie = Fraction(1234567890125)
+        assert decimal_string(tie * 10**30100) == "123456789013" + "0" * 30101
+        assert decimal_string(-tie / 10**30113) == "-0." + "0" * 30100 + "123456789013"

@@ -29,7 +29,7 @@ SURFACE = [
     "even_gap_family_size",
     "min_size_odd_gap_count",
     "min_size_odd_gap_seq",
-    "schreier_zeckendorf_seq",
+    "window",
     "LinearRecurrence",
     "EvalMode",
     "eval_fast",

@@ -22,7 +22,6 @@ from seqforge.recurrences import (
     fibonacci,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
-    schreier_zeckendorf_seq,
     tail_recurrence_of,
     window,
 )
@@ -37,6 +36,7 @@ from helpers import (
     min_size_odd_gap_list,
     partial_sum,
     poly_gcd_degree,
+    schreier_zeckendorf_seq,
     sign_trick_series,
     sz_branch_count,
     truncated_product,
