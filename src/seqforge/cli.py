@@ -389,26 +389,21 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         return INCONCLUSIVE
 
     rec = report.found
+    fields = {
+        "order": rec.order,
+        "coeffs": [str(c) for c in rec.coeffs],
+        "valid_from": rec.valid_from,
+        "verified_upto": report.verified_upto,
+        "minimal": report.minimal,
+    }
     if args.fmt == "json":
         import json
 
-        payload = {
-            "schema": 1,
-            "order": rec.order,
-            "coeffs": [str(c) for c in rec.coeffs],
-            "valid_from": rec.valid_from,
-            "verified_upto": report.verified_upto,
-            "minimal": report.minimal,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"schema": 1, **fields}, indent=2) + "\n"
     else:
-        text = (
-            f"order: {rec.order}\n"
-            f"coeffs: {' '.join(str(c) for c in rec.coeffs)}\n"
-            f"valid_from: {rec.valid_from}\n"
-            f"verified_upto: {report.verified_upto}\n"
-            f"minimal: {'true' if report.minimal else 'false'}\n"
-        )
+        fields["coeffs"] = " ".join(fields["coeffs"])
+        fields["minimal"] = "true" if report.minimal else "false"
+        text = "".join(f"{key}: {value}\n" for key, value in fields.items())
     _emit(text, args.output)
 
     if args.expect_order is not None and rec.order != args.expect_order:

@@ -34,10 +34,7 @@ class RecurrenceReport(_Value):
     def __init__(
         self, found: LinearRecurrence | None, verified_upto: int, minimal: bool, note: str = ""
     ) -> None:
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "verified_upto", verified_upto)
-        object.__setattr__(self, "minimal", minimal)
-        object.__setattr__(self, "note", note)
+        self._set(found, verified_upto, minimal, note)
 
 
 def _inconclusive(start_index: int, note: str) -> RecurrenceReport:

@@ -42,11 +42,11 @@ from .subsets import BigCount, _need_int, _Value
 
 
 def _check_rational(values, what: str) -> None:
-    # A ValueError names the first of values that is not an int or a Fraction.
+    # A ValueError names the first of values that is a bool, or not an int or a Fraction.
     from numbers import Rational
 
     for i, v in enumerate(values):
-        if type(v) is not int and not isinstance(v, Rational):
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, Rational)):
             raise ValueError(f"{what} {i} is a {type(v).__name__}, not an exact rational")
 
 
@@ -78,9 +78,7 @@ class LinearRecurrence(_Value):
         if coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero (minimal-order form)")
         _need_int("valid_from", valid_from)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "initials", initials)
-        object.__setattr__(self, "valid_from", valid_from)
+        self._set(coeffs, initials, valid_from)
 
     @property
     def order(self) -> int:
@@ -98,7 +96,7 @@ class EvalMode(_Value):
                 raise ValueError(f"modulus must be an int, got {type(modulus).__name__}")
             if modulus < 2:
                 raise ValueError("modulus must be >= 2 when present")
-        object.__setattr__(self, "modulus", modulus)
+        self._set(modulus)
 
     def reduce(self, value: int) -> int:
         return value if self.modulus is None else value % self.modulus

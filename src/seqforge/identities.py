@@ -11,12 +11,12 @@ strings are produced only for rendering, never for comparison.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import islice
-from operator import ne
+from itertools import chain, count, islice
+from operator import add, ne
 
-from .recurrences import FAMILIES, _series
+from .recurrences import FAMILIES, _series, family_spec
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
@@ -48,10 +48,7 @@ class IdentityReport(_Value):
     ) -> None:
         if passed != (first_counterexample is None):
             raise ValueError("passed must mirror the absence of a counterexample")
-        object.__setattr__(self, "identity_id", identity_id)
-        object.__setattr__(self, "range_checked", range_checked)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_counterexample", first_counterexample)
+        self._set(identity_id, range_checked, passed, first_counterexample)
 
 
 def scan_identity(
@@ -95,50 +92,51 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
     return ("-" if value < 0 else "") + f"{rounded:f}"
 
 
+# The series identities by report id. A row (lhs, rhs, c, d) states that
+# lhs = rhs + c + d*i at each index i checked; a side is a FAMILIES row,
+# its params and the index it is read from at the first i. The row of
+# oddgap-h is its generating-function half.
+_SERIES = {
+    "gen-sum": lambda n: (("genk", {"n": n}, 1), ("genfib", {"n": n}, n + 1), -1, 0),
+    "gen-shift": lambda n: (("genfib", {"n": n}, 2 * n), ("genh", {"n": n}, 0), n + 1, 1),
+    "oddgap-h": lambda: (("minsize-oddgap", {"k": 2}, 1), ("H", {}, 0), 0, 0),
+}
+
+
+def _sweep(row: tuple, name: str, last: int, start: int = 0) -> Iterator[tuple]:
+    # (i, lhs, rhs + c + d*i) for i = start..last, all checked before a term
+    # is read: each side's params by family_spec, against its row's bounds.
+    lhs, rhs, c, d = row
+    streams = []
+    for family, params, first in (lhs, rhs):
+        series, _, gf = family_spec(family, FAMILIES[family].first, **params)
+        if first > sys.maxsize:  # islice reads no term past it
+            raise ValueError(f"index {first} of {series} is past {sys.maxsize}")
+        streams.append(islice(_series(*gf), first, None))
+    _need_int(name, last)
+    if last < start:
+        raise ValueError(f"{name} must be >= {start}")
+    return zip(range(start, last + 1), streams[0], map(add, streams[1], count(c + d * start, d)))
+
+
 def check_fib_h(n_max: int) -> IdentityReport:
     """Fibonacci shifted four ahead equals the twice-accumulated sequence
-    plus n + 3, exactly, for n = 0..n_max."""
-    _need_int("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    fib, acc = _series(*FAMILIES["fib"].gf()), _series(*FAMILIES["H"].gf())
-    triples = (
-        (n, f, h + n + 3) for n, f, h in zip(range(n_max + 1), islice(fib, 4, None), acc)
-    )
-    return scan_identity("fib-h", (0, n_max), triples)
+    plus n + 3, exactly, for n = 0..n_max: gen-shift at order 2, where
+    genfib and genh are fib and H."""
+    return scan_identity("fib-h", (0, n_max), _sweep(_SERIES["gen-shift"](2), "n_max", n_max))
 
 
 def check_gen_sum(n: int, k_max: int) -> IdentityReport:
     """Front sums of the order-n family telescope: the sum of terms 0..k+1
     equals term k+1+n minus one, for k = 0..k_max."""
-    _need_int("n", n)
-    _need_int("k_max", k_max)
-    if not 2 <= n < sys.maxsize:  # islice reads no term past sys.maxsize
-        raise ValueError(f"n must be >= 2 and < {sys.maxsize}")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    sums, terms = _series(*FAMILIES["genk"].gf(n)), _series(*FAMILIES["genfib"].gf(n))
-    triples = (
-        (k, s, t - 1)
-        for k, s, t in zip(range(k_max + 1), islice(sums, 1, None), islice(terms, n + 1, None))
-    )
+    triples = _sweep(_SERIES["gen-sum"](n), "k_max", k_max)
     return scan_identity(f"gen-sum[n={n}]", (0, k_max), triples)
 
 
 def check_gen_shift(n: int, m_max: int) -> IdentityReport:
     """The order-n family shifted 2n ahead equals its twice-accumulated
     form plus m + (n + 1), for m = 0..m_max."""
-    _need_int("n", n)
-    _need_int("m_max", m_max)
-    if not 2 <= n <= sys.maxsize // 2:  # islice reads no term past sys.maxsize
-        raise ValueError(f"n must be >= 2 and <= {sys.maxsize // 2}")
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    terms, acc = _series(*FAMILIES["genfib"].gf(n)), _series(*FAMILIES["genh"].gf(n))
-    triples = (
-        (m, t, h + m + n + 1)
-        for m, t, h in zip(range(m_max + 1), islice(terms, 2 * n, None), acc)
-    )
+    triples = _sweep(_SERIES["gen-shift"](n), "m_max", m_max)
     return scan_identity(f"gen-shift[n={n}]", (0, m_max), triples)
 
 
@@ -153,18 +151,12 @@ def check_odd_gap_h(
     generating function carries it to n_max_gf.
     """
     _need_int("n_max_oracle", n_max_oracle)
-    _need_int("n_max_gf", n_max_gf)
-    if n_max_oracle < 1 or n_max_gf < 1:
-        raise ValueError("ranges must be >= 1")
-    cond = Condition(gap_parity=GAP_ALL_ODD, min_size=2)
-    oracle = _counts_upto(n_max_oracle, cond, limit)
-
-    def triples():
-        yield from zip(range(1, n_max_oracle + 1), oracle[1:], _series(*FAMILIES["H"].gf()))
-        series = islice(_series(*FAMILIES["minsize-oddgap"].gf(2)), 1, None)
-        yield from zip(range(1, n_max_gf + 1), series, _series(*FAMILIES["H"].gf()))
-
-    return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), triples())
+    if n_max_oracle < 1:
+        raise ValueError("n_max_oracle must be >= 1")
+    gf_half = _sweep(_SERIES["oddgap-h"](), "n_max_gf", n_max_gf, 1)
+    oracle = _counts_upto(n_max_oracle, Condition(gap_parity=GAP_ALL_ODD, min_size=2), limit)
+    oracle_half = zip(range(1, n_max_oracle + 1), oracle[1:], _series(*FAMILIES["H"].gf()))
+    return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), chain(oracle_half, gf_half))
 
 
 # typed: a bool alpha or beta must miss the entry of the equal int, so that
@@ -203,9 +195,7 @@ def shift_up_adjoin_max(s: Subset, n: int, alpha: int, beta: int) -> Subset:
     _need_int("n", n)
     bound = n - (alpha + beta)
     if s.elements and s.elements[-1] > bound:
-        raise ValueError(
-            f"subset must live in {{1..{bound}}} for n={n}: {s.elements}"
-        )
+        raise ValueError(f"subset must live in {{1..{bound}}} for n={n}: {s.elements}")
     _require_member(s, alpha, beta, "input")
     return Subset(tuple(e + alpha for e in s.elements) + (n,))
 
@@ -258,6 +248,4 @@ def check_bijection_round_trip(
             yield (n, mismatches, 0)
             yield (n, len(with_max), len(shrunken))
 
-    return scan_identity(
-        f"bijection[alpha={alpha},beta={beta}]", (lag, n_max), triples()
-    )
+    return scan_identity(f"bijection[alpha={alpha},beta={beta}]", (lag, n_max), triples())

@@ -34,9 +34,7 @@ class SequenceWindow(_Value):
     __slots__ = __match_args__ = ("name", "offset", "terms")
 
     def __init__(self, name: str, offset: int, terms: tuple[int, ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "terms", tuple(terms))
+        self._set(name, offset, tuple(terms))
 
     def __len__(self) -> int:
         return len(self.terms)

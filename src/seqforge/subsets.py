@@ -45,12 +45,16 @@ class _Value:
     dataclasses would: equality between instances of one class, hash and
     repr over the fields __match_args__ names, in order, and an
     AttributeError on assigning or deleting a field. A subclass lists its
-    fields in __slots__ and __match_args__ and sets them in __init__ with
-    object.__setattr__. No dataclasses: it imports inspect, ast and more,
+    fields in __slots__ and __match_args__ and sets them in __init__, in
+    that order, with _set. No dataclasses: it imports inspect, ast and more,
     and writes each class's methods at import time."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -93,6 +97,7 @@ class Subset(_Value):
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise ValueError(f"duplicate element {a} in subset")
+        # Not _set, at twice the cost: the bijection check makes one per image.
         object.__setattr__(self, "elements", elems)
 
     # The bijection check compares every subset it enumerates, so these two
@@ -125,7 +130,7 @@ class Subset(_Value):
 
 def _trusted_subset(elems: tuple[int, ...]) -> Subset:
     # A Subset of a tuple already strictly increasing and >= 1, such as the
-    # search yields, without the public constructor's sort and checks.
+    # search yields, without the public constructor's sort, checks or _set.
     subset = object.__new__(Subset)
     object.__setattr__(subset, "elements", elems)
     return subset
@@ -163,11 +168,7 @@ class Condition(_Value):
             raise ValueError("min_size must be >= 0")
         if forced_max is not None and forced_max < 1:
             raise ValueError("forced_max must be >= 1 when present")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gap_parity", gap_parity)
-        object.__setattr__(self, "min_size", min_size)
-        object.__setattr__(self, "forced_max", forced_max)
+        self._set(alpha, beta, gap_parity, min_size, forced_max)
 
     @property
     def gap_step(self) -> int:

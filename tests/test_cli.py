@@ -877,11 +877,13 @@ class TestVerify:
         assert errors.count("error:") <= 1 and "Traceback" not in errors, (argv, config)
         assert (code == 0) == (errors == ""), (argv, config)
 
+    # gen-sum reads genfib from index n + 1, gen-shift from 2n; "all" stops
+    # at gen-sum, the first check given --n.
     @pytest.mark.parametrize("identity, bound", [
-        ("gen-sum", f"n must be >= 2 and < {sys.maxsize}"),
-        ("gen-shift", f"n must be >= 2 and <= {sys.maxsize // 2}"),
-        ("all", f"n must be >= 2 and < {sys.maxsize}"),
-    ])
+        ("gen-sum", f"index {10**20} of genfib[{10**20 - 1}] is past {sys.maxsize}"),
+        ("gen-shift", f"index {2 * 10**20 - 2} of genfib[{10**20 - 1}] is past {sys.maxsize}"),
+        ("all", f"index {10**20} of genfib[{10**20 - 1}] is past {sys.maxsize}"),
+    ], ids=["gen-sum", "gen-shift", "all"])
     def test_order_past_sys_maxsize_is_usage_error(self, capsys, identity, bound):
         code, out, err = run_cli(capsys, "verify", "--id", identity, "--n", "99999999999999999999", "--to", "3")
         assert (code, out, err) == (2, "", f"error: {bound}\n")

@@ -84,6 +84,8 @@ class TestBerlekampMassey:
             (["1", "1", "2", "3", "5", "8"], 0, "str"),
             ([1, 2, Decimal(3), 4, 5, 6], 2, "Decimal"),
             ([1, 2, 3, None], 3, "NoneType"),
+            ([True, False, True, False, True, False], 0, "bool"),
+            ([0, 1, 1, 2, True, 5, 8], 4, "bool"),
         ],
     )
     def test_inexact_terms_are_refused(self, prefix, index, kind):

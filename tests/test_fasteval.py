@@ -58,6 +58,11 @@ class TestLinearRecurrence:
         ((1, 1), (0.5, 1), "initial 0 is a float"),
         ((1, Decimal(1)), (0, 1), "coefficient 1 is a Decimal"),
         ((1, 1), (0, Decimal(1)), "initial 1 is a Decimal"),
+        # A bool is a numbers.Rational, yet no count: eval_fast would return
+        # True at an initial's index.
+        ((True, True), (0, 1), "coefficient 0 is a bool"),
+        ((1, 1), (False, True), "initial 0 is a bool"),
+        ((1, 1), (0, True), "initial 1 is a bool"),
     ])
     def test_rejects_inexact_values(self, coeffs, initials, where):
         with pytest.raises(ValueError, match=f"{where}, not an exact rational"):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,13 @@ from seqforge.identities import (
     scan_identity,
     shift_up_adjoin_max,
 )
-from seqforge.recurrences import condition_count, even_gap_family_size, fibonacci, window
+from seqforge.recurrences import (
+    FAMILIES,
+    condition_count,
+    even_gap_family_size,
+    fibonacci,
+    window,
+)
 from seqforge.subsets import (
     GAP_ALL_ODD,
     Condition,
@@ -81,6 +88,28 @@ class TestIntsOnly:
     def test_refuses_non_ints(self, check, args, name):
         bad = next(a for a in args if type(a) not in (int, Subset, Fraction))
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+            check(*args)
+
+
+class TestSeriesBounds:
+    # Each range is checked once, under its own name; an order by the
+    # FAMILIES bounds of the sides it reads.
+    @pytest.mark.parametrize("check, args, message", [
+        (check_fib_h, (-1,), "n_max must be >= 0"),
+        (check_gen_sum, (3, -1), "k_max must be >= 0"),
+        (check_gen_shift, (3, -1), "m_max must be >= 0"),
+        (check_gen_sum, (1, 5), "n must be >= 2"),
+        (check_gen_shift, (1, 5), "n must be >= 2"),
+        (check_gen_sum, (1, -1), "n must be >= 2"),
+        (check_odd_gap_h, (0, 5), "n_max_oracle must be >= 1"),
+        (check_odd_gap_h, (3, 0), "n_max_gf must be >= 1"),
+        (check_gen_sum, (sys.maxsize, 5),
+         f"index {sys.maxsize + 1} of genfib[{sys.maxsize}] is past {sys.maxsize}"),
+        (check_gen_shift, (sys.maxsize // 2 + 1, 5),
+         f"index {sys.maxsize + 1} of genfib[{sys.maxsize // 2 + 1}] is past {sys.maxsize}"),
+    ])
+    def test_refuses_out_of_range(self, check, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check(*args)
 
 
@@ -156,6 +185,53 @@ class TestOddGapH:
         index, lhs, rhs = report.first_counterexample
         assert (index, lhs - rhs) == (7, 1)
         assert rhs == brute_count(7, lambda t: len(t) >= 2 and all(g % 2 for g in gaps_of(t)))
+
+
+def one_term_off(monkeypatch, family, index, **params):
+    # Every series the checks read of the FAMILIES row family with params
+    # gains 1 at the given absolute index; the others are as they were.
+    real, gf = identities._series, FAMILIES[family].gf(**params)
+
+    def series(*parts):
+        terms = real(*parts)
+        return (t + (i == index) for i, t in enumerate(terms)) if parts == gf else terms
+
+    monkeypatch.setattr(identities, "_series", series)
+
+
+class TestSeriesCounterexamples:
+    # A wrong offset or a swapped side moves the reported (index, lhs, rhs).
+    def test_fib_h(self, monkeypatch):
+        one_term_off(monkeypatch, "H", 50)
+        report = check_fib_h(200)
+        assert report.first_counterexample == (50, fibonacci(54), fibonacci(54) + 1)
+
+    def test_gen_sum(self, monkeypatch):
+        # genfib[3] is read from index n + 1 = 4, so its term 20 is at k = 16.
+        one_term_off(monkeypatch, "genfib", 20, n=3)
+        total = window("genk", 17, n=3).term(17)
+        assert check_gen_sum(3, 300).first_counterexample == (16, total, total + 1)
+
+    def test_gen_shift(self, monkeypatch):
+        # The left side, genfib[3], is read from index 2n = 6.
+        one_term_off(monkeypatch, "genfib", 20, n=3)
+        term = window("genfib", 20, n=3).term(20)
+        assert check_gen_shift(3, 300).first_counterexample == (14, term + 1, term)
+
+    def test_odd_gap_h_generating_function_half(self, monkeypatch):
+        # Past the oracle's range, only the series of the condition is read.
+        one_term_off(monkeypatch, "minsize-oddgap", 100, k=2)
+        h = window("H", 99).term(99)
+        assert check_odd_gap_h(12, 500).first_counterexample == (100, h + 1, h)
+
+    @pytest.mark.parametrize("off", [None, 30])
+    def test_fib_h_is_gen_shift_at_order_two(self, monkeypatch, off):
+        if off is not None:
+            one_term_off(monkeypatch, "genh", off, n=2)
+        fib_h, gen_shift = check_fib_h(120), check_gen_shift(2, 120)
+        assert (fib_h.identity_id, gen_shift.identity_id) == ("fib-h", "gen-shift[n=2]")
+        assert fib_h._values()[1:] == gen_shift._values()[1:]
+        assert fib_h.passed is (off is None)
 
 
 class TestBijections:
