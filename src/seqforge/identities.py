@@ -2,7 +2,8 @@
 bijection, and the exact decimal rendering of rationals that reports them.
 The bijection is checked by mapping each family the oracle enumerates
 through one half and comparing the images with the other family, as
-enumerated, list against list.
+enumerated, list against list; a subset is the sorted tuple of its
+elements, as the oracle yields it.
 
 All pass/fail decisions compare exact integers or exact rationals; decimal
 strings are produced only for rendering, never for comparison.
@@ -21,8 +22,8 @@ from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
     Condition,
-    Subset,
     _Value,
+    _counts_by_max,
     _counts_upto,
     _need_int,
     _passes,
@@ -166,43 +167,59 @@ def _family(alpha: int, beta: int) -> Condition:
     return Condition(alpha=alpha, beta=beta)
 
 
-def _require_member(s: Subset, alpha: int, beta: int, role: str) -> None:
-    if not _passes(s.elements, _family(alpha, beta)):
-        raise ValueError(f"{role} must be {alpha}-Schreier and {beta}-Zeckendorf: {s.elements}")
+def _require_subset(s: tuple[int, ...]) -> None:
+    # A subset as the halves take it: the sorted tuple of its elements, ints
+    # >= 1 and strictly increasing, as enumerate_subsets yields them.
+    prev = 0
+    for e in s:
+        if type(e) is not int:
+            _need_int("subset element", e)
+        if e <= prev:
+            raise ValueError(f"subset elements must be >= 1 and strictly increasing: {s}")
+        prev = e
 
 
-def drop_max_shift_down(s: Subset, n: int, alpha: int, beta: int) -> Subset:
+def _require_member(s: tuple[int, ...], alpha: int, beta: int, role: str) -> None:
+    if not _passes(s, _family(alpha, beta)):
+        raise ValueError(f"{role} must be {alpha}-Schreier and {beta}-Zeckendorf: {s}")
+
+
+def drop_max_shift_down(s: tuple[int, ...], n: int, alpha: int, beta: int) -> tuple[int, ...]:
     """Forward half of the counting bijection: remove the maximum n, then
     shift everything down by alpha.
 
-    Input must satisfy both predicates and contain n as its maximum; the
-    image satisfies both predicates inside {1 .. n-(alpha+beta)}.
+    s is a subset as a sorted tuple. Input must satisfy both predicates and
+    contain n as its maximum; the image satisfies both predicates inside
+    {1 .. n-(alpha+beta)}.
     """
     _need_int("n", n)
-    if s.maximum != n:
-        raise ValueError(f"subset must have maximum exactly n={n}: {s.elements}")
+    _require_subset(s)
+    if not s or s[-1] != n:
+        raise ValueError(f"subset must have maximum exactly n={n}: {s}")
     _require_member(s, alpha, beta, "input")
-    return Subset(e - alpha for e in s.elements[:-1])
+    return tuple([e - alpha for e in s[:-1]])
 
 
-def shift_up_adjoin_max(s: Subset, n: int, alpha: int, beta: int) -> Subset:
+def shift_up_adjoin_max(s: tuple[int, ...], n: int, alpha: int, beta: int) -> tuple[int, ...]:
     """Inverse half of the counting bijection: shift up by alpha and adjoin
     n as the new maximum.
 
-    Input must satisfy both predicates inside {1 .. n-(alpha+beta)}; the
-    image satisfies both predicates and has maximum exactly n.
+    s is a subset as a sorted tuple. Input must satisfy both predicates
+    inside {1 .. n-(alpha+beta)}; the image satisfies both predicates and
+    has maximum exactly n.
     """
     _need_int("n", n)
+    _require_subset(s)
     bound = n - (alpha + beta)
-    if s.elements and s.elements[-1] > bound:
-        raise ValueError(f"subset must live in {{1..{bound}}} for n={n}: {s.elements}")
+    if s and s[-1] > bound:
+        raise ValueError(f"subset must live in {{1..{bound}}} for n={n}: {s}")
     _require_member(s, alpha, beta, "input")
-    return Subset(tuple(e + alpha for e in s.elements) + (n,))
+    return tuple([e + alpha for e in s]) + (n,)
 
 
 def _image(
-    half: Callable[[Subset, int, int, int], Subset], s: Subset, n: int, alpha: int, beta: int
-) -> Subset | None:
+    half: Callable[[tuple, int, int, int], tuple], s: tuple, n: int, alpha: int, beta: int
+) -> tuple | None:
     # A half that refuses a member of the family it maps has no image there:
     # a mismatch at n, not a usage error.
     try:
@@ -223,6 +240,9 @@ def check_bijection_round_trip(
     shrunken family differ from the members with maximum n (a member that
     a half refuses with a ValueError is such a place); and
     (n, |with max n|, |shrunken ambient|) for equinumerosity.
+
+    Both families of every n come from one search of {1..n_max}, so the
+    check costs what its largest n does.
     """
     family = _family(alpha, beta)
     _need_int("n_max", n_max)
@@ -232,16 +252,21 @@ def check_bijection_round_trip(
     check_enum_limit(n_max, limit)
 
     def triples():
+        # Whether a set is in the family does not depend on n, and the
+        # search yields in characteristic-vector order, which sorts by
+        # maximum. So the family of {1..m} is the first ends[m] members,
+        # and the members with maximum n run from ends[n - 1] to ends[n].
+        members = list(enumerate_subsets(n_max, family, limit))
+        ends = _counts_by_max(members, n_max)
         for n in range(lag, n_max + 1):
-            top = Condition(alpha=alpha, beta=beta, forced_max=n)
-            with_max = list(enumerate_subsets(n, top, limit))
-            shrunken = list(enumerate_subsets(n - lag, family, limit))
-            # enumerate_subsets yields in characteristic-vector order. Each
-            # element below the maximum of an alpha-Schreier set of two or
-            # more is >= 2 alpha > alpha, so dropping n and shifting down by
-            # alpha keeps that order. Equal lists then mean that each half
-            # maps one family onto the other, whose members _passes checked
-            # as they were enumerated, and that the halves are inverses.
+            with_max = members[ends[n - 1] : ends[n]]
+            shrunken = members[: ends[n - lag]]
+            # Each element below the maximum of an alpha-Schreier set of two
+            # or more is >= 2 alpha > alpha, so dropping n and shifting down
+            # by alpha keeps characteristic-vector order. Equal lists then
+            # mean that each half maps one family onto the other, whose
+            # members _passes checked as they were enumerated, and that the
+            # halves are inverses.
             down = [_image(drop_max_shift_down, s, n, alpha, beta) for s in with_max]
             up = [_image(shift_up_adjoin_max, t, n, alpha, beta) for t in shrunken]
             mismatches = sum(map(ne, down, shrunken)) + sum(map(ne, up, with_max))

@@ -1,7 +1,9 @@
-"""Subset domain types, gap predicates, and the exhaustive enumeration oracle.
+"""The package's value base class, the subset condition, its membership
+test, and the exhaustive enumeration oracle.
 
-Everything here is pure and exact: subsets are immutable, counts are plain
-Python ints (arbitrary precision), and enumeration order is deterministic.
+Everything here is pure and exact: a subset is a sorted tuple of its
+elements, counts are plain Python ints (arbitrary precision), and
+enumeration order is deterministic.
 The exhaustive search is the ground truth that every closed form and
 recurrence in the rest of the package is tested against. It walks the
 subsets of {1..n} from the top element down and skips only branches that
@@ -80,60 +82,6 @@ class _Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as __setattr__ refuses.
         return self.__class__, self._values()
-
-
-class Subset(_Value):
-    """A finite set of naturals >= 1, stored strictly increasing."""
-
-    __slots__ = __match_args__ = ("elements",)
-
-    def __init__(self, elements: Iterable[int] = ()) -> None:
-        elems = tuple(elements)
-        for e in elems:
-            _need_int("subset element", e)
-            if e < 1:
-                raise ValueError(f"subset elements must be >= 1, got {e!r}")
-        elems = tuple(sorted(elems))
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise ValueError(f"duplicate element {a} in subset")
-        # Not _set, at twice the cost: the bijection check makes one per image.
-        object.__setattr__(self, "elements", elems)
-
-    # The bijection check compares every subset it enumerates, so these two
-    # skip _Value's loop over the fields.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.elements,))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __contains__(self, value: object) -> bool:
-        return value in self.elements
-
-    @property
-    def minimum(self) -> int | None:
-        return self.elements[0] if self.elements else None
-
-    @property
-    def maximum(self) -> int | None:
-        return self.elements[-1] if self.elements else None
-
-
-def _trusted_subset(elems: tuple[int, ...]) -> Subset:
-    # A Subset of a tuple already strictly increasing and >= 1, such as the
-    # search yields, without the public constructor's sort, checks or _set.
-    subset = object.__new__(Subset)
-    object.__setattr__(subset, "elements", elems)
-    return subset
 
 
 class Condition(_Value):
@@ -270,12 +218,18 @@ def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
 def _counts_upto(n_max: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> list[BigCount]:
     # count_subsets(n, cond) for every n = 0..n_max, from one search of
     # {1..n_max}. Whether a subset matches does not depend on n, so the
-    # matches in {1..n} are those with maximum <= n: the counts by maximum
-    # (the empty set's under 0), summed from the front. Below a forced_max
-    # the entries are 0.
+    # matches in {1..n} are those with maximum <= n. Below a forced_max the
+    # entries are 0.
     _check_enum_bounds(n_max, cond, limit)
+    return _counts_by_max(_search(n_max, cond), n_max)
+
+
+def _counts_by_max(found: Iterable[tuple[int, ...]], n_max: int) -> list[int]:
+    # Entry m is how many of the sorted tuples found have maximum <= m (the
+    # empty tuple's is 0), for m = 0..n_max. Found in characteristic-vector
+    # order, which sorts by maximum, those are the first entry m of them.
     by_max = [0] * (n_max + 1)
-    for elems in _search(n_max, cond):
+    for elems in found:
         by_max[elems[-1] if elems else 0] += 1
     return list(accumulate(by_max))
 
@@ -291,8 +245,9 @@ def count_subsets(n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> B
 
 def enumerate_subsets(
     n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT
-) -> Iterator[Subset]:
-    """Lazily yield each matching subset of {1..n} exactly once.
+) -> Iterator[tuple[int, ...]]:
+    """Lazily yield each matching subset of {1..n} exactly once, as the
+    sorted tuple of its elements.
 
     Order is by characteristic vector read as an n-bit integer (bit i-1 set
     iff element i present), in increasing numeric order, so output is
@@ -300,4 +255,4 @@ def enumerate_subsets(
     subset is asked for.
     """
     _check_enum_bounds(n, cond, limit)
-    return map(_trusted_subset, _search(n, cond))
+    return _search(n, cond)

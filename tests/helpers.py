@@ -9,8 +9,8 @@ straight iteration instead of fast recurrence evaluation, the catalog
 recurrences and the Schreier-Zeckendorf branch rule derived by hand instead
 of read from the generating functions, fast doubling for modular Fibonacci,
 exact Gaussian elimination for recurrence fitting, and
-each output format's text built whole (the JSON by the json encoder)
-instead of the streaming writer.
+each output format's text, and `enumerate`'s, built whole (the JSON by the
+json encoder) instead of the streaming writer.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def gaps_of(elems):
     return tuple(b - a for a, b in zip(elems, elems[1:]))
 
 
-def matches(s, cond, n):
-    """True iff the Subset s, as a subset of {1..n}, satisfies every present
-    clause of cond, read clause by clause from its definition; an element
-    or forced_max above n is a malformed query (ValueError)."""
-    elems = s.elements
+def matches(elems, cond, n):
+    """True iff the subset whose sorted tuple is elems, as a subset of
+    {1..n}, satisfies every present clause of cond, read clause by clause
+    from its definition; an element or forced_max above n is a malformed
+    query (ValueError)."""
     if elems and elems[-1] > n:
         raise ValueError(f"malformed query: subset element {elems[-1]} exceeds n={n}")
     if cond.forced_max is not None and cond.forced_max > n:
@@ -64,6 +64,12 @@ def matches(s, cond, n):
         and (cond.beta is None or all(g >= cond.beta for g in gaps))
         and (parity is None or all(g % 2 == parity for g in gaps))
     )
+
+
+def enumerate_text(subsets):
+    """What `enumerate` prints for the sorted tuples subsets: one row each,
+    its elements by str() between braces, built whole."""
+    return "".join("{" + ",".join(str(e) for e in elems) + "}\n" for elems in subsets)
 
 
 def brute_count(n, predicate):

@@ -25,9 +25,19 @@ from seqforge.recurrences import (
     min_size_odd_gap_seq,
     window,
 )
-from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, Condition, Subset, count_subsets, enumerate_subsets
+from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD, GAP_ANY, Condition, count_subsets, enumerate_subsets
 
-from helpers import family_oracle, fib_list, ratio_report, schreier_zeckendorf_seq, sz_list, window_text
+from helpers import (
+    enumerate_text,
+    family_oracle,
+    fib_list,
+    iter_subsets_raw,
+    matches,
+    ratio_report,
+    schreier_zeckendorf_seq,
+    sz_list,
+    window_text,
+)
 
 
 def run_cli(capsys, *argv):
@@ -901,8 +911,8 @@ class TestVerify:
         # Neither wrong half shifts by alpha; each still makes valid subsets,
         # so the check fails rather than refusing its input.
         wrong = {
-            "drop_max_shift_down": lambda s, n, a, b: Subset(s.elements[:-1]),
-            "shift_up_adjoin_max": lambda s, n, a, b: Subset(s.elements + (n,)),
+            "drop_max_shift_down": lambda s, n, a, b: s[:-1],
+            "shift_up_adjoin_max": lambda s, n, a, b: s + (n,),
         }[half]
         monkeypatch.setattr(identities, half, wrong)
         code, out, err = run_cli(capsys, "verify", "--id", "bijection")
@@ -910,11 +920,15 @@ class TestVerify:
         assert err.startswith("error: identity check failed: bijection[alpha=1,beta=1],")
 
     def test_a_bijection_half_refusing_a_member_exits_1(self, capsys, monkeypatch):
-        # Shifting down by beta refuses the element 0 where beta > alpha:
-        # a failed check at that n, not a usage error.
-        monkeypatch.setattr(
-            identities, "drop_max_shift_down", lambda s, n, a, b: Subset(e - b for e in s.elements[:-1])
-        )
+        # Shifting down by beta, and checking the image as the halves check
+        # their input, refuses the element 0 where beta > alpha: a failed
+        # check at that n, not a usage error.
+        def down_by_beta(s, n, a, b):
+            image = tuple(e - b for e in s[:-1])
+            identities._require_subset(image)
+            return image
+
+        monkeypatch.setattr(identities, "drop_max_shift_down", down_by_beta)
         code, out, err = run_cli(capsys, "verify", "--id", "bijection")
         assert code == 1 and out.count("FAIL") == 6
         assert "bijection[alpha=1,beta=2]: FAIL  range [3, 12]\n  first counterexample at 4: 1 != 0\n" in out
@@ -1049,8 +1063,37 @@ class TestEnumerate:
             assert listing.count("\n") == int(count), flags
             args = build_parser().parse_args(["enumerate", *flags])
             subsets = enumerate_subsets(args.n, cli._build_condition(args), args.enum_limit)
-            lines = ["{" + ",".join(map(str, s.elements)) + "}" for s in subsets]
-            assert listing == "".join(line + "\n" for line in lines), flags
+            assert listing == enumerate_text(subsets), flags
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_matches_by_str(self, data):
+        # Every row, the empty one {} included, against the raw bitmask scan
+        # filtered by the clauses' definitions and rendered by str(): on
+        # stdout and in an --output file alike.
+        n = data.draw(st.integers(0, 14), label="n")
+        cond = Condition(
+            data.draw(st.none() | st.integers(1, 4), label="alpha"),
+            data.draw(st.none() | st.integers(1, 4), label="beta"),
+            data.draw(st.sampled_from([GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN]), label="parity"),
+            data.draw(st.integers(0, 4), label="min_size"),
+            data.draw(st.none() if n == 0 else st.none() | st.integers(1, n), label="forced_max"),
+        )
+        parity = {GAP_ANY: "any", GAP_ALL_ODD: "odd", GAP_ALL_EVEN: "even"}[cond.gap_parity]
+        argv = ["enumerate", "--n", str(n), "--gap-parity", parity, "--min-size", str(cond.min_size)]
+        for flag, value in (("--alpha", cond.alpha), ("--beta", cond.beta), ("--forced-max", cond.forced_max)):
+            if value is not None:
+                argv += [flag, str(value)]
+        expected = enumerate_text(t for t in iter_subsets_raw(n) if matches(t, cond, n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.txt"
+            for to_file in (False, True):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--output", str(path)] if to_file else argv)
+                listing = path.read_text() if to_file else out.getvalue()
+                assert (code, err.getvalue(), listing) == (0, "", expected), (argv, to_file)
+                assert not (to_file and out.getvalue()), argv
 
 
 class TestPipelines:

@@ -30,7 +30,6 @@ from seqforge.recurrences import (
 from seqforge.subsets import (
     GAP_ALL_ODD,
     Condition,
-    Subset,
     enumerate_subsets,
 )
 
@@ -75,9 +74,9 @@ class TestIntsOnly:
         (check_odd_gap_h, (3, 5.0), "n_max_gf"),
         (check_bijection_round_trip, (2, 3, 12.0), "n_max"),
         (check_bijection_round_trip, (2.0, 3, 12), "alpha"),
-        (drop_max_shift_down, (Subset([7]), 7.0, 2, 3), "n"),
-        (shift_up_adjoin_max, (Subset([2]), 7.5, 2, 3), "n"),
-        (shift_up_adjoin_max, (Subset([2]), 7, 2, True), "beta"),
+        (drop_max_shift_down, ((7,), 7.0, 2, 3), "n"),
+        (shift_up_adjoin_max, ((2,), 7.5, 2, 3), "n"),
+        (shift_up_adjoin_max, ((2,), 7, 2, True), "beta"),
         (decimal_string, (Fraction(2, 3), 2.5), "sig_digits"),
         (decimal_string, (Fraction(2, 3), True), "sig_digits"),
     ], ids=[
@@ -86,7 +85,7 @@ class TestIntsOnly:
         "decimal-digits", "decimal-digits-bool",
     ])
     def test_refuses_non_ints(self, check, args, name):
-        bad = next(a for a in args if type(a) not in (int, Subset, Fraction))
+        bad = next(a for a in args if type(a) not in (int, tuple, Fraction))
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
             check(*args)
 
@@ -236,41 +235,41 @@ class TestSeriesCounterexamples:
 
 class TestBijections:
     def test_forward_examples(self):
-        assert drop_max_shift_down(Subset([7]), 7, 2, 3) == Subset()
-        assert drop_max_shift_down(Subset([4, 7]), 7, 2, 3) == Subset([2])
-        assert drop_max_shift_down(Subset([2, 4]), 4, 1, 2) == Subset([1])
+        assert drop_max_shift_down((7,), 7, 2, 3) == ()
+        assert drop_max_shift_down((4, 7), 7, 2, 3) == (2,)
+        assert drop_max_shift_down((2, 4), 4, 1, 2) == (1,)
 
     def test_inverse_examples(self):
-        assert shift_up_adjoin_max(Subset(), 7, 2, 3) == Subset([7])
-        assert shift_up_adjoin_max(Subset([2]), 7, 2, 3) == Subset([4, 7])
-        assert shift_up_adjoin_max(Subset([1]), 4, 1, 2) == Subset([2, 4])
+        assert shift_up_adjoin_max((), 7, 2, 3) == (7,)
+        assert shift_up_adjoin_max((2,), 7, 2, 3) == (4, 7)
+        assert shift_up_adjoin_max((1,), 4, 1, 2) == (2, 4)
 
     def test_forward_requires_max_n(self):
         with pytest.raises(ValueError):
-            drop_max_shift_down(Subset([4, 6]), 7, 2, 3)
+            drop_max_shift_down((4, 6), 7, 2, 3)
 
     def test_forward_requires_family_membership(self):
         # {1, 7} is not 2-Schreier (1 < 2 * 2).
         with pytest.raises(ValueError, match=r"^input must be 2-Schreier and 3-Zeckendorf: \(1, 7\)$"):
-            drop_max_shift_down(Subset([1, 7]), 7, 2, 3)
+            drop_max_shift_down((1, 7), 7, 2, 3)
         # {4, 6, 7} has a gap of 1 < 3.
         with pytest.raises(ValueError, match="3-Zeckendorf"):
-            drop_max_shift_down(Subset([4, 6, 7]), 7, 2, 3)
+            drop_max_shift_down((4, 6, 7), 7, 2, 3)
 
     def test_a_bool_is_refused_after_an_int_call(self):
         # The halves cache each (alpha, beta) family; True must not be
         # served the entry of 1.
         identities._family.cache_clear()
-        assert drop_max_shift_down(Subset([2, 4]), 4, 1, 1) == Subset([1])
-        assert shift_up_adjoin_max(Subset([1]), 4, 1, 1) == Subset([2, 4])
+        assert drop_max_shift_down((2, 4), 4, 1, 1) == (1,)
+        assert shift_up_adjoin_max((1,), 4, 1, 1) == (2, 4)
         with pytest.raises(ValueError, match="^alpha must be an int, got bool$"):
-            drop_max_shift_down(Subset([2, 4]), 4, True, 1)
+            drop_max_shift_down((2, 4), 4, True, 1)
         with pytest.raises(ValueError, match="^beta must be an int, got bool$"):
-            shift_up_adjoin_max(Subset([1]), 4, 1, True)
+            shift_up_adjoin_max((1,), 4, 1, True)
 
     def test_inverse_requires_shrunken_ambient(self):
         with pytest.raises(ValueError):
-            shift_up_adjoin_max(Subset([3]), 7, 2, 3)
+            shift_up_adjoin_max((3,), 7, 2, 3)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("beta", [1, 2, 3])
@@ -285,7 +284,7 @@ class TestBijections:
             assert len(with_max) == len(shrunken)
             for s in with_max:
                 image = drop_max_shift_down(s, n, alpha, beta)
-                assert (image.maximum or 0) <= n - lag
+                assert max(image, default=0) <= n - lag
                 assert matches(image, family, n - lag)
                 assert shift_up_adjoin_max(image, n, alpha, beta) == s
             for s in shrunken:
@@ -306,16 +305,40 @@ class TestBijections:
     @pytest.mark.parametrize("half, wrong, first_counterexample", [
         # Shifting by beta, not alpha, first differs at {4, 7} -> {1}, where
         # the shrunken family of n = 7 holds {2}.
-        ("drop_max_shift_down", lambda s, n, a, b: Subset(e - b for e in s.elements[:-1]), (7, 1, 0)),
-        ("shift_up_adjoin_max", lambda s, n, a, b: Subset([e + b for e in s.elements] + [n]), (7, 1, 0)),
+        ("drop_max_shift_down", lambda s, n, a, b: tuple(e - b for e in s[:-1]), (7, 1, 0)),
+        ("shift_up_adjoin_max", lambda s, n, a, b: tuple(e + b for e in s) + (n,), (7, 1, 0)),
         # Keeping the maximum maps {5} to {3}, not the empty set.
-        ("drop_max_shift_down", lambda s, n, a, b: Subset(e - a for e in s.elements), (5, 1, 0)),
+        ("drop_max_shift_down", lambda s, n, a, b: tuple(e - a for e in s), (5, 1, 0)),
     ], ids=["down-by-beta", "up-by-beta", "down-keeps-max"])
     def test_a_wrong_half_fails_at_the_first_bad_n(self, monkeypatch, half, wrong, first_counterexample):
         monkeypatch.setattr(identities, half, wrong)
         report = check_bijection_round_trip(2, 3, 12)
         assert report.passed is False
         assert report.first_counterexample == first_counterexample
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    def test_one_search_hands_each_half_the_per_n_families(self, monkeypatch, alpha, beta):
+        # The check slices one search of {1..n_max}. Each half must still be
+        # handed, n by n and in order, the family that a search of that n
+        # alone enumerates.
+        lag = alpha + beta
+        family = Condition(alpha=alpha, beta=beta)
+        for n_max in range(lag, 15):
+            handed = {"drop_max_shift_down": [], "shift_up_adjoin_max": []}
+            with monkeypatch.context() as patch:
+                for name, calls in handed.items():
+                    half = getattr(identities, name)
+                    spy = lambda s, n, a, b, half=half, calls=calls: calls.append((n, s)) or half(s, n, a, b)
+                    patch.setattr(identities, name, spy)
+                assert check_bijection_round_trip(alpha, beta, n_max).passed
+            ns = range(lag, n_max + 1)
+            assert handed == {
+                "drop_max_shift_down": [
+                    (n, s) for n in ns for s in enumerate_subsets(n, Condition(alpha=alpha, beta=beta, forced_max=n))
+                ],
+                "shift_up_adjoin_max": [(n, t) for n in ns for t in enumerate_subsets(n - lag, family)],
+            }, n_max
 
     def test_range_below_the_lag_is_rejected(self):
         # No n in [alpha + beta, n_max] leaves nothing checked, not a pass.

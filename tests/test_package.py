@@ -18,7 +18,7 @@ from seqforge.discovery import RecurrenceReport
 from seqforge.fasteval import EvalMode, LinearRecurrence, _DecimalMode
 from seqforge.identities import IdentityReport
 from seqforge.recurrences import SequenceWindow
-from seqforge.subsets import Condition, Subset
+from seqforge.subsets import Condition
 
 SURFACE = [
     "Condition",
@@ -87,7 +87,6 @@ def test_readme_library_block_runs():
 # (class, every field positionally, the same value by keyword with the
 # defaults left out, keywords for a value one field away, the repr)
 VALUES = [
-    (Subset, ((),), {}, {"elements": [2]}, "Subset(elements=())"),
     (
         Condition, (2, None, "any", 0, None), {"alpha": 2}, {"alpha": 2, "forced_max": 5},
         "Condition(alpha=2, beta=None, gap_parity='any', min_size=0, forced_max=None)",

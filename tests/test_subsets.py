@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqforge import subsets
+from seqforge.identities import drop_max_shift_down, shift_up_adjoin_max
 from seqforge.subsets import (
     GAP_ALL_EVEN,
     GAP_ALL_ODD,
     GAP_ANY,
     Condition,
     EnumerationLimitError,
-    Subset,
     _counts_upto,
     _passes,
     count_subsets,
@@ -28,31 +28,35 @@ subset_elems = st.lists(st.integers(min_value=1, max_value=40), unique=True, max
 NOT_INTS = [5.0, True, False, Fraction(5), "5", None]
 
 
+# Each bijection half with an (n, alpha, beta) under which it would take a
+# subset of {1..4}, were the subset well formed.
+HALVES = [(drop_max_shift_down, (4, 1, 1)), (shift_up_adjoin_max, (6, 1, 1))]
+
+
 class TestSubset:
-    def test_sorts_input(self):
-        assert Subset([3, 1, 2]).elements == (1, 2, 3)
+    """A subset as the bijection halves take it: the sorted tuple of its
+    elements, ints >= 1 and strictly increasing. Each half refuses any
+    other tuple before reading it."""
+
+    @staticmethod
+    def refused(elems, message):
+        for half, args in HALVES:
+            with pytest.raises(ValueError, match=message):
+                half(elems, *args)
+
+    def test_rejects_unsorted_input(self):
+        self.refused((3, 1, 2), r"^subset elements must be >= 1 and strictly increasing: \(3, 1, 2\)$")
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Subset([1, 1, 2])
+        self.refused((1, 1, 2), r"^subset elements must be >= 1 and strictly increasing: \(1, 1, 2\)$")
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Subset([0, 2])
+        self.refused((0, 2), r"^subset elements must be >= 1 and strictly increasing: \(0, 2\)$")
+        self.refused((-1,), r"^subset elements must be >= 1 and strictly increasing: \(-1,\)$")
 
     @pytest.mark.parametrize("value", [1.5, True, Fraction(3), "3"])
     def test_elements_are_ints_only(self, value):
-        with pytest.raises(ValueError, match=f"^subset element must be an int, got {type(value).__name__}$"):
-            Subset([value, 4])
-
-    def test_accessors(self):
-        s = Subset([2, 5, 9])
-        assert len(s) == 3
-        assert list(s) == [2, 5, 9]
-        assert 5 in s and 4 not in s
-        assert s.minimum == 2 and s.maximum == 9
-        empty = Subset()
-        assert empty.minimum is None and empty.maximum is None
+        self.refused((value, 4), f"^subset element must be an int, got {type(value).__name__}$")
 
 
 class TestCondition:
@@ -100,7 +104,7 @@ class TestCondition:
         # for {1, 1 + g}: the least is least_gap, and up to 20 they are
         # exactly least_gap + gap_step * t.
         cond = Condition(beta=beta, gap_parity=parity)
-        accepted = [g for g in range(1, 21) if matches(Subset([1, 1 + g]), cond, 1 + g)]
+        accepted = [g for g in range(1, 21) if matches((1, 1 + g), cond, 1 + g)]
         assert accepted[0] == cond.least_gap
         assert accepted == list(range(cond.least_gap, 21, cond.gap_step))
 
@@ -109,33 +113,29 @@ class TestPredicates:
     @settings(max_examples=200)
     @given(subset_elems, st.integers(min_value=1, max_value=5))
     def test_alpha_schreier_matches_rational_test(self, elems, alpha):
-        s = Subset(elems)
         rational = True if not elems else Fraction(min(elems), alpha) >= len(elems)
-        assert _passes(s.elements, Condition(alpha=alpha)) == rational
+        assert _passes(tuple(sorted(elems)), Condition(alpha=alpha)) == rational
 
 
 class TestMatches:
     def test_spec_examples(self):
-        assert matches(
-            Subset([1, 2, 3]), Condition(gap_parity=GAP_ALL_ODD, min_size=2), 3
-        )
-        assert not matches(Subset([1, 3]), Condition(gap_parity=GAP_ALL_ODD), 3)
-        assert matches(Subset(), Condition(alpha=1, beta=1), 5)
+        assert matches((1, 2, 3), Condition(gap_parity=GAP_ALL_ODD, min_size=2), 3)
+        assert not matches((1, 3), Condition(gap_parity=GAP_ALL_ODD), 3)
+        assert matches((), Condition(alpha=1, beta=1), 5)
 
     def test_element_above_n_is_an_error(self):
         with pytest.raises(ValueError):
-            matches(Subset([6]), Condition(), 5)
+            matches((6,), Condition(), 5)
 
     def test_forced_max_above_n_is_an_error(self):
         with pytest.raises(ValueError):
-            matches(Subset([1]), Condition(forced_max=9), 5)
+            matches((1,), Condition(forced_max=9), 5)
 
     @settings(max_examples=150)
     @given(subset_elems)
     def test_empty_condition_accepts_everything(self, elems):
-        s = Subset(elems)
         n = max(elems, default=0)
-        assert matches(s, Condition(), n) is True
+        assert matches(tuple(sorted(elems)), Condition(), n) is True
 
 
 CONDITION_GRID = [
@@ -256,14 +256,12 @@ class TestEnumerateSubsets:
             enumerate_subsets(n, Condition())
 
     def test_spec_goldens(self):
-        got = list(enumerate_subsets(2, Condition(gap_parity=GAP_ALL_EVEN, forced_max=2)))
-        assert [s.elements for s in got] == [(2,)]
-        got = list(enumerate_subsets(3, Condition(gap_parity=GAP_ALL_EVEN, forced_max=3)))
-        assert [s.elements for s in got] == [(3,), (1, 3)]
+        assert list(enumerate_subsets(2, Condition(gap_parity=GAP_ALL_EVEN, forced_max=2))) == [(2,)]
+        assert list(enumerate_subsets(3, Condition(gap_parity=GAP_ALL_EVEN, forced_max=3))) == [(3,), (1, 3)]
         assert list(enumerate_subsets(1, Condition(min_size=2))) == []
 
     def test_characteristic_vector_order(self):
-        got = [s.elements for s in enumerate_subsets(4, Condition())]
+        got = list(enumerate_subsets(4, Condition()))
         assert got == list(iter_subsets_raw(4))
 
     def test_limit_raises_eagerly(self):
@@ -273,7 +271,7 @@ class TestEnumerateSubsets:
             enumerate_subsets(8, Condition(alpha=2), limit=7)
         subsets = enumerate_subsets(30, Condition())
         assert iter(subsets) is subsets
-        assert next(subsets) == Subset()  # the first of 2**30, without the rest
+        assert next(subsets) == ()  # the first of 2**30, without the rest
 
     def test_yields_unique_matching_subsets(self):
         cond = Condition(alpha=1, beta=2)
@@ -305,7 +303,7 @@ class TestSearch:
         for forced_max in forced_maxes:
             cond = Condition(alpha, beta, parity, min_size, forced_max)
             expected = [t for t in free if forced_max is None or (t and t[-1] == forced_max)]
-            assert [s.elements for s in enumerate_subsets(n, cond)] == expected, cond
+            assert list(enumerate_subsets(n, cond)) == expected, cond
             assert count_subsets(n, cond) == len(expected), cond
 
     def test_every_shape_up_to_ten(self):
