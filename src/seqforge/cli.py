@@ -75,10 +75,7 @@ def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
     even = condition_count(to, Condition(gap_parity=GAP_ALL_EVEN)) - (to + 1)
     gap = Fraction(even, odd + even)
     shown, bound = decimal_string(gap), decimal_string(args.threshold)
-    if gap < args.threshold:
-        report = IdentityReport("ratio", (1, to), True)
-    else:
-        report = IdentityReport("ratio", (1, to), False, (to, shown, bound))
+    report = IdentityReport("ratio", (1, to), None if gap < args.threshold else (to, shown, bound))
     return [report, f"  1 - r_{to} = {shown}  (threshold {bound})"]
 
 
@@ -304,8 +301,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     params = {dest: _require(args, dest) for dest, _ in FAMILIES[family].bounds}
-    # The parameters are checked first, at the first index, and then --to.
-    name, offset, gf = family_spec(family, FAMILIES[family].first, **params)
+    name, offset, gf = family_spec(family, **params)
     if not offset <= to < sys.maxsize:  # islice stops at sys.maxsize
         raise UsageError(f"--to must be >= {offset}" if to < offset else f"--to must be < {sys.maxsize}")
     if args.start is not None:

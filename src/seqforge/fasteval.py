@@ -92,8 +92,7 @@ class EvalMode(_Value):
 
     def __init__(self, modulus: int | None = None) -> None:
         if modulus is not None:
-            if not isinstance(modulus, int) or isinstance(modulus, bool):
-                raise ValueError(f"modulus must be an int, got {type(modulus).__name__}")
+            _need_int("modulus", modulus)
             if modulus < 2:
                 raise ValueError("modulus must be >= 2 when present")
         self._set(modulus)

@@ -11,7 +11,6 @@ strings are produced only for rendering, never for comparison.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, count, islice
@@ -27,29 +26,26 @@ from .subsets import (
     _counts_upto,
     _need_int,
     _passes,
-    check_enum_limit,
     enumerate_subsets,
 )
 
 class IdentityReport(_Value):
     """Result of sweeping one identity over an index interval.
 
-    first_counterexample is (index, lhs, rhs) for the earliest mismatch;
-    passed is true exactly when it is absent.
+    first_counterexample is (index, lhs, rhs) for the earliest mismatch, or
+    None; the report passed exactly when it is None.
     """
 
-    __slots__ = __match_args__ = ("identity_id", "range_checked", "passed", "first_counterexample")
+    __slots__ = __match_args__ = ("identity_id", "range_checked", "first_counterexample")
 
     def __init__(
-        self,
-        identity_id: str,
-        range_checked: tuple[int, int],
-        passed: bool,
-        first_counterexample: tuple | None = None,
+        self, identity_id: str, range_checked: tuple[int, int], first_counterexample: tuple | None = None
     ) -> None:
-        if passed != (first_counterexample is None):
-            raise ValueError("passed must mirror the absence of a counterexample")
-        self._set(identity_id, range_checked, passed, first_counterexample)
+        self._set(identity_id, range_checked, first_counterexample)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_counterexample is None
 
 
 def scan_identity(
@@ -59,8 +55,8 @@ def scan_identity(
     mismatch."""
     for index, lhs, rhs in triples:
         if lhs != rhs:
-            return IdentityReport(identity_id, bounds, False, (index, lhs, rhs))
-    return IdentityReport(identity_id, bounds, True)
+            return IdentityReport(identity_id, bounds, (index, lhs, rhs))
+    return IdentityReport(identity_id, bounds)
 
 
 def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
@@ -96,7 +92,10 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
 # The series identities by report id. A row (lhs, rhs, c, d) states that
 # lhs = rhs + c + d*i at each index i checked; a side is a FAMILIES row,
 # its params and the index it is read from at the first i. The row of
-# oddgap-h is its generating-function half.
+# oddgap-h is its generating-function half. A side of order n holds about n
+# terms while the sweep reads it, so no side is read from past index
+# MAX_SIDE_INDEX: gen-sum reads genfib from n + 1 and gen-shift from 2n.
+MAX_SIDE_INDEX = 2 * 10**6
 _SERIES = {
     "gen-sum": lambda n: (("genk", {"n": n}, 1), ("genfib", {"n": n}, n + 1), -1, 0),
     "gen-shift": lambda n: (("genfib", {"n": n}, 2 * n), ("genh", {"n": n}, 0), n + 1, 1),
@@ -110,9 +109,9 @@ def _sweep(row: tuple, name: str, last: int, start: int = 0) -> Iterator[tuple]:
     lhs, rhs, c, d = row
     streams = []
     for family, params, first in (lhs, rhs):
-        series, _, gf = family_spec(family, FAMILIES[family].first, **params)
-        if first > sys.maxsize:  # islice reads no term past it
-            raise ValueError(f"index {first} of {series} is past {sys.maxsize}")
+        series, _, gf = family_spec(family, **params)
+        if first > MAX_SIDE_INDEX:
+            raise ValueError(f"index {first} of {series} is past {MAX_SIDE_INDEX}")
         streams.append(islice(_series(*gf), first, None))
     _need_int(name, last)
     if last < start:
@@ -249,14 +248,13 @@ def check_bijection_round_trip(
     lag = alpha + beta
     if n_max < lag:
         raise ValueError(f"n_max must be >= alpha + beta = {lag}, got {n_max}")
-    check_enum_limit(n_max, limit)
+    members = list(enumerate_subsets(n_max, family, limit))
 
     def triples():
         # Whether a set is in the family does not depend on n, and the
         # search yields in characteristic-vector order, which sorts by
         # maximum. So the family of {1..m} is the first ends[m] members,
         # and the members with maximum n run from ends[n - 1] to ends[n].
-        members = list(enumerate_subsets(n_max, family, limit))
         ends = _counts_by_max(members, n_max)
         for n in range(lag, n_max + 1):
             with_max = members[ends[n - 1] : ends[n]]

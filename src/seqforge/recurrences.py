@@ -36,31 +36,9 @@ class SequenceWindow(_Value):
     def __init__(self, name: str, offset: int, terms: tuple[int, ...]) -> None:
         self._set(name, offset, tuple(terms))
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     @property
     def last_index(self) -> int:
         return self.offset + len(self.terms) - 1
-
-    def term(self, index: int) -> BigCount:
-        """Value at an absolute index within the window."""
-        if not self.offset <= index <= self.last_index:
-            raise IndexError(
-                f"index {index} outside window [{self.offset}, {self.last_index}]"
-            )
-        return self.terms[index - self.offset]
-
-    def items(self) -> Iterator[tuple[int, BigCount]]:
-        return ((self.offset + i, v) for i, v in enumerate(self.terms))
-
-    def clip(self, start: int) -> SequenceWindow:
-        """Drop terms below the given absolute index."""
-        if start <= self.offset:
-            return self
-        if start > self.last_index:
-            raise IndexError(f"clip start {start} beyond window end {self.last_index}")
-        return SequenceWindow(self.name, start, self.terms[start - self.offset:])
 
 
 def fibonacci(n: int) -> BigCount:
@@ -98,11 +76,11 @@ FAMILIES = {
 }
 
 
-def family_spec(family: str, last: int, **params: int) -> tuple:
+def family_spec(family: str, **params: int) -> tuple:
     """(window name, first index, generating function in factors) of a
-    FAMILIES row, with params, named as in the row, and last checked
-    against its bounds. The window is named prefix, or prefix[p1,p2,...]
-    with parameters."""
+    FAMILIES row, with params, named as in the row, checked against its
+    bounds. The window is named prefix, or prefix[p1,p2,...] with
+    parameters; which indices are read is the reader's to check."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     prefix, bounds, first, gf = FAMILIES[family]
@@ -117,11 +95,6 @@ def family_spec(family: str, last: int, **params: int) -> tuple:
         if params[name] < least:
             raise ValueError(f"{name} must be >= {least}")
         values.append(params[name])
-    _need_int("last", last)
-    if last < first:
-        raise ValueError(f"last must be >= {first}")
-    if last >= sys.maxsize:  # islice stops there
-        raise ValueError(f"last must be < {sys.maxsize}")
     name = f"{prefix}[{','.join(map(str, values))}]" if values else prefix
     return name, first, gf(*values)
 
@@ -130,7 +103,12 @@ def window(family: str, last: int, **params: int) -> SequenceWindow:
     """Terms first..last of the sequence of a FAMILIES row, with the row's
     parameters by name: window("genfib", 12, n=3) is the order-3 Fibonacci
     analogue at indices 0..12."""
-    name, first, gf = family_spec(family, last, **params)
+    name, first, gf = family_spec(family, **params)
+    _need_int("last", last)
+    if last < first:
+        raise ValueError(f"last must be >= {first}")
+    if last >= sys.maxsize:  # islice stops there
+        raise ValueError(f"last must be < {sys.maxsize}")
     return SequenceWindow(name, first, tuple(islice(_series(*gf), first, last + 1)))
 
 
@@ -469,6 +447,5 @@ def tail_recurrence_of(family: str, **params: int) -> LinearRecurrence:
     """
     if family not in ("fibonacci", "schreier-zeckendorf", "genfib"):
         raise ValueError(f"known families: fibonacci, schreier-zeckendorf, genfib; got {family!r}")
-    key = "fib" if family == "fibonacci" else family
-    gf = family_spec(key, FAMILIES[key].first, **params)[2]
+    gf = family_spec("fib" if family == "fibonacci" else family, **params)[2]
     return _gf_recurrence(gf, params.get("alpha", 0))

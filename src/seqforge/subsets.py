@@ -9,7 +9,9 @@ recurrence in the rest of the package is tested against. It walks the
 subsets of {1..n} from the top element down and skips only branches that
 provably hold no match, so it costs O(n) per subset that passes every
 clause except min_size instead of scanning all 2**n subsets; every subset
-it yields is still checked against the clauses' definitions.
+it yields still passes the membership test, _passes. Both read a gap
+clause (beta, gap_parity) one way: the gaps it allows are its least gap
+plus a multiple of its stride (Condition.least_gap, Condition.gap_step).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ BigCount = int
 GAP_ANY = "any"
 GAP_ALL_ODD = "all_odd"
 GAP_ALL_EVEN = "all_even"
-GAP_PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
 # The gaps each parity allows are those = r mod q, keyed as (q, r).
 _GAP_CLASSES = {GAP_ANY: (1, 0), GAP_ALL_ODD: (2, 1), GAP_ALL_EVEN: (2, 0)}
 
@@ -90,9 +91,16 @@ class Condition(_Value):
     gap_parity constrains every consecutive gap; forced_max, when present,
     requires the subset to contain exactly that maximum. The int fields
     take ints only: not a bool, a float or an int-like.
+
+    The gap clause is read as least_gap, the least g >= beta (1 when unset)
+    in the parity's class r mod q, and gap_step, its stride q (1, or 2
+    under a gap parity): the allowed gaps are least_gap + gap_step * t for
+    t >= 0. Both are worked out once, here, as _passes reads them for
+    every subset it tests; they are not fields.
     """
 
-    __slots__ = __match_args__ = ("alpha", "beta", "gap_parity", "min_size", "forced_max")
+    __match_args__ = ("alpha", "beta", "gap_parity", "min_size", "forced_max")
+    __slots__ = (*__match_args__, "least_gap", "gap_step")
 
     def __init__(
         self,
@@ -110,26 +118,16 @@ class Condition(_Value):
             raise ValueError("alpha must be >= 1 when present")
         if beta is not None and beta < 1:
             raise ValueError("beta must be >= 1 when present")
-        if gap_parity not in GAP_PARITIES:
-            raise ValueError(f"gap_parity must be one of {GAP_PARITIES}")
+        if gap_parity not in _GAP_CLASSES:
+            raise ValueError(f"gap_parity must be one of {tuple(_GAP_CLASSES)}")
         if min_size < 0:
             raise ValueError("min_size must be >= 0")
         if forced_max is not None and forced_max < 1:
             raise ValueError("forced_max must be >= 1 when present")
         self._set(alpha, beta, gap_parity, min_size, forced_max)
-
-    @property
-    def gap_step(self) -> int:
-        """Stride q of the allowed gaps: 1, or 2 under a gap parity."""
-        return _GAP_CLASSES[self.gap_parity][0]
-
-    @property
-    def least_gap(self) -> int:
-        """Smallest consecutive gap the condition allows: the least g >=
-        beta (1 when unset) in its class r mod q. The allowed gaps are then
-        least_gap + gap_step * t for t >= 0."""
-        q, r = _GAP_CLASSES[self.gap_parity]
-        return (self.beta or 1) + (r - (self.beta or 1)) % q
+        q, r = _GAP_CLASSES[gap_parity]
+        object.__setattr__(self, "least_gap", (beta or 1) + (r - (beta or 1)) % q)
+        object.__setattr__(self, "gap_step", q)
 
 
 def _passes(elems: tuple, cond: Condition) -> bool:
@@ -141,17 +139,15 @@ def _passes(elems: tuple, cond: Condition) -> bool:
         return False
     if cond.alpha is not None and k > 0 and elems[0] < cond.alpha * k:
         return False
-    beta = cond.beta
-    parity = cond.gap_parity
-    if k >= 2 and (beta is not None or parity != GAP_ANY):
-        want = 1 if parity == GAP_ALL_ODD else 0 if parity == GAP_ALL_EVEN else None
+    # A gap clause allows the gaps least + step * t, t >= 0. Without one
+    # every gap of a sorted tuple passes, so none is read.
+    if k >= 2 and (cond.beta is not None or cond.gap_parity != GAP_ANY):
+        least, step = cond.least_gap, cond.gap_step
         prev = elems[0]
         for e in elems[1:]:
             g = e - prev
             prev = e
-            if beta is not None and g < beta:
-                return False
-            if want is not None and g & 1 != want:
+            if g < least or (g - least) % step:
                 return False
     return True
 
@@ -162,12 +158,6 @@ def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
         raise ValueError("n must be >= 0")
     if cond.forced_max is not None and cond.forced_max > n:
         raise ValueError(f"forced_max {cond.forced_max} exceeds n={n}")
-    check_enum_limit(n, limit)
-
-
-def check_enum_limit(n: int, limit: int) -> None:
-    """Refuse an exhaustive scan of {1..n} past the limit. A caller that
-    will scan up to n calls this first, so it fails before doing any work."""
     if n > limit:
         raise EnumerationLimitError(
             f"n={n} exceeds the exhaustive-enumeration limit {limit}"

@@ -103,6 +103,13 @@ def schreier_zeckendorf_seq(alpha, beta, n_max):
     return window("schreier-zeckendorf", n_max, alpha=alpha, beta=beta)
 
 
+def term(window, index):
+    """The window's value at an absolute index; an IndexError outside it."""
+    if not window.offset <= index <= window.last_index:
+        raise IndexError(f"index {index} outside window [{window.offset}, {window.last_index}]")
+    return window.terms[index - window.offset]
+
+
 def sz_list(alpha, beta, n_max):
     """Schreier-Zeckendorf counts for n = 1..n_max by the three-branch rule:
     1 while n <= alpha-1; n-alpha+2 while alpha <= n <= 2*alpha+beta-1;
@@ -178,7 +185,7 @@ def family_oracle(family, params, to):
 def window_text(window, fmt):
     """The text of window in format fmt, built whole: every term by str(),
     the JSON by json.dumps."""
-    rows = [(i, str(v)) for i, v in window.items()]
+    rows = [(i, str(v)) for i, v in enumerate(window.terms, window.offset)]
     if fmt == "bfile":
         return "".join(f"{i} {d}\n" for i, d in rows)
     if fmt == "csv":

@@ -20,6 +20,7 @@ from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import format_window, parse_bfile
 from seqforge.recurrences import (
+    SequenceWindow,
     condition_count,
     min_size_odd_gap_count,
     min_size_odd_gap_seq,
@@ -36,6 +37,7 @@ from helpers import (
     ratio_report,
     schreier_zeckendorf_seq,
     sz_list,
+    term,
     window_text,
 )
 
@@ -140,7 +142,7 @@ class TestCount:
     def test_large_n_via_recurrence(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "40", "--alpha", "2", "--beta", "1")
         assert code == 0
-        assert int(out) == schreier_zeckendorf_seq(2, 1, 40).term(40)
+        assert int(out) == term(schreier_zeckendorf_seq(2, 1, 40), 40)
         code, out, _ = run_cli(
             capsys, "count", "--n", "200", "--gap-parity", "odd", "--min-size", "3"
         )
@@ -154,7 +156,7 @@ class TestCount:
                 )
                 assert (code, int(out)) == (0, count_subsets(n, Condition(alpha=alpha)))
         code, out, _ = run_cli(capsys, "count", "--n", "60", "--alpha", "2")
-        assert (code, int(out)) == (0, schreier_zeckendorf_seq(2, 1, 60).term(60))
+        assert (code, int(out)) == (0, term(schreier_zeckendorf_seq(2, 1, 60), 60))
 
     def test_parity_shapes_with_size_bound_and_forced_max(self, capsys):
         for parity, flag in ((GAP_ALL_ODD, "odd"), (GAP_ALL_EVEN, "even")):
@@ -640,6 +642,13 @@ CARRIED = [
 ]
 
 
+def clipped(window, start):
+    # The window as `seq --from start` prints it, start >= its offset.
+    if start is None:
+        return window
+    return SequenceWindow(window.name, start, window.terms[start - window.offset :])
+
+
 class TestSeqCarried:
     """`seq` reads every window in integral Decimals and prints it by str();
     its text must be that of the library's int window."""
@@ -649,7 +658,7 @@ class TestSeqCarried:
         # out is the window's text with every term printed by str() of its
         # int. A mismatch names its first line, as a diff of megabytes of
         # text would take minutes.
-        want = window_text(window if start is None else window.clip(start), fmt)
+        want = window_text(clipped(window, start), fmt)
         if out != want:
             lines = zip(out.splitlines(), want.splitlines())
             line = next((i for i, (a, b) in enumerate(lines) if a != b), None)
@@ -682,7 +691,7 @@ class TestSeqCarried:
         params = {"alpha": 2, "beta": 3, "n": 3, "k": 3}
         for family, row in cli.FAMILIES.items():
             needs = {dest: params[dest] for dest, _ in row.bounds}
-            gf = recurrences.family_spec(family, 60, **needs)[2]
+            gf = recurrences.family_spec(family, **needs)[2]
             with decimal.localcontext(fasteval._exact_context()):
                 terms = list(islice(recurrences._decimal_series(*gf), 61))
             assert isinstance(terms[-1], decimal.Decimal), family
@@ -708,9 +717,9 @@ class TestSeqCarried:
             argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
             argv += [] if start is None else ["--from", str(start)]
             code, out, err = run_cli(capsys, *argv)
-            clipped = lib if start is None else lib.clip(start)
+            want = clipped(lib, start)
             assert (code, err) == (0, ""), argv
-            assert out == format_window(clipped, fmt) == window_text(clipped, fmt), argv
+            assert out == format_window(want, fmt) == window_text(want, fmt), argv
 
     WIDE = ["seq", "--family", "fib", "--to", "20000", "--format", "bfile"]
     # Holding the window, its rows and the joined text at once took a 100 MiB
@@ -813,7 +822,9 @@ class TestVerify:
     ])
     def test_enumerating_checks_refuse_before_any_work(self, capsys, monkeypatch, argv):
         # The largest n a check would scan is tested against the limit before
-        # the first scan, so an oracle search here is already too late.
+        # the first scan, so an oracle search here is already too late. The
+        # bijection check hands its largest n to enumerate_subsets, whose
+        # eager check is that test.
         class Enumerated(BaseException):
             """Escapes main(), which catches only Exception."""
 
@@ -821,7 +832,6 @@ class TestVerify:
             raise Enumerated(args)
 
         monkeypatch.setattr(subsets, "_search", spy)
-        monkeypatch.setattr(identities, "enumerate_subsets", spy)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", *argv)
         assert time.perf_counter() - start < 1
@@ -890,9 +900,9 @@ class TestVerify:
     # gen-sum reads genfib from index n + 1, gen-shift from 2n; "all" stops
     # at gen-sum, the first check given --n.
     @pytest.mark.parametrize("identity, bound", [
-        ("gen-sum", f"index {10**20} of genfib[{10**20 - 1}] is past {sys.maxsize}"),
-        ("gen-shift", f"index {2 * 10**20 - 2} of genfib[{10**20 - 1}] is past {sys.maxsize}"),
-        ("all", f"index {10**20} of genfib[{10**20 - 1}] is past {sys.maxsize}"),
+        ("gen-sum", f"index {10**20} of genfib[{10**20 - 1}] is past 2000000"),
+        ("gen-shift", f"index {2 * 10**20 - 2} of genfib[{10**20 - 1}] is past 2000000"),
+        ("all", f"index {10**20} of genfib[{10**20 - 1}] is past 2000000"),
     ], ids=["gen-sum", "gen-shift", "all"])
     def test_order_past_sys_maxsize_is_usage_error(self, capsys, identity, bound):
         code, out, err = run_cli(capsys, "verify", "--id", identity, "--n", "99999999999999999999", "--to", "3")

@@ -16,7 +16,7 @@ from seqforge.discovery import (
 )
 from seqforge.fasteval import LinearRecurrence
 
-from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence, schreier_zeckendorf_seq
+from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence, schreier_zeckendorf_seq, term
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 
@@ -156,7 +156,7 @@ class TestDiscoverOrder:
     def test_found_recurrence_extends_beyond_probe(self):
         report = discover_order(2, 3, 24)
         window = schreier_zeckendorf_seq(2, 3, 120)
-        tail = [window.term(i) for i in range(7, 121)]
+        tail = [term(window, i) for i in range(7, 121)]
         assert verify_recurrence(report.found, tail, start_index=7) is True
 
 
@@ -167,7 +167,7 @@ class TestMinimality:
         order = alpha + beta
         start = 2 * alpha + beta
         window = schreier_zeckendorf_seq(alpha, beta, start + 4 * order - 1)
-        tail = [window.term(i) for i in range(start, window.last_index + 1)]
+        tail = [term(window, i) for i in range(start, window.last_index + 1)]
         for shorter in range(1, order):
             assert not fits_linear_recurrence(tail, shorter)
         assert fits_linear_recurrence(tail, order)

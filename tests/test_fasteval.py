@@ -15,7 +15,7 @@ from seqforge.formats import render_int
 from seqforge.recurrences import condition_count
 from seqforge.subsets import Condition
 
-from helpers import catalog_recurrence, eval_iterative, fib_mod, schreier_zeckendorf_seq, sz_branch_count
+from helpers import catalog_recurrence, eval_iterative, fib_mod, schreier_zeckendorf_seq, sz_branch_count, term
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 MOD = 1_000_000_007
@@ -296,7 +296,7 @@ class TestToomSquaring:
         window = schreier_zeckendorf_seq(3, 4, 50_000)
         for n in range(40_000, 50_001, 503):
             before = len(calls)
-            assert eval_fast(rec, n) == window.term(n)
+            assert eval_fast(rec, n) == term(window, n)
             assert len(calls) > before, n
 
     def test_order_two_and_narrow_powers_square_by_slices(self, monkeypatch):
@@ -676,7 +676,7 @@ class TestTailRecurrenceOf:
         window = schreier_zeckendorf_seq(alpha, beta, n_max)
         rec = tail_recurrence_of("schreier-zeckendorf", alpha=alpha, beta=beta)
         for n in range(rec.valid_from, n_max + 1):
-            assert eval_fast(rec, n) == window.term(n)
+            assert eval_fast(rec, n) == term(window, n)
 
 
 class TestCountShortcut:
@@ -684,7 +684,7 @@ class TestCountShortcut:
         for alpha, beta in [(1, 1), (2, 1), (1, 2), (3, 4)]:
             window = schreier_zeckendorf_seq(alpha, beta, 50)
             for n in range(1, 51):
-                assert schreier_zeckendorf_count(alpha, beta, n) == window.term(n)
+                assert schreier_zeckendorf_count(alpha, beta, n) == term(window, n)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])

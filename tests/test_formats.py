@@ -250,6 +250,6 @@ class TestRenderInt:
     def test_windows_with_big_terms(self, unlimited_str):
         big = 3**40_000
         window = SequenceWindow("big", 5, (1, big, -big))
-        expected = "".join(f"{i} {v}\n" for i, v in window.items())
+        expected = "".join(f"{i} {v}\n" for i, v in enumerate(window.terms, window.offset))
         assert format_window(window, "bfile") == expected
         assert json.loads(format_window(window, "json"))["terms"] == ["1", str(big), str(-big)]

@@ -33,7 +33,7 @@ from seqforge.subsets import (
     enumerate_subsets,
 )
 
-from helpers import brute_count, gaps_of, matches, ratio_report
+from helpers import brute_count, gaps_of, matches, ratio_report, term
 
 
 def odd_gap_family_size(n):
@@ -55,12 +55,6 @@ class TestReportMachinery:
     def test_scan_passes_clean_sweep(self):
         report = scan_identity("demo", (0, 2), [(i, i, i) for i in range(3)])
         assert report.passed is True and report.first_counterexample is None
-
-    def test_report_consistency_is_enforced(self):
-        with pytest.raises(ValueError):
-            IdentityReport("demo", (0, 1), True, (0, 1, 2))
-        with pytest.raises(ValueError):
-            IdentityReport("demo", (0, 1), False, None)
 
 
 class TestIntsOnly:
@@ -103,9 +97,12 @@ class TestSeriesBounds:
         (check_odd_gap_h, (0, 5), "n_max_oracle must be >= 1"),
         (check_odd_gap_h, (3, 0), "n_max_gf must be >= 1"),
         (check_gen_sum, (sys.maxsize, 5),
-         f"index {sys.maxsize + 1} of genfib[{sys.maxsize}] is past {sys.maxsize}"),
+         f"index {sys.maxsize + 1} of genfib[{sys.maxsize}] is past 2000000"),
         (check_gen_shift, (sys.maxsize // 2 + 1, 5),
-         f"index {sys.maxsize + 1} of genfib[{sys.maxsize // 2 + 1}] is past {sys.maxsize}"),
+         f"index {sys.maxsize + 1} of genfib[{sys.maxsize // 2 + 1}] is past 2000000"),
+        # gen-sum reads genfib from n + 1, gen-shift from 2n: one past the bound.
+        (check_gen_sum, (2 * 10**6, 5), "index 2000001 of genfib[2000000] is past 2000000"),
+        (check_gen_shift, (10**6 + 1, 5), "index 2000002 of genfib[1000001] is past 2000000"),
     ])
     def test_refuses_out_of_range(self, check, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -118,7 +115,7 @@ class TestFibH:
 
     def test_small_value(self):
         # F_6 = 8 and the twice-accumulated value at 2 is 3, so 3 + 2 + 3.
-        assert fibonacci(6) == 8 == window("H", 2).term(2) + 2 + 3
+        assert fibonacci(6) == 8 == term(window("H", 2), 2) + 2 + 3
 
     def test_sweep_to_200(self):
         report = check_fib_h(200)
@@ -166,8 +163,8 @@ class TestOddGapH:
 
     @pytest.mark.parametrize("oracle_to", [1, 2, 16])
     def test_stock_reports(self, oracle_to):
-        assert check_odd_gap_h(oracle_to, 500) == IdentityReport("oddgap-h", (1, 500), True)
-        assert check_odd_gap_h(oracle_to, 1) == IdentityReport("oddgap-h", (1, oracle_to), True)
+        assert check_odd_gap_h(oracle_to, 500) == IdentityReport("oddgap-h", (1, 500))
+        assert check_odd_gap_h(oracle_to, 1) == IdentityReport("oddgap-h", (1, oracle_to))
 
     def test_oracle_column_is_read_by_n(self, monkeypatch):
         # One search counts every n; an entry off by one at n = 7 must be
@@ -208,19 +205,19 @@ class TestSeriesCounterexamples:
     def test_gen_sum(self, monkeypatch):
         # genfib[3] is read from index n + 1 = 4, so its term 20 is at k = 16.
         one_term_off(monkeypatch, "genfib", 20, n=3)
-        total = window("genk", 17, n=3).term(17)
+        total = term(window("genk", 17, n=3), 17)
         assert check_gen_sum(3, 300).first_counterexample == (16, total, total + 1)
 
     def test_gen_shift(self, monkeypatch):
         # The left side, genfib[3], is read from index 2n = 6.
         one_term_off(monkeypatch, "genfib", 20, n=3)
-        term = window("genfib", 20, n=3).term(20)
-        assert check_gen_shift(3, 300).first_counterexample == (14, term + 1, term)
+        value = term(window("genfib", 20, n=3), 20)
+        assert check_gen_shift(3, 300).first_counterexample == (14, value + 1, value)
 
     def test_odd_gap_h_generating_function_half(self, monkeypatch):
         # Past the oracle's range, only the series of the condition is read.
         one_term_off(monkeypatch, "minsize-oddgap", 100, k=2)
-        h = window("H", 99).term(99)
+        h = term(window("H", 99), 99)
         assert check_odd_gap_h(12, 500).first_counterexample == (100, h + 1, h)
 
     @pytest.mark.parametrize("off", [None, 30])

@@ -104,10 +104,10 @@ VALUES = [
         "SequenceWindow(name='fib', offset=0, terms=(0, 1, 1))",
     ),
     (
-        IdentityReport, ("fib-h", (0, 5), True, None),
-        {"identity_id": "fib-h", "range_checked": (0, 5), "passed": True},
-        {"identity_id": "fib-h", "range_checked": (0, 5), "passed": False, "first_counterexample": (3, 2, 1)},
-        "IdentityReport(identity_id='fib-h', range_checked=(0, 5), passed=True, first_counterexample=None)",
+        IdentityReport, ("fib-h", (0, 5), None),
+        {"identity_id": "fib-h", "range_checked": (0, 5)},
+        {"identity_id": "fib-h", "range_checked": (0, 5), "first_counterexample": (3, 2, 1)},
+        "IdentityReport(identity_id='fib-h', range_checked=(0, 5), first_counterexample=None)",
     ),
     (
         RecurrenceReport, (None, 9, False, ""), {"found": None, "verified_upto": 9, "minimal": False},

@@ -102,11 +102,12 @@ class TestCondition:
     def test_gaps_are_a_least_gap_plus_a_stride(self, beta, parity):
         # The gaps that matches, read from the clauses' definitions, accepts
         # for {1, 1 + g}: the least is least_gap, and up to 20 they are
-        # exactly least_gap + gap_step * t.
+        # exactly least_gap + gap_step * t, which _passes accepts too.
         cond = Condition(beta=beta, gap_parity=parity)
         accepted = [g for g in range(1, 21) if matches((1, 1 + g), cond, 1 + g)]
         assert accepted[0] == cond.least_gap
         assert accepted == list(range(cond.least_gap, 21, cond.gap_step))
+        assert accepted == [g for g in range(1, 21) if _passes((1, 1 + g), cond)]
 
 
 class TestPredicates:
