@@ -43,6 +43,7 @@ from .subsets import (
     GAP_ANY,
     Condition,
     EnumerationLimitError,
+    _need_int,
     count_subsets,
     enumerate_subsets,
 )
@@ -67,8 +68,7 @@ def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
     # 1 - r_to, where r_to is the odd-gap share of the subsets whose gaps are
     # all odd or all even. The two families share only the to + 1 subsets
     # of size <= 1, so the union less the odd-gap family is `even`.
-    if to < 1:
-        raise UsageError("--to must be >= 1")
+    _need_int("--to", to, 1)
     from fractions import Fraction
 
     odd = condition_count(to, Condition(gap_parity=GAP_ALL_ODD))
@@ -302,8 +302,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     params = {dest: _require(args, dest) for dest, _ in FAMILIES[family].bounds}
     name, offset, gf = family_spec(family, **params)
-    if not offset <= to < sys.maxsize:  # islice stops at sys.maxsize
-        raise UsageError(f"--to must be >= {offset}" if to < offset else f"--to must be < {sys.maxsize}")
+    _need_int("--to", to, offset, sys.maxsize)  # islice stops at sys.maxsize
     if args.start is not None:
         if args.start > to:
             raise UsageError(f"clip start {args.start} beyond window end {to}")

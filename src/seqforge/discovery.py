@@ -82,6 +82,7 @@ def berlekamp_massey(prefix, start_index: int = 0) -> RecurrenceReport:
     or degenerate (all zeros, or eventually zero, where no fixed-order
     relation with nonzero trailing coefficient covers the data).
     """
+    _need_int("start_index", start_index)
     prefix = list(prefix)
     if len(prefix) < 2:
         raise ValueError("prefix must have at least 2 terms")
@@ -121,7 +122,9 @@ def verify_recurrence(
     when the prefix is too short to test anything.
     """
     prefix = list(prefix)
+    _check_rational(prefix, "prefix term")
     start = rec.valid_from if start_index is None else start_index
+    _need_int("start_index", start)
     k = rec.order
     first = max(rec.valid_from + k, start + k)
     last = start + len(prefix) - 1
@@ -147,11 +150,7 @@ def discover_order(alpha: int, beta: int, probe_len: int) -> RecurrenceReport:
     slack beyond the bare synthesis requirement.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("probe_len", probe_len)):
-        _need_int(name, value)
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be >= 1")
-    if probe_len < 1:
-        raise ValueError("probe_len must be >= 1")
+        _need_int(name, value, 1)
     tail_start = 2 * alpha + beta
     if probe_len < 4 * (alpha + beta):
         return _inconclusive(

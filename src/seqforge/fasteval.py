@@ -92,9 +92,7 @@ class EvalMode(_Value):
 
     def __init__(self, modulus: int | None = None) -> None:
         if modulus is not None:
-            _need_int("modulus", modulus)
-            if modulus < 2:
-                raise ValueError("modulus must be >= 2 when present")
+            _need_int("modulus", modulus, 2)
         self._set(modulus)
 
     def reduce(self, value: int) -> int:

@@ -65,12 +65,12 @@ def decimal_string(value: Fraction | int, sig_digits: int = 12) -> str:
     Rounds half away from zero at sig_digits significant digits and trims
     trailing fractional zeros, so the text is a faithful prefix of the value.
     """
-    _need_int("sig_digits", sig_digits)
-    if sig_digits < 1:
-        raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
     from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
     from fractions import Fraction
 
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"value must be an int or a Fraction, got {type(value).__name__}")
+    _need_int("sig_digits", sig_digits, 1)
     value = Fraction(value)
     if value == 0:
         return "0"
@@ -113,9 +113,7 @@ def _sweep(row: tuple, name: str, last: int, start: int = 0) -> Iterator[tuple]:
         if first > MAX_SIDE_INDEX:
             raise ValueError(f"index {first} of {series} is past {MAX_SIDE_INDEX}")
         streams.append(islice(_series(*gf), first, None))
-    _need_int(name, last)
-    if last < start:
-        raise ValueError(f"{name} must be >= {start}")
+    _need_int(name, last, start)
     return zip(range(start, last + 1), streams[0], map(add, streams[1], count(c + d * start, d)))
 
 
@@ -129,6 +127,7 @@ def check_fib_h(n_max: int) -> IdentityReport:
 def check_gen_sum(n: int, k_max: int) -> IdentityReport:
     """Front sums of the order-n family telescope: the sum of terms 0..k+1
     equals term k+1+n minus one, for k = 0..k_max."""
+    _need_int("n", n)  # before the row reads n + 1
     triples = _sweep(_SERIES["gen-sum"](n), "k_max", k_max)
     return scan_identity(f"gen-sum[n={n}]", (0, k_max), triples)
 
@@ -136,6 +135,7 @@ def check_gen_sum(n: int, k_max: int) -> IdentityReport:
 def check_gen_shift(n: int, m_max: int) -> IdentityReport:
     """The order-n family shifted 2n ahead equals its twice-accumulated
     form plus m + (n + 1), for m = 0..m_max."""
+    _need_int("n", n)  # before the row reads 2n
     triples = _sweep(_SERIES["gen-shift"](n), "m_max", m_max)
     return scan_identity(f"gen-shift[n={n}]", (0, m_max), triples)
 
@@ -150,9 +150,7 @@ def check_odd_gap_h(
     one search of {1..n_max_oracle}; the series of the condition's
     generating function carries it to n_max_gf.
     """
-    _need_int("n_max_oracle", n_max_oracle)
-    if n_max_oracle < 1:
-        raise ValueError("n_max_oracle must be >= 1")
+    _need_int("n_max_oracle", n_max_oracle, 1)
     gf_half = _sweep(_SERIES["oddgap-h"](), "n_max_gf", n_max_gf, 1)
     oracle = _counts_upto(n_max_oracle, Condition(gap_parity=GAP_ALL_ODD, min_size=2), limit)
     oracle_half = zip(range(1, n_max_oracle + 1), oracle[1:], _series(*FAMILIES["H"].gf()))
@@ -207,7 +205,8 @@ def shift_up_adjoin_max(s: tuple[int, ...], n: int, alpha: int, beta: int) -> tu
     inside {1 .. n-(alpha+beta)}; the image satisfies both predicates and
     has maximum exactly n.
     """
-    _need_int("n", n)
+    for name, value in (("n", n), ("alpha", alpha), ("beta", beta)):
+        _need_int(name, value)  # before n - (alpha + beta) is read
     _require_subset(s)
     bound = n - (alpha + beta)
     if s and s[-1] > bound:

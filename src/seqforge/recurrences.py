@@ -43,9 +43,7 @@ class SequenceWindow(_Value):
 
 def fibonacci(n: int) -> BigCount:
     """Exact n-th Fibonacci number (F_0 = 0, F_1 = 1), by fast doubling."""
-    _need_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _need_int("n", n, 0)
     a, b = 0, 1  # (F_k, F_{k+1}), k built up from the high bit of n
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b  # (F_2k, F_2k+1)
@@ -91,9 +89,7 @@ def family_spec(family: str, **params: int) -> tuple:
     for name, least in bounds:
         if name not in params:
             raise ValueError(f"family {family!r} needs parameter {name!r}")
-        _need_int(name, params[name])
-        if params[name] < least:
-            raise ValueError(f"{name} must be >= {least}")
+        _need_int(name, params[name], least)
         values.append(params[name])
     name = f"{prefix}[{','.join(map(str, values))}]" if values else prefix
     return name, first, gf(*values)
@@ -104,20 +100,14 @@ def window(family: str, last: int, **params: int) -> SequenceWindow:
     parameters by name: window("genfib", 12, n=3) is the order-3 Fibonacci
     analogue at indices 0..12."""
     name, first, gf = family_spec(family, **params)
-    _need_int("last", last)
-    if last < first:
-        raise ValueError(f"last must be >= {first}")
-    if last >= sys.maxsize:  # islice stops there
-        raise ValueError(f"last must be < {sys.maxsize}")
+    _need_int("last", last, first, sys.maxsize)  # islice stops at sys.maxsize
     return SequenceWindow(name, first, tuple(islice(_series(*gf), first, last + 1)))
 
 
 def even_gap_family_size(n: int) -> BigCount:
     """Subsets of {1..n} whose gaps are all even: 3*2^((n-1)/2) - 1 for odd
     n, 2*2^(n/2) - 1 for even n."""
-    _need_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _need_int("n", n, 0)
     return ((2 + n % 2) << (n // 2)) - 1
 
 
@@ -175,8 +165,7 @@ def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
 
 def min_size_odd_gap_count(n: int, k: int) -> BigCount:
     """Number of subsets of {1..n} with >= k elements and all gaps odd."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _need_int("n", n, 1)
     return condition_count(n, Condition(gap_parity=GAP_ALL_ODD, min_size=k))
 
 
@@ -385,9 +374,7 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     fasteval._exact_context, whose str() takes linear time (see
     fasteval._CARRY_BITS). Every other caller gets an int.
     """
-    _need_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _need_int("n", n, 0)
     if not _decimal or n < _CARRY_BITS:  # at most 2^n: too narrow to carry
         return _count(n, cond, False)
     from decimal import localcontext
@@ -430,10 +417,8 @@ def schreier_zeckendorf_count(alpha: int, beta: int, n: int) -> BigCount:
     """Number of subsets of {1..n} that are alpha-Schreier and
     beta-Zeckendorf, without enumerating: condition_count of
     Condition(alpha=alpha, beta=beta)."""
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    for name, value in (("alpha", alpha), ("beta", beta), ("n", n)):
+        _need_int(name, value, 1)
     return condition_count(n, Condition(alpha=alpha, beta=beta))
 
 

@@ -36,11 +36,16 @@ class EnumerationLimitError(ValueError):
     """An exhaustive 2**n scan would exceed the configured limit."""
 
 
-def _need_int(name: str, value: object) -> None:
+def _need_int(name: str, value: object, least: int | None = None, below: int | None = None) -> None:
     # An index or int field takes an int only, not a bool, a float or an
-    # int-like, which would pass the range checks and fail deep inside.
+    # int-like, which would pass the range checks and fail deep inside; then
+    # least <= value < below, each bound where given.
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if below is not None and value >= below:
+        raise ValueError(f"{name} must be < {below}")
 
 
 class _Value:
@@ -112,18 +117,10 @@ class Condition(_Value):
     ) -> None:
         for name, value in (("alpha", alpha), ("beta", beta), ("forced_max", forced_max)):
             if value is not None:
-                _need_int(name, value)
-        _need_int("min_size", min_size)
-        if alpha is not None and alpha < 1:
-            raise ValueError("alpha must be >= 1 when present")
-        if beta is not None and beta < 1:
-            raise ValueError("beta must be >= 1 when present")
+                _need_int(name, value, 1)
+        _need_int("min_size", min_size, 0)
         if gap_parity not in _GAP_CLASSES:
             raise ValueError(f"gap_parity must be one of {tuple(_GAP_CLASSES)}")
-        if min_size < 0:
-            raise ValueError("min_size must be >= 0")
-        if forced_max is not None and forced_max < 1:
-            raise ValueError("forced_max must be >= 1 when present")
         self._set(alpha, beta, gap_parity, min_size, forced_max)
         q, r = _GAP_CLASSES[gap_parity]
         object.__setattr__(self, "least_gap", (beta or 1) + (r - (beta or 1)) % q)
@@ -153,9 +150,8 @@ def _passes(elems: tuple, cond: Condition) -> bool:
 
 
 def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
-    _need_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _need_int("n", n, 0)
+    _need_int("limit", limit)
     if cond.forced_max is not None and cond.forced_max > n:
         raise ValueError(f"forced_max {cond.forced_max} exceeds n={n}")
     if n > limit:

@@ -780,6 +780,10 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == f"  1 - r_{to} = {ratio_report(to).final_gap}  (threshold 1)"
 
+    @pytest.mark.parametrize("to", [0, -3])
+    def test_ratio_below_one_is_usage_error(self, capsys, to):
+        assert run_cli(capsys, "verify", "--id", "ratio", "--to", str(to)) == (2, "", "error: --to must be >= 1\n")
+
     def test_ratio_impossible_threshold_fails(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--id", "ratio", "--to", "60", "--threshold", "0")
         assert code == 1 and "ratio: FAIL" in out
@@ -1235,6 +1239,13 @@ class TestConfigAndUsage:
         cfg.write_text(json.dumps({"n": 5, "gamma": 1}))
         code, _, err = run_cli(capsys, "count", "--config", str(cfg))
         assert code == 2 and "gamma" in err
+
+    @pytest.mark.parametrize("text", ["[5]", "5", '"n"', "null"])
+    def test_config_that_is_not_an_object_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result = run_cli(capsys, "count", "--n", "3", "--config", str(cfg))
+        assert result == (2, "", "error: config file must hold a JSON object\n")
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "count", "--n", "3", "--config", str(tmp_path / "nope.json"))
