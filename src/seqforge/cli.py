@@ -340,6 +340,18 @@ def _report_json(report: IdentityReport) -> dict:
     }
 
 
+def _emit_report(args: argparse.Namespace, payload: dict, rows: list[str]) -> None:
+    # A verify or discover report: payload as JSON under schema 1 with
+    # --format json, else the table rows, one a line.
+    if args.fmt == "json":
+        import json
+
+        text = json.dumps({"schema": 1, **payload}, indent=2)
+    else:
+        text = "\n".join(rows)
+    _emit(text + "\n", args.output)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity = _require(args, "identity", "--id")
     if identity != "all" and identity not in IDENTITIES:
@@ -355,18 +367,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         to = stock if identity == "all" or args.to is None else args.to
         results += check(to, args, limit)
     reports = [r for r in results if isinstance(r, IdentityReport)]
-
-    if args.fmt == "json":
-        import json
-
-        payload = {"schema": 1, "reports": [_report_json(r) for r in reports]}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = []
-        for item in results:
-            rows += _report_rows(item) if isinstance(item, IdentityReport) else [item]
-        text = "\n".join(rows) + "\n"
-    _emit(text, args.output)
+    rows = []
+    for item in results:
+        rows += _report_rows(item) if isinstance(item, IdentityReport) else [item]
+    _emit_report(args, {"reports": [_report_json(r) for r in reports]}, rows)
     failed = [r.identity_id for r in reports if not r.passed]
     if failed:
         print(f"error: identity check failed: {', '.join(failed)}", file=sys.stderr)
@@ -391,15 +395,9 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         "verified_upto": report.verified_upto,
         "minimal": report.minimal,
     }
-    if args.fmt == "json":
-        import json
-
-        text = json.dumps({"schema": 1, **fields}, indent=2) + "\n"
-    else:
-        fields["coeffs"] = " ".join(fields["coeffs"])
-        fields["minimal"] = "true" if report.minimal else "false"
-        text = "".join(f"{key}: {value}\n" for key, value in fields.items())
-    _emit(text, args.output)
+    minimal = "true" if report.minimal else "false"
+    shown = {**fields, "coeffs": " ".join(fields["coeffs"]), "minimal": minimal}
+    _emit_report(args, fields, [f"{key}: {value}" for key, value in shown.items()])
 
     if args.expect_order is not None and rec.order != args.expect_order:
         print(

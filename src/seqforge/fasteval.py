@@ -183,7 +183,7 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
     # be a Toom step or the order is below MIN_TOOM_ORDER.
     k = len(coeffs)
     if mode.modulus is None or k < MIN_PACKED_ORDER:
-        step = _slice_step(coeffs, mode.modulus)
+        step = _folding(_slice_square(k), coeffs, mode.modulus)
     else:
         step = _packed_step(coeffs, mode.modulus)
     # Exact int powers switch to Toom squaring for good at the first step
@@ -206,7 +206,7 @@ def _eval_poly(j: int, coeffs: list, initials: list, mode: EvalMode) -> BigCount
         if toom_bits or carry_bits:
             width = max(map(int.bit_length, result))
             if toom_bits and width >= toom_bits:
-                step, toom_bits, by_form = _toom_step(coeffs), None, ints
+                step, toom_bits, by_form = _folding(_toom_square, coeffs, None), None, ints
             if carry_bits and width >= carry_bits:
                 if width * j >= wide * (j >> left):
                     from decimal import Decimal
@@ -285,26 +285,16 @@ def _fold_taps(prod: list, k: int, taps: list, modulus: int | None) -> list:
     return prod if modulus is None else list(map(mod, prod, repeat(modulus)))
 
 
-def _slice_step(coeffs: list, modulus: int | None):
-    # Exact Fractions, exact ints below the Toom cutover, and residues mod p
-    # below MIN_PACKED_ORDER (modulus set: the fold reduces every
-    # coefficient into [0, p)). Degree d of a square is
-    # 2 * sum(a_i * a_(d-i) for lo <= i < half), plus a_(d/2)^2 for even d:
-    # k(k+1)/2 coefficient products in all. The partners a_(d-i) are read
-    # forward from the reversed list. Wide exact ints square in fewer
-    # products by _toom_step instead.
+def _folding(square, coeffs: list, modulus: int | None):
+    # One step of the power, for a square that returns the 2k - 1
+    # coefficients of its argument's square: square, times x on a 1-bit, and
+    # fold the degrees >= k back down by the nonzero taps (modulus set: into
+    # [0, p)).
     k = len(coeffs)
     taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
-    slices = []
-    for d in range(2 * k - 1):
-        lo, half, off = max(0, d - k + 1), (d + 1) // 2, k - 1 - d
-        slices.append((lo, half, lo + off, half + off))
 
     def step(result: list, shift: bool) -> list:
-        rev = result[::-1]
-        prod = [2 * sum(map(mul, result[lo:hi], rev[rlo:rhi])) for lo, hi, rlo, rhi in slices]
-        for i, v in enumerate(result):
-            prod[2 * i] += v * v
+        prod = square(result)
         if shift:
             prod.insert(0, 0)  # times x
         return _fold_taps(prod, k, taps, modulus)
@@ -312,9 +302,31 @@ def _slice_step(coeffs: list, modulus: int | None):
     return step
 
 
-# Exact int powers of this order and up square by _toom_step once their
+def _slice_square(k: int):
+    # The squarer of exact Fractions, exact ints below the Toom cutover, and
+    # residues mod p below MIN_PACKED_ORDER. Degree d of a square is
+    # 2 * sum(a_i * a_(d-i) for lo <= i < half), plus a_(d/2)^2 for even d:
+    # k(k+1)/2 coefficient products in all. The partners a_(d-i) are read
+    # forward from the reversed list. Wide exact ints square in fewer
+    # products by _toom_square instead.
+    slices = []
+    for d in range(2 * k - 1):
+        lo, half, off = max(0, d - k + 1), (d + 1) // 2, k - 1 - d
+        slices.append((lo, half, lo + off, half + off))
+
+    def square(result: list) -> list:
+        rev = result[::-1]
+        prod = [2 * sum(map(mul, result[lo:hi], rev[rlo:rhi])) for lo, hi, rlo, rhi in slices]
+        for i, v in enumerate(result):
+            prod[2 * i] += v * v
+        return prod
+
+    return square
+
+
+# Exact int powers of this order and up square by _toom_square once their
 # widest coefficient has _toom_cutover(k) bits. Below it, and for every
-# Fraction, the k(k+1)/2 products of _slice_step cost less than the 2k - 1
+# Fraction, the k(k+1)/2 products of _slice_square cost less than the 2k - 1
 # squares plus the k^2 small-by-big products of the interpolation, whose
 # entries grow with k. One step, square and fold, with random coefficients
 # broke even near 1,600-2,700 bits at orders 4 to 20, 5,000 at order 3 and
@@ -394,19 +406,6 @@ def _toom_square(a: list) -> list:
     return prod
 
 
-def _toom_step(coeffs: list):
-    k = len(coeffs)
-    taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
-
-    def step(result: list, shift: bool) -> list:
-        prod = _toom_square(result)
-        if shift:
-            prod.insert(0, 0)  # times x
-        return _fold_taps(prod, k, taps, None)
-
-    return step
-
-
 # Modular powering below this order squares by slices, as exact mode does:
 # at order 2 the packing, to_bytes and three slot cuts cost more per bit
 # than three products of residues. Mod 10^9+7 at n = 10^18, Fibonacci took
@@ -449,21 +448,12 @@ def _packed_step(coeffs: list, modulus: int):
         slots = map(int.to_bytes, values, repeat(width), repeat("little"))
         return int.from_bytes(b"".join(slots), "little")
 
-    def square(result: list, shift: bool) -> int:
-        packed = pack(result)
-        return packed * packed << (slot_bits if shift else 0)
-
     def unpack(packed: int, lo: int, hi: int):
         raw = packed.to_bytes(hi * width, "little")
         return map(int.from_bytes, map(raw.__getitem__, cuts[lo:hi]), repeat("little"))
 
-    taps = [(i, c) for i, c in enumerate(coeffs, start=1) if c]
-    if len(taps) <= max(MAX_LOOP_TAPS, k // ORDER_PER_LOOP_TAP):
-        def step(result: list, shift: bool) -> list:
-            prod = list(unpack(square(result, shift), 0, 2 * k - 1 + shift))
-            return _fold_taps(prod, k, taps, modulus)
-
-        return step
+    if k - coeffs.count(0) <= max(MAX_LOOP_TAPS, k // ORDER_PER_LOOP_TAP):
+        return _folding(lambda result: list(unpack(pack(result) ** 2, 0, 2 * k - 1)), coeffs, modulus)
 
     # rows[i] = x^(k+i) mod the characteristic polynomial, reduced and packed.
     base = coeffs[::-1]  # x^k, lowest degree first
@@ -475,7 +465,7 @@ def _packed_step(coeffs: list, modulus: int):
     low_mask = (1 << (slot_bits * k)) - 1
 
     def step(result: list, shift: bool) -> list:
-        packed = square(result, shift)
+        packed = pack(result) ** 2 << (slot_bits if shift else 0)
         highs = map(mod, unpack(packed, k, 2 * k - 1 + shift), repeat(modulus))
         folded = (packed & low_mask) + sum(map(mul, highs, rows))
         return list(map(mod, unpack(folded, 0, k), repeat(modulus)))

@@ -4,7 +4,7 @@ b-file is the primary interchange format (one ``index value`` pair per
 line, no header); emitting and re-parsing a window is byte-exact. All
 numbers render in full decimal, never scientific notation. Every format
 is written by one chunked writer (_write_window), which the CLI feeds a
-term at a time; format_window joins what it writes.
+term at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from itertools import count, islice
 
 from .fasteval import STR_MAX_BITS, _exact_context
 from .recurrences import SequenceWindow
+from .subsets import _need_int
 
 FORMATS = ("table", "csv", "json", "bfile")
 
@@ -30,8 +31,10 @@ def render_int(value: int) -> str:
     half becomes an exact decimal.Decimal recursively, and the halves join
     as hi * 2^w + lo. The C decimal module multiplies big operands by
     number-theoretic transform, so the time is O(M(n) log n) rather than
-    O(n^2), and memory stays linear in the output size.
+    O(n^2), and memory stays linear in the output size. Anything but an
+    int, a bool included, is a ValueError.
     """
+    _need_int("value", value)
     if value.bit_length() <= STR_MAX_BITS:
         return str(value)
     if value < 0:
@@ -85,8 +88,8 @@ def _join_digits(digits: str) -> int:
 
 
 def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
-    """Inverse of format_window(window, "bfile"), for terms of any width;
-    indices must be contiguous and ascending."""
+    """Inverse of the b-file that _write_window writes, for terms of any
+    width; indices must be contiguous and ascending."""
     offset = None
     expected = None
     terms = []
@@ -107,14 +110,6 @@ def parse_bfile(text: str, name: str = "bfile") -> SequenceWindow:
     if offset is None:
         raise ValueError("empty b-file")
     return SequenceWindow(name, offset, tuple(terms))
-
-
-def format_window(window: SequenceWindow, fmt: str) -> str:
-    """The text of window in fmt, one of FORMATS."""
-    out: list[str] = []
-    digits = map(render_int, window.terms)
-    _write_window(out.append, fmt, window.name, window.offset, window.last_index, digits)
-    return "".join(out)
 
 
 def _write_window(write, fmt: str, name: str, offset: int, last: int, digits: Iterable[str]) -> None:

@@ -157,9 +157,9 @@ def check_odd_gap_h(
     return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), chain(oracle_half, gf_half))
 
 
-# typed: a bool alpha or beta must miss the entry of the equal int, so that
-# Condition refuses it.
-@lru_cache(maxsize=16, typed=True)
+# Every caller checks alpha and beta with _need_int first: the cache would
+# raise a TypeError on an unhashable one, and take a bool for the equal int.
+@lru_cache(maxsize=16)
 def _family(alpha: int, beta: int) -> Condition:
     return Condition(alpha=alpha, beta=beta)
 
@@ -189,7 +189,8 @@ def drop_max_shift_down(s: tuple[int, ...], n: int, alpha: int, beta: int) -> tu
     contain n as its maximum; the image satisfies both predicates inside
     {1 .. n-(alpha+beta)}.
     """
-    _need_int("n", n)
+    for name, value in (("n", n), ("alpha", alpha), ("beta", beta)):
+        _need_int(name, value)
     _require_subset(s)
     if not s or s[-1] != n:
         raise ValueError(f"subset must have maximum exactly n={n}: {s}")
@@ -242,8 +243,9 @@ def check_bijection_round_trip(
     Both families of every n come from one search of {1..n_max}, so the
     check costs what its largest n does.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("n_max", n_max)):
+        _need_int(name, value)
     family = _family(alpha, beta)
-    _need_int("n_max", n_max)
     lag = alpha + beta
     if n_max < lag:
         raise ValueError(f"n_max must be >= alpha + beta = {lag}, got {n_max}")

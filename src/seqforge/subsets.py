@@ -136,9 +136,9 @@ def _passes(elems: tuple, cond: Condition) -> bool:
         return False
     if cond.alpha is not None and k > 0 and elems[0] < cond.alpha * k:
         return False
-    # A gap clause allows the gaps least + step * t, t >= 0. Without one
-    # every gap of a sorted tuple passes, so none is read.
-    if k >= 2 and (cond.beta is not None or cond.gap_parity != GAP_ANY):
+    # The gap clause allows the gaps least + step * t, t >= 0: at (1, 1)
+    # every gap of a strictly increasing tuple, so then none is read.
+    if k >= 2 and (cond.least_gap > 1 or cond.gap_step > 1):
         least, step = cond.least_gap, cond.gap_step
         prev = elems[0]
         for e in elems[1:]:

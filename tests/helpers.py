@@ -10,7 +10,8 @@ recurrences and the Schreier-Zeckendorf branch rule derived by hand instead
 of read from the generating functions, fast doubling for modular Fibonacci,
 exact Gaussian elimination for recurrence fitting, and
 each output format's text, and `enumerate`'s, built whole (the JSON by the
-json encoder) instead of the streaming writer.
+json encoder) instead of the streaming writer. format_window is not an
+oracle but the streaming writer's text of a whole window, joined.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from seqforge.fasteval import EXACT, LinearRecurrence, _prepared, eval_fast
+from seqforge.formats import _write_window, render_int
 from seqforge.identities import decimal_string
 from seqforge.recurrences import SequenceWindow, even_gap_family_size, window
 from seqforge.subsets import GAP_ALL_EVEN, GAP_ALL_ODD
@@ -103,10 +105,15 @@ def schreier_zeckendorf_seq(alpha, beta, n_max):
     return window("schreier-zeckendorf", n_max, alpha=alpha, beta=beta)
 
 
+def last_index(window):
+    """The absolute index of the window's last term."""
+    return window.offset + len(window.terms) - 1
+
+
 def term(window, index):
     """The window's value at an absolute index; an IndexError outside it."""
-    if not window.offset <= index <= window.last_index:
-        raise IndexError(f"index {index} outside window [{window.offset}, {window.last_index}]")
+    if not window.offset <= index <= last_index(window):
+        raise IndexError(f"index {index} outside window [{window.offset}, {last_index(window)}]")
     return window.terms[index - window.offset]
 
 
@@ -193,9 +200,19 @@ def window_text(window, fmt):
     if fmt == "json":
         payload = {"schema": 1, "family": window.name, "offset": window.offset, "terms": [d for _, d in rows]}
         return json.dumps(payload, indent=2) + "\n"
-    width = max(len(str(window.offset)), len(str(window.last_index)))
-    lines = [f"{window.name}  (indices {window.offset}..{window.last_index})"]
+    last = last_index(window)
+    width = max(len(str(window.offset)), len(str(last)))
+    lines = [f"{window.name}  (indices {window.offset}..{last})"]
     return "\n".join(lines + [f"{i:>{width}}  {d}" for i, d in rows]) + "\n"
+
+
+def format_window(window, fmt):
+    """The text of window in fmt, one of formats.FORMATS, as the library's
+    streaming writer writes it, every term by render_int."""
+    out = []
+    digits = map(render_int, window.terms)
+    _write_window(out.append, fmt, window.name, window.offset, last_index(window), digits)
+    return "".join(out)
 
 
 def partial_sum(window, name=None):

@@ -13,6 +13,7 @@ import pytest
 
 from seqforge.discovery import berlekamp_massey, discover_order, verify_recurrence
 from seqforge.fasteval import EvalMode, LinearRecurrence, eval_fast
+from seqforge.formats import render_int
 from seqforge.identities import (
     check_bijection_round_trip,
     check_fib_h,
@@ -36,7 +37,7 @@ from seqforge.recurrences import (
 )
 from seqforge.subsets import Condition, count_subsets, enumerate_subsets
 
-BAD = [True, 2.5, "3", Decimal(3)]
+BAD = [True, 2.5, "3", Decimal(3), [3]]
 
 FIB = LinearRecurrence((1, 1), (0, 1))
 INT = "^{name} must be an int, got {type}$"
@@ -44,9 +45,10 @@ RATIONAL = "^{name} \\d+ is a {type}, not an exact rational$"
 
 # (entry point, good arguments by keyword, the argument replaced, the name
 # the text gives it, the text). A tuple or list argument has its last item
-# replaced. Two views pass an argument on to a parameter of their own
-# name: min_size_odd_gap_seq's n_max is window's last, and
-# min_size_odd_gap_count's k is Condition's min_size.
+# replaced. A view that passes an argument on under another name refuses
+# it under its own first: min_size_odd_gap_seq's n_max, which window reads
+# as last, and min_size_odd_gap_count's k, which Condition reads as
+# min_size.
 ENTRY_POINTS = [
     *[(Condition, {"alpha": 2, "beta": 1, "min_size": 0, "forced_max": 5}, name, name, INT)
       for name in ("alpha", "beta", "min_size", "forced_max")],
@@ -55,8 +57,8 @@ ENTRY_POINTS = [
     (fibonacci, {"n": 5}, "n", "n", INT),
     (even_gap_family_size, {"n": 5}, "n", "n", INT),
     (min_size_odd_gap_count, {"n": 5, "k": 2}, "n", "n", INT),
-    (min_size_odd_gap_count, {"n": 5, "k": 2}, "k", "min_size", INT),
-    (min_size_odd_gap_seq, {"n_max": 5, "k": 2}, "n_max", "last", INT),
+    (min_size_odd_gap_count, {"n": 5, "k": 2}, "k", "k", INT),
+    (min_size_odd_gap_seq, {"n_max": 5, "k": 2}, "n_max", "n_max", INT),
     (min_size_odd_gap_seq, {"n_max": 5, "k": 2}, "k", "k", INT),
     (window, {"family": "genfib", "last": 5, "n": 3}, "last", "last", INT),
     (window, {"family": "genfib", "last": 5, "n": 3}, "n", "n", INT),
@@ -78,6 +80,7 @@ ENTRY_POINTS = [
       for name, text_name, text in (("prefix", "prefix term", RATIONAL), ("start_index", "start_index", INT))],
     *[(discover_order, {"alpha": 1, "beta": 1, "probe_len": 8}, name, name, INT)
       for name in ("alpha", "beta", "probe_len")],
+    (render_int, {"value": 5}, "value", "value", INT),
     (decimal_string, {"value": Fraction(2, 3)}, "value", "value", "^value must be an int or a Fraction, got {type}$"),
     (decimal_string, {"value": Fraction(2, 3), "sig_digits": 4}, "sig_digits", "sig_digits", INT),
     (check_fib_h, {"n_max": 5}, "n_max", "n_max", INT),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from seqforge import cli, fasteval, formats, identities, recurrences, subsets
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
-from seqforge.formats import format_window, parse_bfile
+from seqforge.formats import parse_bfile
 from seqforge.recurrences import (
     SequenceWindow,
     condition_count,
@@ -32,7 +32,9 @@ from helpers import (
     enumerate_text,
     family_oracle,
     fib_list,
+    format_window,
     iter_subsets_raw,
+    last_index,
     matches,
     ratio_report,
     schreier_zeckendorf_seq,
@@ -667,7 +669,7 @@ class TestSeqCarried:
     def compare(self, capsys, family, flags, lib, fmt):
         # No --from, one in the head, one in the tail.
         assert all(type(v) is int for v in lib.terms)
-        to = lib.last_index
+        to = last_index(lib)
         for start in (None, lib.offset + 2, to - 3):
             argv = ["seq", "--family", family, *flags, "--to", str(to), "--format", fmt]
             argv += [] if start is None else ["--from", str(start)]

@@ -16,7 +16,14 @@ from seqforge.discovery import (
 )
 from seqforge.fasteval import LinearRecurrence
 
-from helpers import bm_connection_fraction, eval_iterative, fits_linear_recurrence, schreier_zeckendorf_seq, term
+from helpers import (
+    bm_connection_fraction,
+    eval_iterative,
+    fits_linear_recurrence,
+    last_index,
+    schreier_zeckendorf_seq,
+    term,
+)
 
 FIB = LinearRecurrence(coeffs=(1, 1), initials=(0, 1), valid_from=0)
 
@@ -167,7 +174,7 @@ class TestMinimality:
         order = alpha + beta
         start = 2 * alpha + beta
         window = schreier_zeckendorf_seq(alpha, beta, start + 4 * order - 1)
-        tail = [term(window, i) for i in range(start, window.last_index + 1)]
+        tail = [term(window, i) for i in range(start, last_index(window) + 1)]
         for shorter in range(1, order):
             assert not fits_linear_recurrence(tail, shorter)
         assert fits_linear_recurrence(tail, order)

@@ -7,15 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqforge import formats
-from seqforge.formats import (
-    STR_MAX_BITS,
-    format_window,
-    parse_bfile,
-    render_int,
-)
+from seqforge.formats import STR_MAX_BITS, parse_bfile, render_int
 from seqforge.recurrences import SequenceWindow, window
 
-from helpers import window_text
+from helpers import format_window, last_index, window_text
 
 WINDOW = SequenceWindow("demo", 2, (4, 9, 25))
 
@@ -141,7 +136,7 @@ class TestOtherFormats:
     def test_every_chunk_size_writes_the_whole_text(self, monkeypatch, window, fmt, chunk):
         monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
         writes = []
-        formats._write_window(writes.append, fmt, window.name, window.offset, window.last_index, map(str, window.terms))
+        formats._write_window(writes.append, fmt, window.name, window.offset, last_index(window), map(str, window.terms))
         assert "".join(writes) == format_window(window, fmt) == window_text(window, fmt)
 
     @settings(max_examples=200)
