@@ -4,10 +4,10 @@ verification, recurrence discovery, and debug enumeration.
 `count` answers every condition at every n from its rational generating
 function (recurrences.condition_count) unless `--engine oracle` asks for
 the exhaustive search. Exit codes: 0 ok, 1 verification failure, 2 usage
-error (including an `--output` path that cannot be written), 3 the
-enumeration limit of an exhaustive search (`count --engine oracle`,
-`enumerate`, the enumerating `verify` checks), 4 inconclusive, 5 internal
-error. Every failure prints one `error: ...` line to stderr and
+error (a flag argparse refuses, or an `--output` path that cannot be
+written), 3 the enumeration limit of an exhaustive search (`count --engine
+oracle`, `enumerate`, the enumerating `verify` checks), 4 inconclusive, 5
+internal error. Every failure prints one `error: ...` line to stderr and
 no traceback; a reader that closes stdout early only ends the output
 (exit 0). Every command is deterministic: identical invocations produce
 byte-identical output.
@@ -58,10 +58,6 @@ INTERNAL = 5
 ENUM_LIMIT_ENV = "SEQFORGE_ENUM_LIMIT"
 
 _PARITY_FLAGS = {"any": GAP_ANY, "odd": GAP_ALL_ODD, "even": GAP_ALL_EVEN}
-
-
-class UsageError(Exception):
-    """Bad flags, bad config, or an unknown family/identity id."""
 
 
 def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
@@ -183,6 +179,11 @@ SCHEMA = {
 }
 
 
+def _refuse(message: str):
+    # Every parser's error(): a refusal is a ValueError, one error: line in main.
+    raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     # One per process. main() calls it by name, so a wrapper on it sees each run.
@@ -190,9 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seqforge",
         description="Exact subset counting, integer sequences, and recurrence tools.",
     )
+    parser.error = _refuse
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, flags) in SCHEMA.items():
         p = sub.add_parser(command, help=summary)
+        p.error = _refuse
         for flag, spec in flags.items():
             p.add_argument(flag, **spec)
         p.add_argument("--config", help="JSON file of parameter values; flags win over it")
@@ -210,16 +213,16 @@ def _config_tokens(command: str, path: str) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh, parse_float=str)
     except (OSError, ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     flags = {
         spec.get("dest", flag[2:].replace("-", "_")): flag
         for flag, spec in SCHEMA[command][1].items()
     }
     unknown = sorted(set(config) - set(flags))
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return [
         f"{flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
         for key, value in config.items()
@@ -230,7 +233,7 @@ def _config_tokens(command: str, path: str) -> list[str]:
 def _require(args: argparse.Namespace, dest: str, flag: str | None = None):
     value = getattr(args, dest)
     if value is None:
-        raise UsageError(f"missing required flag {flag or '--' + dest}")
+        raise ValueError(f"missing required flag {flag or '--' + dest}")
     return value
 
 
@@ -242,7 +245,7 @@ def _resolve_limit(explicit: int | None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise UsageError(f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}") from exc
     return DEFAULT_ENUM_LIMIT
 
 
@@ -268,7 +271,7 @@ def _output(path: str | None):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh.write
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -298,14 +301,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     family, to = _require(args, "family"), _require(args, "to")
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    params = {dest: _require(args, dest) for dest, _ in FAMILIES[family].bounds}
+    # family_spec refuses a family it does not know.
+    bounds = FAMILIES[family].bounds if family in FAMILIES else ()
+    params = {dest: _require(args, dest) for dest, _ in bounds}
     name, offset, gf = family_spec(family, **params)
     _need_int("--to", to, offset, sys.maxsize)  # islice stops at sys.maxsize
     if args.start is not None:
         if args.start > to:
-            raise UsageError(f"clip start {args.start} beyond window end {to}")
+            raise ValueError(f"clip start {args.start} beyond window end {to}")
         offset = max(offset, args.start)
     # The terms are read, printed and written a chunk at a time, all inside
     # the exact context, so only the last few terms and one chunk of text
@@ -356,7 +359,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     identity = _require(args, "identity", "--id")
     if identity != "all" and identity not in IDENTITIES:
         known = ", ".join([*IDENTITIES, "all"])
-        raise UsageError(f"unknown identity {identity!r}; known: {known}")
+        raise ValueError(f"unknown identity {identity!r}; known: {known}")
     limit = _resolve_limit(args.enum_limit)
     results = []
     for name in IDENTITIES if identity == "all" else [identity]:
@@ -449,14 +452,11 @@ def main(argv: list[str] | None = None) -> int:
             tokens = _config_tokens(args.command, args.config)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE
-    except EnumerationLimitError as exc:
+    except SystemExit:  # argparse exits only after printing --help
+        return OK
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return LIMIT
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        return LIMIT if isinstance(exc, EnumerationLimitError) else USAGE
     except BrokenPipeError:
         # The reader closed stdout (`seqforge seq ... | head`): the end of
         # output, not a failure. What is still buffered goes to os.devnull,

@@ -25,20 +25,22 @@ class RecurrenceReport(_Value):
     """Outcome of a discovery run.
 
     found is None when the prefix was inconclusive (note says why);
-    verified_upto is the last absolute index the relation was checked at,
-    and minimal records that no shorter recurrence fits the same prefix.
+    verified_upto is the last absolute index the relation was checked at;
+    minimal (no shorter recurrence fits the prefix) holds of each one found.
     """
 
-    __slots__ = __match_args__ = ("found", "verified_upto", "minimal", "note")
+    __slots__ = __match_args__ = ("found", "verified_upto", "note")
 
-    def __init__(
-        self, found: LinearRecurrence | None, verified_upto: int, minimal: bool, note: str = ""
-    ) -> None:
-        self._set(found, verified_upto, minimal, note)
+    def __init__(self, found: LinearRecurrence | None, verified_upto: int, note: str = "") -> None:
+        self._set(found, verified_upto, note)
+
+    @property
+    def minimal(self) -> bool:
+        return self.found is not None
 
 
 def _inconclusive(start_index: int, note: str) -> RecurrenceReport:
-    return RecurrenceReport(None, start_index - 1, False, note)
+    return RecurrenceReport(None, start_index - 1, note)
 
 
 def _bm_connection(prefix: list) -> tuple[int, list[int | Fraction]]:
@@ -108,7 +110,7 @@ def berlekamp_massey(prefix, start_index: int = 0) -> RecurrenceReport:
     )
     if verify_recurrence(rec, prefix, start_index) is not True:
         raise AssertionError("synthesised recurrence failed re-verification")
-    return RecurrenceReport(rec, start_index + len(prefix) - 1, True)
+    return RecurrenceReport(rec, start_index + len(prefix) - 1)
 
 
 def verify_recurrence(

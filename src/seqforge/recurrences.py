@@ -156,14 +156,14 @@ def _size_classes(n: int, first: int, alpha: int, gap: int, step: int) -> Iterat
 def min_size_odd_gap_seq(n_max: int, k: int) -> SequenceWindow:
     """Counts of subsets of {1..n} with >= k elements and all gaps odd, for
     n = 1..n_max: the series of their condition_gf."""
-    _need_int("n_max", n_max)  # before window reads it as last
+    _need_int("n_max", n_max, 1, sys.maxsize)  # before window reads it as last
     return window("minsize-oddgap", n_max, k=k)
 
 
 def min_size_odd_gap_count(n: int, k: int) -> BigCount:
     """Number of subsets of {1..n} with >= k elements and all gaps odd."""
     _need_int("n", n, 1)
-    _need_int("k", k)  # before Condition reads it as min_size
+    _need_int("k", k, 0)  # before Condition reads it as min_size
     return condition_count(n, Condition(gap_parity=GAP_ALL_ODD, min_size=k))
 
 

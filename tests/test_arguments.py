@@ -45,10 +45,10 @@ RATIONAL = "^{name} \\d+ is a {type}, not an exact rational$"
 
 # (entry point, good arguments by keyword, the argument replaced, the name
 # the text gives it, the text). A tuple or list argument has its last item
-# replaced. A view that passes an argument on under another name refuses
-# it under its own first: min_size_odd_gap_seq's n_max, which window reads
-# as last, and min_size_odd_gap_count's k, which Condition reads as
-# min_size.
+# replaced. A view that passes an argument on under another name checks
+# its type and range under its own name first: min_size_odd_gap_seq's
+# n_max, which window reads as last, and min_size_odd_gap_count's k, which
+# Condition reads as min_size.
 ENTRY_POINTS = [
     *[(Condition, {"alpha": 2, "beta": 1, "min_size": 0, "forced_max": 5}, name, name, INT)
       for name in ("alpha", "beta", "min_size", "forced_max")],
@@ -121,14 +121,17 @@ def test_any_other_type_is_refused_by_name(f, good, name, text_name, text, bad):
 @pytest.mark.parametrize("f, args, message", [
     (window, ("fib", sys.maxsize), f"last must be < {sys.maxsize}"),
     (min_size_odd_gap_count, (0, 2), "n must be >= 1"),
+    (min_size_odd_gap_count, (5, -1), "k must be >= 0"),
+    (min_size_odd_gap_seq, (0, 2), "n_max must be >= 1"),
+    (min_size_odd_gap_seq, (sys.maxsize, 2), f"n_max must be < {sys.maxsize}"),
     (schreier_zeckendorf_count, (0, 1, 5), "alpha must be >= 1"),
     (schreier_zeckendorf_count, (1, 0, 5), "beta must be >= 1"),
     (discover_order, (1, 0, 8), "beta must be >= 1"),
     (discover_order, (1, 1, 0), "probe_len must be >= 1"),
     (EvalMode, (1,), "modulus must be >= 2"),
     (Condition, (None, None, "any", 0, 0), "forced_max must be >= 1"),
-], ids=["window-last", "minsize-count-n", "sz-alpha", "sz-beta", "discover-beta", "discover-probe",
-        "modulus", "forced-max"])
+], ids=["window-last", "minsize-count-n", "minsize-count-k", "minsize-seq-low", "minsize-seq-high",
+        "sz-alpha", "sz-beta", "discover-beta", "discover-probe", "modulus", "forced-max"])
 def test_range_texts(f, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         f(*args)

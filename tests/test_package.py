@@ -110,9 +110,9 @@ VALUES = [
         "IdentityReport(identity_id='fib-h', range_checked=(0, 5), first_counterexample=None)",
     ),
     (
-        RecurrenceReport, (None, 9, False, ""), {"found": None, "verified_upto": 9, "minimal": False},
-        {"found": None, "verified_upto": 9, "minimal": False, "note": "short prefix"},
-        "RecurrenceReport(found=None, verified_upto=9, minimal=False, note='')",
+        RecurrenceReport, (None, 9, ""), {"found": None, "verified_upto": 9},
+        {"found": None, "verified_upto": 9, "note": "short prefix"},
+        "RecurrenceReport(found=None, verified_upto=9, note='')",
     ),
 ]
 
