@@ -11,6 +11,11 @@ internal error. Every failure prints one `error: ...` line to stderr and
 no traceback; a reader that closes stdout early only ends the output
 (exit 0). Every command is deterministic: identical invocations produce
 byte-identical output.
+
+Each invocation is parsed once, by its command's own parser, built from
+SCHEMA only for the command that runs. The whole parser, build_parser(),
+parses only an argv that does not start with a command: the top-level
+--help, and a missing or unknown command.
 """
 
 from __future__ import annotations
@@ -185,22 +190,41 @@ def _refuse(message: str):
 
 
 @functools.lru_cache(maxsize=None)
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    # The parser of one command's flags, built once per process and only
+    # for a command that runs; the one place a flag is added.
+    parser = argparse.ArgumentParser(prog=f"seqforge {command}")
+    parser.error = _refuse
+    parser.set_defaults(command=command)
+    for flag, spec in SCHEMA[command][1].items():
+        parser.add_argument(flag, **spec)
+    parser.add_argument("--config", help="JSON file of parameter values; flags win over it")
+    parser.add_argument("--output", help="write output to this path instead of stdout")
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    # One per process. main() calls it by name, so a wrapper on it sees each run.
+    # The whole command line, for an argv that does not start with a command:
+    # the top-level --help, and the refusal of a missing or unknown command.
     parser = argparse.ArgumentParser(
         prog="seqforge",
         description="Exact subset counting, integer sequences, and recurrence tools.",
     )
     parser.error = _refuse
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, flags) in SCHEMA.items():
-        p = sub.add_parser(command, help=summary)
+    for command, (summary, _) in SCHEMA.items():
+        p = sub.add_parser(command, help=summary, parents=[_command_parser(command)], add_help=False)
         p.error = _refuse
-        for flag, spec in flags.items():
-            p.add_argument(flag, **spec)
-        p.add_argument("--config", help="JSON file of parameter values; flags win over it")
-        p.add_argument("--output", help="write output to this path instead of stdout")
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # One parse per argv: by its command's parser when it starts with one,
+    # which gives what build_parser() would, else by build_parser().
+    if argv and argv[0] in SCHEMA:
+        return _command_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def _config_tokens(command: str, path: str) -> list[str]:
@@ -442,15 +466,14 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.config is not None:
             # Config values go in as flags ahead of the real ones, so one
             # parser checks both and a real flag wins.
             at = argv.index(args.command) + 1
             tokens = _config_tokens(args.command, args.config)
-            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+            args = _parse(argv[:at] + tokens + argv[at:])
         return _COMMANDS[args.command](args)
     except SystemExit:  # argparse exits only after printing --help
         return OK

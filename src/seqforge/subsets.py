@@ -151,7 +151,7 @@ def _passes(elems: tuple, cond: Condition) -> bool:
 
 def _check_enum_bounds(n: int, cond: Condition, limit: int) -> None:
     _need_int("n", n, 0)
-    _need_int("limit", limit)
+    _need_int("limit", limit, 0)
     if cond.forced_max is not None and cond.forced_max > n:
         raise ValueError(f"forced_max {cond.forced_max} exceeds n={n}")
     if n > limit:

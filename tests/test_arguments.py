@@ -130,8 +130,9 @@ def test_any_other_type_is_refused_by_name(f, good, name, text_name, text, bad):
     (discover_order, (1, 1, 0), "probe_len must be >= 1"),
     (EvalMode, (1,), "modulus must be >= 2"),
     (Condition, (None, None, "any", 0, 0), "forced_max must be >= 1"),
+    (count_subsets, (0, Condition(), -1), "limit must be >= 0"),
 ], ids=["window-last", "minsize-count-n", "minsize-count-k", "minsize-seq-low", "minsize-seq-high",
-        "sz-alpha", "sz-beta", "discover-beta", "discover-probe", "modulus", "forced-max"])
+        "sz-alpha", "sz-beta", "discover-beta", "discover-probe", "modulus", "forced-max", "limit"])
 def test_range_texts(f, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         f(*args)

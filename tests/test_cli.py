@@ -3,6 +3,8 @@ import decimal
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -237,6 +239,13 @@ class TestCount:
         assert (code, out) == (0, "4096\n")
         # the engine does not enumerate, so the limit does not bind it
         assert run_cli(capsys, "count", "--n", "12") == (0, "4096\n", "")
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--n", "0"], ["count", "--n", "0", "--engine", "oracle"]])
+    def test_negative_limit_is_usage_error(self, capsys, monkeypatch, argv):
+        refused = (2, "", "error: limit must be >= 0\n")
+        assert run_cli(capsys, *argv, "--enum-limit", "-1") == refused
+        monkeypatch.setenv("SEQFORGE_ENUM_LIMIT", "-1")
+        assert run_cli(capsys, *argv) == refused
 
     def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQFORGE_ENUM_LIMIT", "lots")
@@ -1012,6 +1021,12 @@ class TestDiscover:
     def test_short_probe_is_inconclusive(self, capsys):
         code, out, _ = run_cli(capsys, "discover", "--alpha", "1", "--beta", "1", "--probe", "3")
         assert code == 4 and "inconclusive" in out
+        # The floor is 4 * (alpha + beta) terms: 7 is one short, 8 is enough.
+        assert run_cli(capsys, "discover", "--alpha", "1", "--beta", "1", "--probe", "7") == (
+            4, "inconclusive: probe of 7 terms is too short (need at least 8)\n", ""
+        )
+        code, out, _ = run_cli(capsys, "discover", "--alpha", "1", "--beta", "1", "--probe", "8")
+        assert code == 0 and out.startswith("order: 2\n")
 
     def test_expectation_mismatch_fails(self, capsys):
         code, out, err = run_cli(capsys, "discover", "--alpha", "1", "--beta", "1", "--expect-order", "3")
@@ -1226,6 +1241,55 @@ CONFIG_NAMES = {
 }
 
 
+def readme_argvs():
+    # The argv of each `seqforge ...` line in README's sh blocks, as CI runs them.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [
+        shlex.split(line.partition("#")[0])[1:]
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+        for line in block.splitlines()
+        if line.startswith("seqforge ")
+    ]
+
+
+# Argv whose parse main() dispatches; CFG stands for a config file's path.
+DISPATCH_CORPUS = [
+    *readme_argvs(),
+    *[[command, "-h"] for command in cli.SCHEMA],
+    ["-h"],
+    [],
+    ["frobnicate"],
+    ["--n", "5", "count"],
+    ["count", "--alph", "2"],
+    ["count", "--n=5"],
+    ["count", "--", "--n", "5"],
+    ["count", "--n", "3", "--n", "5"],
+    ["count", "--n", "5", "--gamma", "1"],
+    ["count", "--config", "CFG", "--n", "4"],
+    ["count", "--n=5", "--alpha=2", "--config", "CFG", "--n", "4"],
+    ["--", "count", "--config", "CFG"],
+]
+DISPATCH_WORDS = [
+    *cli.SCHEMA, "frobnicate", "--", "-", "-h", "--help", "--he", "--n", "--n=3", "-n", "5", "-1", "x",
+    "--alpha", "--alp", "--a", "--beta", "--gap-parity", "odd", "--engine", "oracle", "--e",
+    "--family", "fib", "--f", "--to", "--from", "--id", "ratio", "--threshold", "1/0",
+    "--format", "json", "--probe", "--enum-limit", "--config", "--output", "--k",
+]
+
+
+def parsed(parse, argv):
+    """What one parse of argv gives: ("args", the Namespace's vars), ("error",
+    the refusal's text) or ("help", what --help printed)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", vars(parse(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit:
+        return "help", out.getvalue()
+
+
 class TestConfigAndUsage:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1314,8 +1378,9 @@ class TestConfigAndUsage:
         assert from_config == from_flag and from_config[0] == 0
 
     def test_reused_parser_answers_like_a_fresh_one(self, capsys, tmp_path, monkeypatch):
-        # main() parses with one parser per process; usage errors, --help and
-        # --config between good calls must leave it as a fresh one would be.
+        # main() parses with one parser per command per process; usage
+        # errors, --help and --config between good calls must leave each as
+        # a fresh one would be.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 5, "alpha": 2, "beta": 1}))
         calls = [
@@ -1333,11 +1398,42 @@ class TestConfigAndUsage:
             ["count", "--n", "14", "--alpha", "1", "--beta", "1"],
         ]
         assert build_parser() is build_parser()
+        assert cli._command_parser("count") is cli._command_parser("count")
         reused = [run_cli(capsys, *argv) for argv in calls + calls]
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        monkeypatch.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
         fresh = [run_cli(capsys, *argv) for argv in calls]
         assert reused == fresh + fresh
         assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0]
+
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=repr)
+    def test_dispatch_parses_like_the_whole_parser(self, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "alpha": 2}))
+        argv = [str(cfg) if word == "CFG" else word for word in argv]
+        assert parsed(cli._parse, argv) == parsed(build_parser().parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.lists(st.sampled_from(DISPATCH_WORDS), max_size=7))
+    def test_fuzzed_dispatch_parses_like_the_whole_parser(self, argv):
+        assert parsed(cli._parse, argv) == parsed(build_parser().parse_args, argv), argv
+
+    def test_a_command_needs_only_its_own_parser(self, capsys, tmp_path, monkeypatch):
+        def whole_parser():
+            raise AssertionError("build_parser() called for a command")
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "alpha": 2, "beta": 1}))
+        monkeypatch.setattr(cli, "build_parser", whole_parser)
+        for argv in (
+            ["count", "--n", "5", "--alpha", "2", "--beta", "1"],
+            ["count", "--config", str(cfg), "--n", "4"],
+            ["seq", "--family", "fib", "--to", "12"],
+            ["verify", "--id", "fib-h", "--to", "20"],
+            ["discover", "--alpha", "1", "--beta", "1"],
+            ["enumerate", "--n", "4", "--gap-parity", "odd"],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0, argv
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -60,10 +60,11 @@ class TestBerlekampMassey:
         assert "degenerate" in report.note
 
     def test_short_prefix_is_inconclusive(self):
-        # Order 2 would fit, but 4 terms < 2 * 2 + margin.
-        report = berlekamp_massey([0, 1, 1, 2])
+        # Order L needs 2L + 2 terms: order 2 fits 5 terms but needs 6.
+        report = berlekamp_massey([0, 1, 1, 2, 3])
         assert report.found is None
-        assert "too short" in report.note
+        assert "too short" in report.note and "(need 6)" in report.note
+        assert berlekamp_massey([0, 1, 1, 2, 3, 5]).found.coeffs == (1, 1)
 
     def test_rejects_trivial_prefix(self):
         with pytest.raises(ValueError):
