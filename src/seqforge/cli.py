@@ -262,15 +262,16 @@ def _require(args: argparse.Namespace, dest: str, flag: str | None = None):
 
 
 def _resolve_limit(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENUM_LIMIT_ENV)
-    if env is not None:
+    # Checked here, so that a command which never searches refuses it too.
+    limit = explicit
+    if limit is None:
+        env = os.environ.get(ENUM_LIMIT_ENV)
         try:
-            return int(env)
+            limit = DEFAULT_ENUM_LIMIT if env is None else int(env)
         except ValueError as exc:
             raise ValueError(f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_ENUM_LIMIT
+    _need_int("limit", limit, 0)
+    return limit
 
 
 def _build_condition(args: argparse.Namespace) -> Condition:

@@ -358,8 +358,9 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     (_gf_recurrence; order deg E, a + b for alpha a, beta b). The size
     classes below min_size, each a binomial closed form (_size_classes),
     come off that total. When the classes from min_size up are no more
-    than those below it, or than the order (as for every n below that
-    order), they are summed instead. A size bound is not put into the
+    than those below it, than the order (as for every n below that
+    order) or than _SUM_CLASSES, below which a sum costs less than the
+    power's set-up, they are summed instead. A size bound is not put into the
     generating function, as its order grows by about q, the stride of the
     allowed gaps, per unit of min_size: alpha = 2, min_size = 3 at
     n = 10^6 is order 6 and 584 ms that way, against order 3 plus three
@@ -381,6 +382,14 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
         return _count(n, cond, True)
 
 
+# Up to this many size classes are summed, not powered: a class costs under
+# 1 µs, a power's set-up alone 40 µs or more. On Python 3.11, best of 200,
+# odd gaps at n = 16 take 5.4 µs summed, 49.4 µs powered, and break even
+# near 128 classes (57.6 vs 59.4 µs); of five shapes, no clause breaks even
+# first, near 96.
+_SUM_CLASSES = 64
+
+
 def _count(n: int, cond: Condition, carry: bool) -> BigCount:
     # condition_count; with carry, a wide count may be an integral Decimal.
     alpha, gap, step, size = cond.alpha or 0, cond.least_gap, cond.gap_step, cond.min_size
@@ -398,7 +407,7 @@ def _count(n: int, cond: Condition, carry: bool) -> BigCount:
 
     # The largest k with rest >= 0 in _size_classes.
     largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
-    if largest - size < max(size, alpha + gap + 2):
+    if largest - size < max(size, alpha + gap + 2, _SUM_CLASSES):
         return classes(size)
     below = classes(0, size)
     # A Decimal takes an int in quadratic time, so only a narrow one.

@@ -240,7 +240,12 @@ class TestCount:
         # the engine does not enumerate, so the limit does not bind it
         assert run_cli(capsys, "count", "--n", "12") == (0, "4096\n", "")
 
-    @pytest.mark.parametrize("argv", [["enumerate", "--n", "0"], ["count", "--n", "0", "--engine", "oracle"]])
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "0"],
+        ["count", "--n", "0", "--engine", "oracle"],
+        ["count", "--n", "3"],  # reads no limit, yet refuses a bad one
+        ["verify", "--id", "fib-h"],
+    ])
     def test_negative_limit_is_usage_error(self, capsys, monkeypatch, argv):
         refused = (2, "", "error: limit must be >= 0\n")
         assert run_cli(capsys, *argv, "--enum-limit", "-1") == refused

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqforge import recurrences
 from seqforge.formats import render_int
 from seqforge.recurrences import (
     _NESTED_SUMS,
@@ -48,6 +49,19 @@ PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
 
 def series_head(cond, count):
     return list(islice(_series(*_condition_parts(cond)), count))
+
+
+def power_spy(monkeypatch):
+    # The n of each eval_fast call the engine makes from now on.
+    calls = []
+    real = recurrences.eval_fast
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recurrences, "eval_fast", spy)
+    return calls
 
 
 def parity_count(n, parity, min_size=0, **kwargs):
@@ -576,6 +590,29 @@ class TestConditionCount:
                                 cond = Condition(alpha, beta, parity, min_size, forced_max)
                                 assert condition_count(n, cond) == count_subsets(n, cond), (n, cond)
 
+    def test_every_shape_up_to_twelve_by_power(self, monkeypatch):
+        # Up to _SUM_CLASSES classes a count is a sum; with no such floor
+        # the counts of test_every_shape_up_to_twelve take the power where
+        # they did before it, so the power meets the oracle too.
+        monkeypatch.setattr(recurrences, "_SUM_CLASSES", 0)
+        calls = power_spy(monkeypatch)
+        self.test_every_shape_up_to_twelve()
+        assert calls
+
+    @pytest.mark.parametrize("cond, n", [
+        (Condition(), 63),  # n + 1 classes
+        (Condition(gap_parity=GAP_ALL_ODD, min_size=2), 65),  # n - 1 from 2 up
+        (Condition(alpha=3, beta=3), 380),  # (n + 3) // 6 + 1 classes
+    ])
+    def test_few_size_classes_are_summed(self, monkeypatch, cond, n):
+        # Up to _SUM_CLASSES = 64 classes from min_size up are summed, with
+        # no power; one more takes one. Both sides agree with the power alone.
+        calls = power_spy(monkeypatch)
+        counts = [condition_count(m, cond) for m in (n, n + 1)]
+        assert calls == [n + 1]
+        monkeypatch.setattr(recurrences, "_SUM_CLASSES", 0)
+        assert [condition_count(m, cond) for m in (n, n + 1)] == counts
+
     def test_generating_function_in_lowest_terms(self):
         for alpha in (None, 1, 2, 3):
             for beta in (None, 1, 2, 3):
@@ -589,19 +626,23 @@ class TestConditionCount:
                         assert truncated_product(counts, q, 13) == (list(p) + [0] * 13)[:13], cond
                         assert series_head(cond, 13) == counts, cond
 
-    def test_every_shape_at_two_hundred(self):
-        # At small n many shapes have few enough size classes to be summed
-        # directly; at n = 200 each takes its total (one power of the
-        # generating function's recurrence) less the classes, checked
-        # against the series of the sized generating function, itself
-        # checked against the oracle above.
-        n = 200
+    def test_every_shape_at_five_hundred(self, monkeypatch):
+        # At small n a shape has few enough size classes to be summed
+        # directly; at n = 500 each has over _SUM_CLASSES from min_size up
+        # (alpha = 3 with even gaps from 3 has the fewest, 69 from size 4)
+        # and takes its total (one power of the generating function's
+        # recurrence) less the classes, checked against the series of the
+        # sized generating function, itself checked against the oracle above.
+        n = 500
+        calls = power_spy(monkeypatch)
         for alpha in (None, 1, 2, 3):
             for beta in (None, 1, 2, 3):
                 for parity in PARITIES:
                     for min_size in range(5):
+                        calls.clear()
                         cond = Condition(alpha, beta, parity, min_size)
                         assert condition_count(n, cond) == series_head(cond, n + 1)[n], cond
+                        assert calls == [n], cond
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -632,16 +673,7 @@ class TestConditionCount:
         assert forced == condition_count(m, free) - condition_count(m - 1, free)
 
     def test_at_most_one_power_per_count(self, monkeypatch):
-        from seqforge import recurrences
-
-        calls = []
-        real = recurrences.eval_fast
-
-        def spy(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(recurrences, "eval_fast", spy)
+        calls = power_spy(monkeypatch)
         n = 3000
         for alpha in (None, 1, 3):
             for beta in (None, 1, 2, 5):
@@ -802,8 +834,6 @@ class TestDecimalCarrier:
         # The same traps with too little precision: the count raises rather
         # than print a wrong digit.
         import decimal
-
-        from seqforge import recurrences
 
         short = decimal.Context(prec=1000, traps=[decimal.Inexact, decimal.Rounded])
         monkeypatch.setattr(recurrences, "_exact_context", lambda: short)
