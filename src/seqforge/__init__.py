@@ -4,17 +4,17 @@ The subsets module holds the domain types and the exhaustive search oracle,
 a walk that skips only branches holding no match; recurrences holds the
 rational generating function that counts every condition without
 enumerating, and the named sequences as series of such functions; fasteval
-evaluates arbitrary linear recurrences in O(k^2 log n); discovery recovers
-minimal recurrences from prefixes; identities machine-checks the identities
-and the counting bijection; cli fronts everything.
+evaluates a linear recurrence of order k at index n by square-and-shift, one
+squaring per bit of n; discovery recovers minimal recurrences from
+prefixes; identities machine-checks the identities and the counting
+bijection; formats renders; cli fronts everything.
 
 The top level exports the names below; everything else is imported from its
-submodule.
+submodule. The exports of fasteval, discovery and identities, and those
+modules themselves, are imported on first use (PEP 562), so that a command
+imports only the modules it runs.
 """
 
-from .discovery import berlekamp_massey
-from .fasteval import EvalMode, LinearRecurrence, eval_fast
-from .identities import check_fib_h
 from .recurrences import (
     condition_count,
     condition_gf,
@@ -48,3 +48,32 @@ __all__ = [
     "berlekamp_massey",
     "check_fib_h",
 ]
+
+# The exports imported on first use, by the submodule that defines them,
+# and the submodules that `import seqforge` does not import.
+_LAZY = {
+    "LinearRecurrence": "fasteval",
+    "EvalMode": "fasteval",
+    "eval_fast": "fasteval",
+    "berlekamp_massey": "discovery",
+    "check_fib_h": "identities",
+}
+_SUBMODULES = ("fasteval", "discovery", "identities", "formats", "cli")
+
+
+def __getattr__(name: str):
+    # Called only for a name not bound here yet. An import binds its
+    # submodule here, and an export is bound once read.
+    module = _LAZY.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name in _LAZY:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -28,18 +28,7 @@ import re
 import sys
 from itertools import islice
 
-from .discovery import discover_order
-from .fasteval import _exact_context
 from .formats import FORMATS, _write_chunked, _write_window, render_int
-from .identities import (
-    IdentityReport,
-    check_bijection_round_trip,
-    check_fib_h,
-    check_gen_shift,
-    check_gen_sum,
-    check_odd_gap_h,
-    decimal_string,
-)
 from .recurrences import FAMILIES, _decimal_series, condition_count, family_spec
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
@@ -65,7 +54,7 @@ ENUM_LIMIT_ENV = "SEQFORGE_ENUM_LIMIT"
 _PARITY_FLAGS = {"any": GAP_ANY, "odd": GAP_ALL_ODD, "even": GAP_ALL_EVEN}
 
 
-def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
+def _ratio_check(ids, to: int, args: argparse.Namespace, limit: int) -> list:
     # 1 - r_to, where r_to is the odd-gap share of the subsets whose gaps are
     # all odd or all even. The two families share only the to + 1 subsets
     # of size <= 1, so the union less the odd-gap family is `even`.
@@ -75,8 +64,8 @@ def _ratio_check(to: int, args: argparse.Namespace, limit: int) -> list:
     odd = condition_count(to, Condition(gap_parity=GAP_ALL_ODD))
     even = condition_count(to, Condition(gap_parity=GAP_ALL_EVEN)) - (to + 1)
     gap = Fraction(even, odd + even)
-    shown, bound = decimal_string(gap), decimal_string(args.threshold)
-    report = IdentityReport("ratio", (1, to), None if gap < args.threshold else (to, shown, bound))
+    shown, bound = ids.decimal_string(gap), ids.decimal_string(args.threshold)
+    report = ids.IdentityReport("ratio", (1, to), None if gap < args.threshold else (to, shown, bound))
     return [report, f"  1 - r_{to} = {shown}  (threshold {bound})"]
 
 
@@ -107,20 +96,21 @@ def _orders(args: argparse.Namespace):
     return range(2, 9) if args.n is None else [args.n]
 
 
-# identity -> (stock --to, check). A check takes (to, args, limit) and
+# identity -> (stock --to, check). A check takes (ids, to, args, limit),
+# ids the identities module, which `verify` imports when it runs, and
 # returns its reports, each optionally followed by an extra table row.
 # `--id all` runs every check in this order. Checks look their functions
-# up at call time, so a wrapper installed on a module function (as the
-# benchmark's tracer does) sees every call.
+# up on ids at call time, so a wrapper installed on a module function (as
+# the benchmark's tracer does) sees every call.
 IDENTITIES = {
-    "fib-h": (200, lambda to, args, limit: [check_fib_h(to)]),
-    "gen-sum": (300, lambda to, args, limit: [check_gen_sum(k, to) for k in _orders(args)]),
-    "gen-shift": (300, lambda to, args, limit: [check_gen_shift(k, to) for k in _orders(args)]),
-    "oddgap-h": (500, lambda to, args, limit: [check_odd_gap_h(args.oracle_to, to, limit)]),
+    "fib-h": (200, lambda ids, to, args, limit: [ids.check_fib_h(to)]),
+    "gen-sum": (300, lambda ids, to, args, limit: [ids.check_gen_sum(k, to) for k in _orders(args)]),
+    "gen-shift": (300, lambda ids, to, args, limit: [ids.check_gen_shift(k, to) for k in _orders(args)]),
+    "oddgap-h": (500, lambda ids, to, args, limit: [ids.check_odd_gap_h(args.oracle_to, to, limit)]),
     "bijection": (
         12,
-        lambda to, args, limit: [
-            check_bijection_round_trip(alpha, beta, to, limit)
+        lambda ids, to, args, limit: [
+            ids.check_bijection_round_trip(alpha, beta, to, limit)
             for alpha in (1, 2, 3)
             for beta in (1, 2, 3)
         ],
@@ -340,13 +330,16 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     # are held at once. decimal is imported here, not at start.
     from decimal import localcontext
 
+    from .fasteval import _exact_context
+
     with _output(args.output) as write, localcontext(_exact_context()):
         digits = map(str, islice(_decimal_series(*gf), offset, to + 1))
         _write_window(write, args.fmt, name, offset, to, digits)
     return OK
 
 
-def _report_rows(report: IdentityReport) -> list[str]:
+def _report_rows(report) -> list[str]:
+    # An identities.IdentityReport as table rows.
     lo, hi = report.range_checked
     status = "PASS" if report.passed else "FAIL"
     rows = [f"{report.identity_id}: {status}  range [{lo}, {hi}]"]
@@ -356,7 +349,7 @@ def _report_rows(report: IdentityReport) -> list[str]:
     return rows
 
 
-def _report_json(report: IdentityReport) -> dict:
+def _report_json(report) -> dict:
     ce = report.first_counterexample
     return {
         "id": report.identity_id,
@@ -386,6 +379,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         known = ", ".join([*IDENTITIES, "all"])
         raise ValueError(f"unknown identity {identity!r}; known: {known}")
     limit = _resolve_limit(args.enum_limit)
+    from . import identities
+
     results = []
     for name in IDENTITIES if identity == "all" else [identity]:
         stock, check = IDENTITIES[name]
@@ -393,11 +388,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # keeps every check at its stock range (the bijection check in
         # particular enumerates 2**n subsets per step).
         to = stock if identity == "all" or args.to is None else args.to
-        results += check(to, args, limit)
-    reports = [r for r in results if isinstance(r, IdentityReport)]
+        results += check(identities, to, args, limit)
+    reports = [r for r in results if not isinstance(r, str)]
     rows = []
     for item in results:
-        rows += _report_rows(item) if isinstance(item, IdentityReport) else [item]
+        rows += [item] if isinstance(item, str) else _report_rows(item)
     _emit_report(args, {"reports": [_report_json(r) for r in reports]}, rows)
     failed = [r.identity_id for r in reports if not r.passed]
     if failed:
@@ -409,6 +404,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_discover(args: argparse.Namespace) -> int:
     alpha, beta = _require(args, "alpha"), _require(args, "beta")
     probe = 8 * (alpha + beta) if args.probe is None else args.probe
+    from .discovery import discover_order
+
     report = discover_order(alpha, beta, probe)
 
     if report.found is None:

@@ -38,6 +38,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import mod, mul
 
+from .formats import STR_MAX_BITS
 from .subsets import BigCount, _need_int, _Value
 
 
@@ -125,8 +126,8 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # the power moves if it will end at least _CARRY_WIDTH bits wide, below
 # which libmpdec's own Karatsuba loses to CPython's. At orders 1 and 2 a
 # step is three products either way, so only the printing differs: the
-# power moves if it will end wider than STR_MAX_BITS, past which an int
-# would print by divide and conquer. A `seq` window is read in them whole
+# power moves if it will end wider than formats.STR_MAX_BITS, past which an
+# int would print by divide and conquer. A `seq` window is read in them whole
 # (recurrences._decimal_series). Converting a Decimal back to an int is
 # quadratic, so a carried count stays one. Measured with CPython 3.11 on a
 # 2-vCPU x86-64 machine, a square as a Decimal against as an int: 0.04 vs
@@ -135,16 +136,6 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # against 12 ms on ints.
 _CARRY_BITS = 4096
 _CARRY_WIDTH = 150_000
-
-# Builtin str() takes time quadratic in the digit count, and by default the
-# interpreter refuses it past 4300 digits (about 14,284 bits), so
-# formats.render_int calls str() only up to this width. Measured with
-# CPython 3.11 on a 2-vCPU x86-64 machine, divide and conquer against
-# str(): 0.39 vs 0.32 ms at 4300 digits, 1.35 vs 1.65 ms at 10,000, 2.1
-# vs 3.7 ms at 15,000; at 10^5 digits str() takes about 4x as long, at
-# 3*10^5 digits about 15x.
-STR_MAX_BITS = 14_000
-
 
 @lru_cache(maxsize=None)
 def _exact_context():

@@ -17,14 +17,6 @@ from itertools import accumulate, chain, islice, repeat, tee
 from math import comb
 from operator import add, mul, sub
 
-from .fasteval import (
-    _CARRY_BITS,
-    _DECIMAL,
-    EXACT,
-    LinearRecurrence,
-    _exact_context,
-    eval_fast,
-)
 from .subsets import GAP_ALL_ODD, BigCount, Condition, _need_int, _Value
 
 
@@ -272,6 +264,8 @@ def _gf_recurrence(gf: tuple, start: int = 0, differences: bool = False) -> Line
     # is [x^i] N/E from i = 0 on. With differences the recurrence is of
     # t_i - t_(i-1) from i = start + 1: (1-x) times the generating function
     # is a fraction over E whose numerator has degree at most k.
+    from .fasteval import LinearRecurrence
+
     _, _, taps, ones, _, _ = gf
     k = max(taps)
     coeffs = tuple(taps.get(j, 0) for j in range(1, k + 1))
@@ -349,6 +343,14 @@ def _decimal_series(lead: int, p, taps: dict, ones: int, pluses: int, q: int) ->
     return _series(lead, map(Decimal, p), taps, ones, pluses, q)
 
 
+# Up to this many size classes are summed, not powered: a class costs under
+# 1 µs, a power's set-up alone 40 µs or more. On Python 3.11, best of 200,
+# odd gaps at n = 16 take 5.4 µs summed, 49.4 µs powered, and break even
+# near 128 classes (57.6 vs 59.4 µs); of five shapes, no clause breaks even
+# first, near 96.
+_SUM_CLASSES = 64
+
+
 def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCount:
     """Number of subsets of {1..n} matching cond, for any Condition and n,
     without enumerating.
@@ -368,30 +370,13 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     the differences of the totals follow the same recurrence, so it is
     still one power, and only the size classes are summed at both.
 
-    _decimal is for the CLI, which prints the count: a count that will be
+    _decimal is for the CLI, which prints the count: a power that will be
     wide may then come back as an integral decimal.Decimal, computed in
     fasteval._exact_context, whose str() takes linear time (see
-    fasteval._CARRY_BITS). Every other caller gets an int.
+    fasteval._CARRY_BITS). Every other caller gets an int. fasteval and
+    decimal are imported only where a power runs.
     """
     _need_int("n", n, 0)
-    if not _decimal or n < _CARRY_BITS:  # at most 2^n: too narrow to carry
-        return _count(n, cond, False)
-    from decimal import localcontext
-
-    with localcontext(_exact_context()):
-        return _count(n, cond, True)
-
-
-# Up to this many size classes are summed, not powered: a class costs under
-# 1 µs, a power's set-up alone 40 µs or more. On Python 3.11, best of 200,
-# odd gaps at n = 16 take 5.4 µs summed, 49.4 µs powered, and break even
-# near 128 classes (57.6 vs 59.4 µs); of five shapes, no clause breaks even
-# first, near 96.
-_SUM_CLASSES = 64
-
-
-def _count(n: int, cond: Condition, carry: bool) -> BigCount:
-    # condition_count; with carry, a wide count may be an integral Decimal.
     alpha, gap, step, size = cond.alpha or 0, cond.least_gap, cond.gap_step, cond.min_size
     top = cond.forced_max
     if top is not None:
@@ -409,15 +394,23 @@ def _count(n: int, cond: Condition, carry: bool) -> BigCount:
     largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
     if largest - size < max(size, alpha + gap + 2, _SUM_CLASSES):
         return classes(size)
+    from .fasteval import _CARRY_BITS, _DECIMAL, _exact_context, eval_fast
+
     below = classes(0, size)
-    # A Decimal takes an int in quadratic time, so only a narrow one.
-    carry = carry and below.bit_length() <= _CARRY_BITS
+    # The count is at most 2^n, too narrow to carry below _CARRY_BITS, and a
+    # Decimal takes an int in quadratic time, so only a narrow one.
+    carry = _decimal and n >= _CARRY_BITS and below.bit_length() <= _CARRY_BITS
     gf = _condition_parts(Condition(cond.alpha, cond.beta, cond.gap_parity))
     if top is None:  # the power is of the total plus ones
         rec, below = _gf_recurrence(gf), below + gf[3]
     else:
         rec = _gf_recurrence(gf, differences=True)
-    return eval_fast(rec, n, _DECIMAL if carry else EXACT) - below
+    if not carry:
+        return eval_fast(rec, n) - below
+    from decimal import localcontext
+
+    with localcontext(_exact_context()):
+        return eval_fast(rec, n, _DECIMAL) - below
 
 
 def schreier_zeckendorf_count(alpha: int, beta: int, n: int) -> BigCount:

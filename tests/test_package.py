@@ -1,7 +1,7 @@
 """The package's top-level surface: exactly the names README's "Library use"
 section documents and the benchmark reaches through the package, and the
 README's example block, run with each commented result checked. Also the
-value classes' frozen-dataclass behaviour, and what a fresh `count` imports."""
+value classes' frozen-dataclass behaviour, and what a fresh command imports."""
 
 import ast
 import copy
@@ -141,22 +141,79 @@ def test_value_classes_behave_as_frozen_dataclasses(cls, args, kwargs, changed, 
 
 
 # Modules a fresh `count` never needs: dataclasses alone pulls in inspect,
-# ast, dis and tokenize, and only JSON output and --config read json.
-COLD_START_UNUSED = ("dataclasses", "inspect", "json", "typing")
+# ast, dis and tokenize; only JSON output and --config read json; decimal
+# serves only a wide count or a window; fasteval serves only a power, and
+# identities and discovery only `verify` and `discover`.
+LAZY = ("seqforge.fasteval", "seqforge.identities", "seqforge.discovery")
+COLD_START_UNUSED = ("dataclasses", "inspect", "json", "typing", "decimal", *LAZY)
+COUNT_LOADS = ["seqforge", "seqforge.cli", "seqforge.formats", "seqforge.recurrences", "seqforge.subsets"]
+
+
+def fresh(script):
+    """(exit code, stdout, stderr) of script in a fresh interpreter that
+    imports seqforge from this checkout. -I -S: no environment, and no
+    site, whose .pth files may import typing before seqforge runs."""
+    src = Path(seqforge.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", f"import sys\nsys.path.insert(0, {str(src)!r})\n{script}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def loaded_after(argv):
+    # (exit code, stdout, the modules of seqforge and of COLD_START_UNUSED
+    # imported by then, sorted) of a fresh main(argv).
+    code, out, err = fresh(
+        "from seqforge.cli import main\n"
+        f"code = main({argv!r})\n"
+        "sys.stderr.write(' '.join(sorted(\n"
+        f"    m for m in sys.modules if m.partition('.')[0] == 'seqforge' or m in {COLD_START_UNUSED!r}\n"
+        ")))\n"
+        "sys.exit(code)\n"
+    )
+    return code, out, err.split()
 
 
 def test_fresh_count_imports_only_what_it_runs():
-    # -I -S: no environment, and no site, whose .pth files may import typing
-    # before seqforge runs.
-    src = Path(seqforge.__file__).resolve().parents[1]
-    script = (
-        f"import sys\nsys.path.insert(0, {str(src)!r})\n"
-        "from seqforge.cli import main\n"
-        "code = main(['count', '--n', '5', '--alpha', '2', '--beta', '1'])\n"
-        f"sys.stderr.write(' '.join(m for m in {COLD_START_UNUSED!r} if m in sys.modules))\n"
-        "sys.exit(code)\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "6\n", "")
+    argv = ["count", "--n", "5", "--alpha", "2", "--beta", "1"]
+    assert loaded_after(argv) == (0, "6\n", COUNT_LOADS)
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["verify", "--id", "fib-h"], ["seqforge.identities"]),
+    (["discover", "--alpha", "1", "--beta", "1"], ["seqforge.fasteval", "seqforge.discovery"]),
+    (["enumerate", "--n", "3"], []),
+])
+def test_each_command_imports_only_what_it_runs(argv, loads):
+    code, out, modules = loaded_after(argv)
+    assert (code, [m for m in LAZY if m in modules]) == (0, loads)
+    assert out
+
+
+def test_the_surface_holds_in_a_fresh_interpreter():
+    script = f"""
+import seqforge
+lazy = {LAZY!r}
+assert not [m for m in lazy if m in sys.modules], "import seqforge loaded " + repr(sys.modules)
+assert set(seqforge.__all__) <= set(dir(seqforge)) and len(seqforge.__all__) == 16
+assert "eval_fast" not in vars(seqforge)
+for name in seqforge.__all__:
+    value = getattr(seqforge, name)
+    assert getattr(sys.modules[value.__module__], name) is value, name
+    assert vars(seqforge)[name] is value, name
+star = {{}}
+exec("from seqforge import *", star)
+assert star.keys() - {{"__builtins__"}} == set(seqforge.__all__)
+assert all(star[name] is getattr(seqforge, name) for name in seqforge.__all__)
+for name in ("subsets", "recurrences", "fasteval", "discovery", "identities", "formats", "cli"):
+    assert getattr(seqforge, name) is sys.modules["seqforge." + name], name
+for name in ("nope", "_LAZY_NOPE", "seqforge"):
+    try:
+        getattr(seqforge, name)
+    except AttributeError as exc:
+        assert repr(name) in str(exc), exc
+    else:
+        raise AssertionError(name)
+"""
+    assert fresh(script) == (0, "", "")

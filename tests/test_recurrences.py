@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import recurrences
+from seqforge import fasteval, recurrences
 from seqforge.formats import render_int
 from seqforge.recurrences import (
     _NESTED_SUMS,
@@ -52,15 +52,16 @@ def series_head(cond, count):
 
 
 def power_spy(monkeypatch):
-    # The n of each eval_fast call the engine makes from now on.
+    # The n of each eval_fast call the engine makes from now on. The engine
+    # reads fasteval.eval_fast where a power runs, so the spy goes there.
     calls = []
-    real = recurrences.eval_fast
+    real = fasteval.eval_fast
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(recurrences, "eval_fast", spy)
+    monkeypatch.setattr(fasteval, "eval_fast", spy)
     return calls
 
 
@@ -836,7 +837,7 @@ class TestDecimalCarrier:
         import decimal
 
         short = decimal.Context(prec=1000, traps=[decimal.Inexact, decimal.Rounded])
-        monkeypatch.setattr(recurrences, "_exact_context", lambda: short)
+        monkeypatch.setattr(fasteval, "_exact_context", lambda: short)
         for n, cond in self.WIDE[:2]:
             with pytest.raises((decimal.Inexact, decimal.Rounded)):
                 condition_count(n, cond, _decimal=True)
