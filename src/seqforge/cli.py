@@ -29,7 +29,7 @@ import sys
 from itertools import islice
 
 from .formats import FORMATS, _write_chunked, _write_window, render_int
-from .recurrences import FAMILIES, _decimal_series, condition_count, family_spec
+from .recurrences import FAMILIES, _exact_context, condition_count, family_spec
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_EVEN,
@@ -328,12 +328,10 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     # The terms are read, printed and written a chunk at a time, all inside
     # the exact context, so only the last few terms and one chunk of text
     # are held at once. decimal is imported here, not at start.
-    from decimal import localcontext
-
-    from .fasteval import _exact_context
+    from decimal import Decimal, localcontext
 
     with _output(args.output) as write, localcontext(_exact_context()):
-        digits = map(str, islice(_decimal_series(*gf), offset, to + 1))
+        digits = map(str, islice(gf.series(Decimal), offset, to + 1))
         _write_window(write, args.fmt, name, offset, to, digits)
     return OK
 

@@ -128,7 +128,7 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 # step is three products either way, so only the printing differs: the
 # power moves if it will end wider than formats.STR_MAX_BITS, past which an
 # int would print by divide and conquer. A `seq` window is read in them whole
-# (recurrences._decimal_series). Converting a Decimal back to an int is
+# (recurrences._GF.series). Converting a Decimal back to an int is
 # quadratic, so a carried count stays one. Measured with CPython 3.11 on a
 # 2-vCPU x86-64 machine, a square as a Decimal against as an int: 0.04 vs
 # 0.02 ms at 4096 bits, 0.26 vs 0.20 at 20,000, 1.3 vs 1.6 at 10^5, 5.4 vs
@@ -137,28 +137,10 @@ def _prepared(rec: LinearRecurrence, n: int, mode: EvalMode):
 _CARRY_BITS = 4096
 _CARRY_WIDTH = 150_000
 
-@lru_cache(maxsize=None)
-def _exact_context():
-    """The one decimal context for exact integers: all of libmpdec's
-    precision and exponent range, with Inexact and Rounded trapped beside
-    the default traps, so an operation that would round raises instead of
-    printing a wrong digit. Work in a copy (decimal.localcontext makes
-    one). decimal is imported on the first call, not at start."""
-    import decimal
-
-    return decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-               decimal.Inexact, decimal.Rounded],
-    )
-
-
 class _DecimalMode(EvalMode):
     """Exact, but an int power that will end wide moves to integral
     Decimals, and eval_fast returns a Decimal; for use inside
-    _exact_context only (recurrences.condition_count, for the CLI)."""
+    recurrences._exact_context only (condition_count, for the CLI)."""
 
     __slots__ = ()
 

@@ -13,7 +13,7 @@ import re
 from collections.abc import Iterable
 from itertools import count, islice
 
-from .recurrences import SequenceWindow
+from .recurrences import SequenceWindow, _exact_context
 from .subsets import _need_int
 
 FORMATS = ("table", "csv", "json", "bfile")
@@ -48,8 +48,6 @@ def render_int(value: int) -> str:
     if value < 0:
         return "-" + render_int(-value)
     import decimal  # only big values need it
-
-    from .fasteval import _exact_context
 
     exact = _exact_context().copy()
     levels = ((value.bit_length() - 1) // _LEAF_BITS).bit_length()

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, count, islice
 from operator import add, ne
 
-from .recurrences import FAMILIES, _series, family_spec
+from .recurrences import FAMILIES, family_spec
 from .subsets import (
     DEFAULT_ENUM_LIMIT,
     GAP_ALL_ODD,
@@ -112,7 +112,7 @@ def _sweep(row: tuple, name: str, last: int, start: int = 0) -> Iterator[tuple]:
         series, _, gf = family_spec(family, **params)
         if first > MAX_SIDE_INDEX:
             raise ValueError(f"index {first} of {series} is past {MAX_SIDE_INDEX}")
-        streams.append(islice(_series(*gf), first, None))
+        streams.append(islice(gf.series(), first, None))
     _need_int(name, last, start)
     return zip(range(start, last + 1), streams[0], map(add, streams[1], count(c + d * start, d)))
 
@@ -153,7 +153,7 @@ def check_odd_gap_h(
     _need_int("n_max_oracle", n_max_oracle, 1)
     gf_half = _sweep(_SERIES["oddgap-h"](), "n_max_gf", n_max_gf, 1)
     oracle = _counts_upto(n_max_oracle, Condition(gap_parity=GAP_ALL_ODD, min_size=2), limit)
-    oracle_half = zip(range(1, n_max_oracle + 1), oracle[1:], _series(*FAMILIES["H"].gf()))
+    oracle_half = zip(range(1, n_max_oracle + 1), oracle[1:], FAMILIES["H"].gf().series())
     return scan_identity("oddgap-h", (1, max(n_max_oracle, n_max_gf)), chain(oracle_half, gf_half))
 
 

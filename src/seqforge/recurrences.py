@@ -12,8 +12,8 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import partial, reduce
-from itertools import accumulate, chain, islice, repeat, tee
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, count, islice, repeat, tee
 from math import comb
 from operator import add, mul, sub
 
@@ -41,9 +41,8 @@ def fibonacci(n: int) -> BigCount:
 
 
 # The named sequences by `seq --family` name. A window is the series of
-# gf(*params), a generating function in factors (see _series; build one per
-# series), from index first to a last index >= first; bounds pairs each
-# parameter, in gf's order, with its least value.
+# the _GF gf(*params), from index first to a last index >= first; bounds
+# pairs each parameter, in gf's order, with its least value.
 Family = namedtuple("Family", "prefix bounds first gf")
 FAMILIES = {
     "fib": Family("fib", (), 0, lambda: _order_gf(2, 0)),
@@ -63,7 +62,7 @@ FAMILIES = {
 
 
 def family_spec(family: str, **params: int) -> tuple:
-    """(window name, first index, generating function in factors) of a
+    """(window name, first index, generating function as a _GF) of a
     FAMILIES row, with params, named as in the row, checked against its
     bounds. The window is named prefix, or prefix[p1,p2,...] with
     parameters; which indices are read is the reader's to check."""
@@ -89,7 +88,7 @@ def window(family: str, last: int, **params: int) -> SequenceWindow:
     analogue at indices 0..12."""
     name, first, gf = family_spec(family, **params)
     _need_int("last", last, first, sys.maxsize)  # islice stops at sys.maxsize
-    return SequenceWindow(name, first, tuple(islice(_series(*gf), first, last + 1)))
+    return SequenceWindow(name, first, tuple(islice(gf.series(), first, last + 1)))
 
 
 def even_gap_family_size(n: int) -> BigCount:
@@ -160,12 +159,6 @@ def min_size_odd_gap_count(n: int, k: int) -> BigCount:
 
 
 # --- counting by rational generating function ---------------------------------
-# Polynomials are int coefficient lists, lowest degree first. The series
-# takes a generating function in factors, (lead, P, taps, ones, pluses, q):
-# x^lead P / ((1-x)^ones Phi^pluses R), Phi = 1 + x + ... + x^(q-1) and
-# R = 1 - sum of c x^j over taps {j: c}, P an iterable of coefficients
-# read lazily, so a long P costs only the terms that are read.
-
 # Up to this many running sums are nested accumulate passes, which run in
 # C but recurse one level deeper per pass on every term (the C stack gives
 # out near 10^5 levels); past it one list of sums is updated per term, at
@@ -173,20 +166,103 @@ def min_size_odd_gap_count(n: int, k: int) -> BigCount:
 _NESTED_SUMS = 32
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+class _GF(_Value):
+    """A rational generating function in factors,
+
+        x^lead P / ((1-x)^ones Phi^pluses R),
+
+    Phi = 1 + x + ... + x^(q-1) and R = 1 - sum of c x^j over taps {j: c}.
+    P is held as its first differences, dp = (1-x) P, a dict {j: c} whose
+    values sum to 0: plain data, which any number of reads share, and a long
+    run of ones in P (a beta of 10^9) is two entries. taps is not empty and
+    pluses <= ones, as every value built here has (_order_gf,
+    _condition_parts). Polynomials read out are int coefficient tuples,
+    lowest degree first.
+    """
+
+    __slots__ = __match_args__ = ("lead", "dp", "taps", "ones", "pluses", "q")
+
+    def __init__(self, lead: int, dp: dict, taps: dict, ones: int, pluses: int, q: int) -> None:
+        self._set(lead, dp, taps, ones, pluses, q)
+
+    def _p(self) -> Iterator[int]:
+        # P, the running sums of dp to its degree, read lazily, so a long P
+        # costs only the terms read; a degree past sys.maxsize is cut to it.
+        top = max((j for j, c in self.dp.items() if c), default=0)  # deg P + 1
+        return islice(accumulate(map(self.dp.get, count(), repeat(0))), min(top, sys.maxsize))
+
+    def series(self, number: type = int) -> Iterator[BigCount]:
+        """The coefficients, one at a time and without end, with P's read as
+        number. The CLI passes decimal.Decimal: read in _exact_context, every
+        term from the first nonzero one on is then an integral Decimal whose
+        str() takes linear time. The series is lazy, so it must be read
+        inside the context, not only built there.
+
+        The series of P/R is a_i = p_i + c_1 a_{i-1} + ... + c_d a_{i-d}, with
+        a_i = 0 for i < 0: a map over copies of the stream itself, one per tap,
+        lagged j places (itertools.tee); it adds the term where c = 1 and
+        multiplies only at the other taps. The map is built once, inside a
+        one-shot generator, so that the copies exist by then, and every term
+        runs in C. The copies read what the stream has already yielded, so it
+        holds only its last d terms, give or take one of tee's small blocks.
+        Each pair (1-x) Phi = 1 - x^q is then q interleaved running sums, one
+        over the terms at each residue mod q, and each other 1 - x is a running
+        sum. The lead zeros come first, so reading them runs none of this. A
+        lead or lag longer than sys.maxsize, past which islice reads nothing,
+        is cut to it: exact below it.
+        """
+        taps, q, pluses, p = self.taps, self.q, self.pluses, map(number, self._p())
+
+        def terms():
+            lagged = []
+            for (j, c), copy in zip(taps.items(), copies):
+                run = chain(repeat(0, min(j, sys.maxsize)), copy)  # a_{i-j}
+                lagged.append(run if c == 1 else map(mul, repeat(c), run))
+            total = reduce(partial(map, add), lagged)
+            yield chain(map(add, p, total), total)
+
+        stream, *copies = tee(chain.from_iterable(terms()), len(taps) + 1)
+        if pluses:
+            stream = chain.from_iterable(zip(*(
+                _running_sums(islice(lane, i, None, q), pluses) for i, lane in enumerate(tee(stream, q))
+            )))
+        return chain(repeat(0, min(self.lead, sys.maxsize)), _running_sums(stream, self.ones - pluses))
+
+    def expanded(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(x^lead P, Q), Q = R (1-x^q)^pluses (1-x)^(ones-pluses), as series reads it."""
+        den = [1] + [0] * max(self.taps)
+        for j, c in self.taps.items():
+            den[j] -= c
+        for shift, times in ((self.q, self.pluses), (1, self.ones - self.pluses)):
+            for _ in range(times):  # den times 1 - x^shift
+                den = list(map(sub, den + [0] * shift, [0] * shift + den))
+        return (0,) * self.lead + tuple(self._p()), tuple(den)
+
+    def recurrence(self, start: int = 0, differences: bool = False) -> LinearRecurrence:
+        """The recurrence of R, order k = deg R, read from the series t at
+        start .. start + k. It needs ones <= 1, no Phi, a proper fraction,
+        and P(1) = -R(1) when ones = 1, as every min_size-free condition has
+        (ones = 1 at q = 2: P(1) = q - 1, R(1) = -1). Then the partial
+        fractions (Stanley, EC1 4.1) are A/(1-x) + N/R, A = P(1)/R(1) = -ones
+        and deg N < k, so t_i + ones is [x^i] N/R from i = 0 on. With
+        differences the recurrence is of t_i - t_(i-1) from i = start + 1:
+        (1-x) times the generating function is a fraction over R whose
+        numerator has degree at most k."""
+        from .fasteval import LinearRecurrence
+
+        k = max(self.taps)
+        coeffs = tuple(self.taps.get(j, 0) for j in range(1, k + 1))
+        terms = [t + self.ones for t in islice(self.series(), start, start + k + 1)]
+        if differences:
+            return LinearRecurrence(coeffs, tuple(map(sub, terms[1:], terms)), start + 1)
+        return LinearRecurrence(coeffs, tuple(terms[:k]), start)
 
 
-def _condition_parts(cond: Condition) -> tuple:
-    # condition_gf in factors, cancelled by hand (the derivation is in
+def _condition_parts(cond: Condition) -> _GF:
+    # condition_gf as a _GF, cancelled by hand (the derivation is in
     # condition_gf's docstring). Whatever alpha, beta and min_size are, the
-    # taps are two and P is a few terms or a lazy run, so a window costs
-    # only the terms it reads. P may be a one-shot iterator: take fresh
-    # parts for each series.
+    # taps are two and P is a few terms or a run, so a window costs only
+    # the terms it reads.
     if cond.forced_max is not None:
         raise ValueError("forced_max has no generating function here; take a difference")
     q = cond.gap_step
@@ -196,17 +272,18 @@ def _condition_parts(cond: Condition) -> tuple:
     taps = {q: 1}  # E = D - x^h
     taps[h] = taps.get(h, 0) + 1
     if s >= 2:  # x^m / ((1-x)^s Phi^(s-2) E)
-        return m, (1,), taps, s, s - 2, q
+        return _GF(m, {0: 1, 1: -1}, taps, s, s - 2, q)
     if cond.min_size == 1:  # x^m Phi / ((1-x) E)
-        return m, (1,) * q, taps, 1, 0, q
-    p = {0: 1}  # (x^m Phi + E) / ((1-x) E)
-    for j, c in ((q, -1), (h, -1), *((m + i, 1) for i in range(q))):
-        p[j] = p.get(j, 0) + c
-    top = max(j for j, c in p.items() if c)
-    p, ones = map(p.get, range(top + 1), repeat(0)), 1
-    if q == 1:  # P(1) = q - 1 = 0: its running sums are P / (1-x)
-        p, ones = islice(accumulate(p), min(top, sys.maxsize)), 0  # as in _series
-    return 0, p, taps, ones, 0, q
+        return _GF(m, {0: 1, q: -1}, taps, 1, 0, q)
+    # (x^m Phi + E) / ((1-x) E), and (1-x) x^m Phi = x^m - x^(m+q). The
+    # numerator is q - 1 at 1, so at q = 1 the 1 - x cancels: P is then
+    # (x^m + E) / (1-x), whose first differences are x^m + E.
+    e = ((0, 1), (q, -1), (h, -1))
+    terms = ((m, 1), *e) if q == 1 else ((m, 1), (m + q, -1), *e, *((j + 1, -c) for j, c in e))
+    dp = {}
+    for j, c in terms:
+        dp[j] = dp.get(j, 0) + c
+    return _GF(0, dp, taps, int(q > 1), 0, q)
 
 
 def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -243,42 +320,13 @@ def condition_gf(cond: Condition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Combinatorics 1, ch. 4). forced_max is not a clause of the sum; count
     it as the difference of two counts (condition_count).
     """
-    lead, p, taps, ones, pluses, q = _condition_parts(cond)
-    den = [1] + [0] * max(taps)  # Q = (1-x)^ones Phi^pluses R
-    for j, c in taps.items():
-        den[j] -= c
-    for factor, times in (([1, -1], ones), ([1] * q, pluses)):
-        for _ in range(times):
-            den = _poly_mul(den, factor)
-    return (0,) * lead + tuple(p), tuple(den)
+    return _condition_parts(cond).expanded()
 
 
-def _gf_recurrence(gf: tuple, start: int = 0, differences: bool = False) -> LinearRecurrence:
-    # The recurrence of E, the R of a generating function in factors
-    # x^lead P / ((1-x)^ones E), order k = deg E, read from its series t at
-    # start .. start + k. It needs ones <= 1, no Phi, a proper fraction,
-    # and P(1) = -E(1) when ones = 1, as every min_size-free condition has
-    # (ones = 1 at q = 2: P(1) = q - 1, E(1) = -1). Then the partial
-    # fractions (Stanley, EC1 4.1) are A/(1-x) + N/E,
-    # A = P(1)/E(1) = -ones and deg N < k, so t_i + ones
-    # is [x^i] N/E from i = 0 on. With differences the recurrence is of
-    # t_i - t_(i-1) from i = start + 1: (1-x) times the generating function
-    # is a fraction over E whose numerator has degree at most k.
-    from .fasteval import LinearRecurrence
-
-    _, _, taps, ones, _, _ = gf
-    k = max(taps)
-    coeffs = tuple(taps.get(j, 0) for j in range(1, k + 1))
-    terms = [t + ones for t in islice(_series(*gf), start, start + k + 1)]
-    if differences:
-        return LinearRecurrence(coeffs, tuple(map(sub, terms[1:], terms)), start + 1)
-    return LinearRecurrence(coeffs, tuple(terms[:k]), start)
-
-
-def _order_gf(n: int, sums: int) -> tuple:
-    # x / ((1-x)^sums (1 - x - x^n)) in factors: the order-n Fibonacci
+def _order_gf(n: int, sums: int) -> _GF:
+    # x / ((1-x)^sums (1 - x - x^n)) as a _GF: the order-n Fibonacci
     # analogue accumulated sums times; n = 2 is Fibonacci (sums 0) and H (2).
-    return 1, (1,), {1: 1, n: 1}, sums, 0, 1
+    return _GF(1, {0: 1, 1: -1}, {1: 1, n: 1}, sums, 0, 1)
 
 
 def _running_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
@@ -298,49 +346,22 @@ def _flat_sums(stream: Iterator[BigCount], times: int) -> Iterator[BigCount]:
         yield sums[-1]
 
 
-def _series(lead: int, p, taps: dict, ones: int, pluses: int, q: int) -> Iterator[BigCount]:
-    """The coefficients of x^lead P / ((1-x)^ones Phi^pluses R), Phi = 1 + x
-    + ... + x^(q-1) and R = 1 - sum of c x^j over taps {j: c}, one at a
-    time and without end. taps is not empty and pluses <= ones, as every
-    generating function in factors built here has (_order_gf, _condition_parts).
+@lru_cache(maxsize=None)
+def _exact_context():
+    """The one decimal context for exact integers: all of libmpdec's
+    precision and exponent range, with Inexact and Rounded trapped beside
+    the default traps, so an operation that would round raises instead of
+    printing a wrong digit. Work in a copy (decimal.localcontext makes
+    one). decimal is imported on the first call, not at start."""
+    import decimal
 
-    The series of P/R is a_i = p_i + c_1 a_{i-1} + ... + c_d a_{i-d}, with
-    a_i = 0 for i < 0: a map over copies of the stream itself, one per tap,
-    lagged j places (itertools.tee); it adds the term where c = 1 and
-    multiplies only at the other taps. The map is built once, inside a
-    one-shot generator, so that the copies exist by then, and every term
-    runs in C. The copies read what the stream has already yielded, so it
-    holds only its last d terms, give or take one of tee's small blocks.
-    Each pair (1-x) Phi = 1 - x^q is then q interleaved running sums, one
-    over the terms at each residue mod q, and each other 1 - x is a running
-    sum. The lead zeros come first, so reading them runs none of this. A
-    lead or lag longer than sys.maxsize, past which islice reads nothing,
-    is cut to it: exact below it.
-    """
-    def terms():
-        lagged = []
-        for (j, c), copy in zip(taps.items(), copies):
-            run = chain(repeat(0, min(j, sys.maxsize)), copy)  # a_{i-j}
-            lagged.append(run if c == 1 else map(mul, repeat(c), run))
-        total = reduce(partial(map, add), lagged)
-        yield chain(map(add, p, total), total)
-
-    stream, *copies = tee(chain.from_iterable(terms()), len(taps) + 1)
-    if pluses:
-        stream = chain.from_iterable(zip(*(
-            _running_sums(islice(lane, i, None, q), pluses) for i, lane in enumerate(tee(stream, q))
-        )))
-    return chain(repeat(0, min(lead, sys.maxsize)), _running_sums(stream, ones - pluses))
-
-
-def _decimal_series(lead: int, p, taps: dict, ones: int, pluses: int, q: int) -> Iterator[BigCount]:
-    # _series with P fed as Decimals, for the CLI. Read in
-    # fasteval._exact_context, every term from the first nonzero one on is
-    # an integral Decimal whose str() takes linear time. The series is lazy,
-    # so it must be read inside the context, not only built there.
-    from decimal import Decimal
-
-    return _series(lead, map(Decimal, p), taps, ones, pluses, q)
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+               decimal.Inexact, decimal.Rounded],
+    )
 
 
 # Up to this many size classes are summed, not powered: a class costs under
@@ -357,7 +378,7 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
 
     The total without the size bound is one eval_fast power of the
     recurrence of E, the last factor of the min_size-free condition_gf
-    (_gf_recurrence; order deg E, a + b for alpha a, beta b). The size
+    (_GF.recurrence; order deg E, a + b for alpha a, beta b). The size
     classes below min_size, each a binomial closed form (_size_classes),
     come off that total. When the classes from min_size up are no more
     than those below it, than the order (as for every n below that
@@ -372,7 +393,7 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
 
     _decimal is for the CLI, which prints the count: a power that will be
     wide may then come back as an integral decimal.Decimal, computed in
-    fasteval._exact_context, whose str() takes linear time (see
+    _exact_context, whose str() takes linear time (see
     fasteval._CARRY_BITS). Every other caller gets an int. fasteval and
     decimal are imported only where a power runs.
     """
@@ -394,17 +415,16 @@ def condition_count(n: int, cond: Condition, *, _decimal: bool = False) -> BigCo
     largest = (n + gap) // (alpha + gap) if alpha else (n + gap - 1) // gap
     if largest - size < max(size, alpha + gap + 2, _SUM_CLASSES):
         return classes(size)
-    from .fasteval import _CARRY_BITS, _DECIMAL, _exact_context, eval_fast
+    from .fasteval import _CARRY_BITS, _DECIMAL, eval_fast
 
     below = classes(0, size)
     # The count is at most 2^n, too narrow to carry below _CARRY_BITS, and a
     # Decimal takes an int in quadratic time, so only a narrow one.
     carry = _decimal and n >= _CARRY_BITS and below.bit_length() <= _CARRY_BITS
     gf = _condition_parts(Condition(cond.alpha, cond.beta, cond.gap_parity))
+    rec = gf.recurrence(differences=top is not None)
     if top is None:  # the power is of the total plus ones
-        rec, below = _gf_recurrence(gf), below + gf[3]
-    else:
-        rec = _gf_recurrence(gf, differences=True)
+        below += gf.ones
     if not carry:
         return eval_fast(rec, n) - below
     from decimal import localcontext
@@ -433,4 +453,4 @@ def tail_recurrence_of(family: str, **params: int) -> LinearRecurrence:
     if family not in ("fibonacci", "schreier-zeckendorf", "genfib"):
         raise ValueError(f"known families: fibonacci, schreier-zeckendorf, genfib; got {family!r}")
     gf = family_spec("fib" if family == "fibonacci" else family, **params)[2]
-    return _gf_recurrence(gf, params.get("alpha", 0))
+    return gf.recurrence(params.get("alpha", 0))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqforge import cli, fasteval, formats, identities, recurrences, subsets
+from seqforge import cli, formats, identities, recurrences, subsets
 from seqforge.cli import build_parser, main
 from seqforge.discovery import berlekamp_massey, verify_recurrence
 from seqforge.formats import parse_bfile
@@ -395,12 +395,12 @@ class TestEntryPoints:
     def test_cold_start_builds_no_decimal_context(self):
         script = (
             "import contextlib, io\n"
-            "from seqforge import cli, fasteval\n"
+            "from seqforge import cli, recurrences\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    cli.main(['count', '--n', '5'])\n"
-            "    assert fasteval._exact_context.cache_info().currsize == 0\n"
+            "    assert recurrences._exact_context.cache_info().currsize == 0\n"
             "    cli.main(['count', '--n', '100000', '--gap-parity', 'even'])\n"
-            "assert fasteval._exact_context.cache_info().currsize == 1\n"
+            "assert recurrences._exact_context.cache_info().currsize == 1\n"
         )
         done = self.python("-c", script)
         assert done.returncode == 0, done.stderr
@@ -712,8 +712,8 @@ class TestSeqCarried:
         for family, row in cli.FAMILIES.items():
             needs = {dest: params[dest] for dest, _ in row.bounds}
             gf = recurrences.family_spec(family, **needs)[2]
-            with decimal.localcontext(fasteval._exact_context()):
-                terms = list(islice(recurrences._decimal_series(*gf), 61))
+            with decimal.localcontext(recurrences._exact_context()):
+                terms = list(islice(gf.series(decimal.Decimal), 61))
             assert isinstance(terms[-1], decimal.Decimal), family
             assert terms[-1].as_tuple().exponent == 0, family
 
@@ -1184,10 +1184,10 @@ class TestErrors:
         ["--family", "fib", "--to", "5", "--output", "{tmp}"],
     ])
     def test_seq_errors_come_before_the_first_term(self, capsys, monkeypatch, tmp_path, argv):
-        def unread(*gf):
+        def unread(gf, number=int):
             raise AssertionError("a term was computed")
 
-        monkeypatch.setattr(cli, "_decimal_series", unread)
+        monkeypatch.setattr(recurrences._GF, "series", unread)
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, "seq", *argv, "--format", "bfile")
         assert (code, out) == (2, "")
@@ -1199,11 +1199,13 @@ class TestErrors:
         path = tmp_path / "window.bfile"
         opened = []
 
-        def series(*gf):
-            opened.append(path.exists())
-            return recurrences._decimal_series(*gf)
+        real = recurrences._GF.series
 
-        monkeypatch.setattr(cli, "_decimal_series", series)
+        def series(gf, number=int):
+            opened.append(path.exists())
+            return real(gf, number)
+
+        monkeypatch.setattr(recurrences._GF, "series", series)
         code, out, err = run_cli(capsys, "seq", "--family", "H", "--to", "6", "--output", str(path))
         assert (code, out, err, opened) == (0, "", "", [True])
         assert path.read_text() == format_window(window("H", 6), "table")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from seqforge import fasteval, schreier_zeckendorf_count, tail_recurrence_of
 from seqforge.fasteval import EXACT, EvalMode, LinearRecurrence, eval_fast
 from seqforge.formats import render_int
-from seqforge.recurrences import condition_count
+from seqforge.recurrences import _exact_context, condition_count
 from seqforge.subsets import Condition
 
 from helpers import catalog_recurrence, eval_iterative, fib_mod, schreier_zeckendorf_seq, sz_branch_count, term
@@ -701,12 +701,12 @@ class TestCountShortcut:
 
 class TestDecimalCarrier:
     """In fasteval._DECIMAL mode an exact int power that will end wide moves
-    to integral Decimals in fasteval._exact_context; the arithmetic is the
+    to integral Decimals in recurrences._exact_context; the arithmetic is the
     same."""
 
     def test_toom_square_of_decimals(self):
         rng = random.Random("toom-decimal")
-        with localcontext(fasteval._exact_context()):
+        with localcontext(_exact_context()):
             for k in range(3, 10):
                 a = [rng.randint(-(2**5000), 2**5000) for _ in range(k)]
                 got = fasteval._toom_square(list(map(Decimal, a)))
@@ -723,21 +723,21 @@ class TestDecimalCarrier:
         initials = [rng.randint(-9, 9) for _ in range(order)]
         n = 20_000
         rec = LinearRecurrence(tuple(coeffs), tuple(initials))
-        with localcontext(fasteval._exact_context()):
+        with localcontext(_exact_context()):
             got = eval_fast(rec, n, fasteval._DECIMAL)
         assert isinstance(got, Decimal) and got.as_tuple().exponent == 0
         assert got == eval_fast(rec, n)
 
     def test_orders_one_and_two_carry_past_str_max_bits(self):
         doubling = LinearRecurrence(coeffs=(2,), initials=(1,))
-        with localcontext(fasteval._exact_context()):
+        with localcontext(_exact_context()):
             fib = eval_fast(FIB, 10**5, fasteval._DECIMAL)  # 69,000 bits
             power = eval_fast(doubling, 20_000, fasteval._DECIMAL)
         assert isinstance(fib, Decimal) and fib == eval_fast(FIB, 10**5)
         assert isinstance(power, Decimal) and power == 1 << 20_000
 
     def test_narrow_powers_and_fractions_stay_as_they_are(self):
-        with localcontext(fasteval._exact_context()):
+        with localcontext(_exact_context()):
             assert type(eval_fast(FIB, 20_000, fasteval._DECIMAL)) is int  # 13,900 bits
             rational = LinearRecurrence(
                 coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7)), initials=(1, 2, 3)

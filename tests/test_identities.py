@@ -21,6 +21,7 @@ from seqforge.identities import (
     shift_up_adjoin_max,
 )
 from seqforge.recurrences import (
+    _GF,
     FAMILIES,
     condition_count,
     even_gap_family_size,
@@ -184,15 +185,16 @@ class TestOddGapH:
 
 
 def one_term_off(monkeypatch, family, index, **params):
-    # Every series the checks read of the FAMILIES row family with params
-    # gains 1 at the given absolute index; the others are as they were.
-    real, gf = identities._series, FAMILIES[family].gf(**params)
+    # Every read of the series of the FAMILIES row family with params, by
+    # the checks or the test, gains 1 at the given absolute index; the
+    # others are as they were.
+    real, gf = _GF.series, FAMILIES[family].gf(**params)
 
-    def series(*parts):
-        terms = real(*parts)
-        return (t + (i == index) for i, t in enumerate(terms)) if parts == gf else terms
+    def series(value, number=int):
+        terms = real(value, number)
+        return (t + (i == index) for i, t in enumerate(terms)) if value == gf else terms
 
-    monkeypatch.setattr(identities, "_series", series)
+    monkeypatch.setattr(_GF, "series", series)
 
 
 class TestSeriesCounterexamples:
@@ -209,9 +211,10 @@ class TestSeriesCounterexamples:
         assert check_gen_sum(3, 300).first_counterexample == (16, total, total + 1)
 
     def test_gen_shift(self, monkeypatch):
-        # The left side, genfib[3], is read from index 2n = 6.
-        one_term_off(monkeypatch, "genfib", 20, n=3)
+        # The left side, genfib[3], is read from index 2n = 6. The window
+        # is read first: the seam moves every read of genfib[3]'s series.
         value = term(window("genfib", 20, n=3), 20)
+        one_term_off(monkeypatch, "genfib", 20, n=3)
         assert check_gen_shift(3, 300).first_counterexample == (14, value + 1, value)
 
     def test_odd_gap_h_generating_function_half(self, monkeypatch):

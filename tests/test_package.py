@@ -184,6 +184,7 @@ def test_fresh_count_imports_only_what_it_runs():
     (["verify", "--id", "fib-h"], ["seqforge.identities"]),
     (["discover", "--alpha", "1", "--beta", "1"], ["seqforge.fasteval", "seqforge.discovery"]),
     (["enumerate", "--n", "3"], []),
+    (["seq", "--family", "fib", "--to", "5"], []),
 ])
 def test_each_command_imports_only_what_it_runs(argv, loads):
     code, out, modules = loaded_after(argv)

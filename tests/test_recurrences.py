@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from seqforge import fasteval, recurrences
 from seqforge.formats import render_int
 from seqforge.recurrences import (
+    _GF,
     _NESTED_SUMS,
     FAMILIES,
     SequenceWindow,
     _condition_parts,
-    _series,
     _size_classes,
     condition_count,
     condition_gf,
@@ -48,7 +49,13 @@ PARITIES = (GAP_ANY, GAP_ALL_ODD, GAP_ALL_EVEN)
 
 
 def series_head(cond, count):
-    return list(islice(_series(*_condition_parts(cond)), count))
+    return list(islice(_condition_parts(cond).series(), count))
+
+
+def factors(lead, p, taps, ones, pluses, q):
+    # The _GF of x^lead P / ((1-x)^ones Phi^pluses R), P given as its
+    # coefficient list, as sign_trick_series takes it.
+    return _GF(lead, dict(enumerate(map(sub, [*p, 0], [0, *p]))), taps, ones, pluses, q)
 
 
 def power_spy(monkeypatch):
@@ -103,7 +110,7 @@ TABLE_GENK_3 = (0, 1, 2, 3, 5, 8, 12, 18, 27, 40, 59, 87, 128)
 TABLE_GENH_3 = (0, 1, 3, 6, 11, 19, 31, 49, 76, 116, 175, 262, 390)
 
 
-# The generating functions in factors that _series reads: taps not empty
+# The generating functions in factors that _GF.series reads: taps not empty
 # (SERIES_TAPS) and pluses <= ones (ones_and_pluses, drawn as (ones, pluses)),
 # with a stride q of 1 to 4 (STRIDES).
 SERIES_TAPS = st.dictionaries(st.integers(1, 6), st.integers(-5, 5), min_size=1, max_size=3)
@@ -136,7 +143,7 @@ class TestSeries:
         ones, pluses = counts
         den = self.denominator(taps, ones, pluses, q)
         count = 40
-        terms = list(islice(_series(lead, p, taps, ones, pluses, q), count))
+        terms = list(islice(factors(lead, p, taps, ones, pluses, q).series(), count))
         assert truncated_product(terms, den, count) == ([0] * lead + p + [0] * count)[:count]
 
     @settings(max_examples=200, deadline=None)
@@ -146,7 +153,7 @@ class TestSeries:
         # terms that dividing by each factor in turn gives.
         ones, pluses = counts
         count = 40
-        terms = list(islice(_series(lead, p, taps, ones, pluses, q), count))
+        terms = list(islice(factors(lead, p, taps, ones, pluses, q).series(), count))
         assert terms == list(islice(sign_trick_series(lead, p, taps, ones, pluses, q), count))
 
     def test_past_the_nested_sums(self):
@@ -155,29 +162,42 @@ class TestSeries:
         taps = {1: 1, 3: -2}
         for q in (1, 2, 3):
             den = self.denominator(taps, ones, pluses, q)
-            terms = list(islice(_series(2, (1, -1, 3), taps, ones, pluses, q), 60))
+            terms = list(islice(factors(2, (1, -1, 3), taps, ones, pluses, q).series(), 60))
             assert truncated_product(terms, den, 60) == [0, 0, 1, -1, 3] + [0] * 55, q
 
     def test_depth_beyond_the_c_stack(self):
         # 1/(1-x^2)^(b+1) = 1/((1-x^2) (1-x)^b (1+x)^b): 1, 0, b+1, 0,
         # C(b+2, 2). Nested passes this deep would overflow the C stack.
         b = 10**5
-        assert list(islice(_series(0, (1,), {2: 1}, b, b, 2), 5)) == [1, 0, b + 1, 0, comb(b + 2, 2)]
+        assert list(islice(factors(0, (1,), {2: 1}, b, b, 2).series(), 5)) == [1, 0, b + 1, 0, comb(b + 2, 2)]
+
+    def test_a_value_reads_the_same_series_twice(self):
+        # P is data, not a one-shot iterator: every row at its least
+        # parameters, and conditions at strides 1 and 2 with and without a
+        # size bound, give the same terms on a second read.
+        values = [row.gf(*(least for _, least in row.bounds)) for row in FAMILIES.values()]
+        values += [
+            _condition_parts(Condition(alpha, beta, parity, min_size))
+            for alpha, beta in ((None, None), (2, 3)) for parity in (GAP_ANY, GAP_ALL_ODD) for min_size in (0, 1, 3)
+        ]
+        for gf in values:
+            first = list(islice(gf.series(), 200))
+            assert list(islice(gf.series(), 200)) == first, gf
 
     def test_every_generating_function_has_a_read_shape(self):
         # Every family, at its least parameters and larger ones, and every
         # condition without forced_max, has taps and no more pluses than ones.
         for family, row in FAMILIES.items():
             for extra in (0, 1, 3, 10):
-                _, _, taps, ones, pluses, _ = row.gf(*(least + extra for _, least in row.bounds))
-                assert taps and pluses <= ones, (family, extra)
+                gf = row.gf(*(least + extra for _, least in row.bounds))
+                assert gf.taps and gf.pluses <= gf.ones, (family, extra)
         for alpha in (None, 1, 2, 3):
             for beta in (None, 1, 2, 3):
                 for parity in PARITIES:
                     for min_size in range(5):
                         cond = Condition(alpha, beta, parity, min_size)
-                        _, _, taps, ones, pluses, _ = _condition_parts(cond)
-                        assert taps and pluses <= ones, cond
+                        gf = _condition_parts(cond)
+                        assert gf.taps and gf.pluses <= gf.ones, cond
 
 
 class TestFamiliesAgainstHandLoops:
@@ -621,11 +641,19 @@ class TestConditionCount:
                     for min_size in range(5):
                         cond = Condition(alpha, beta, parity, min_size)
                         p, q = condition_gf(cond)
-                        assert q[0] == 1 and q[-1] != 0 and poly_gcd_degree(p, q) == 0, cond
+                        assert q[0] == 1 and p[-1] != 0 != q[-1] and poly_gcd_degree(p, q) == 0, cond
                         assert min_size > 0 or len(p) < len(q), cond  # proper without a size bound
                         counts = [count_subsets(n, cond) for n in range(13)]
                         assert truncated_product(counts, q, 13) == (list(p) + [0] * 13)[:13], cond
                         assert series_head(cond, 13) == counts, cond
+        # The rows' own values, at their least parameters and larger ones.
+        for family, row in FAMILIES.items():
+            for extra in (0, 1, 3):
+                gf = row.gf(*(least + extra for _, least in row.bounds))
+                p, q = gf.expanded()
+                assert q[0] == 1 and p[-1] != 0 != q[-1] and poly_gcd_degree(p, q) == 0, (family, extra)
+                terms = list(islice(gf.series(), 40))
+                assert truncated_product(terms, q, 40) == (list(p) + [0] * 40)[:40], (family, extra)
 
     def test_every_shape_at_five_hundred(self, monkeypatch):
         # At small n a shape has few enough size classes to be summed
@@ -824,7 +852,7 @@ class TestDecimalCarrier:
     def test_the_exact_context_traps_rounding(self):
         import decimal
 
-        from seqforge.fasteval import _exact_context
+        from seqforge.recurrences import _exact_context
 
         ctx = _exact_context()
         assert ctx.prec == decimal.MAX_PREC
@@ -837,7 +865,7 @@ class TestDecimalCarrier:
         import decimal
 
         short = decimal.Context(prec=1000, traps=[decimal.Inexact, decimal.Rounded])
-        monkeypatch.setattr(fasteval, "_exact_context", lambda: short)
+        monkeypatch.setattr(recurrences, "_exact_context", lambda: short)
         for n, cond in self.WIDE[:2]:
             with pytest.raises((decimal.Inexact, decimal.Rounded)):
                 condition_count(n, cond, _decimal=True)
