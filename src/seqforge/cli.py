@@ -64,8 +64,9 @@ def _ratio_check(ids, to: int, args: argparse.Namespace, limit: int) -> list:
     odd = condition_count(to, Condition(gap_parity=GAP_ALL_ODD))
     even = condition_count(to, Condition(gap_parity=GAP_ALL_EVEN)) - (to + 1)
     gap = Fraction(even, odd + even)
-    shown, bound = ids.decimal_string(gap), ids.decimal_string(args.threshold)
-    report = ids.IdentityReport("ratio", (1, to), None if gap < args.threshold else (to, shown, bound))
+    threshold = Fraction(1, 1000) if args.threshold is None else args.threshold
+    shown, bound = ids.decimal_string(gap), ids.decimal_string(threshold)
+    report = ids.IdentityReport("ratio", (1, to), None if gap < threshold else (to, shown, bound))
     return [report, f"  1 - r_{to} = {shown}  (threshold {bound})"]
 
 
@@ -154,7 +155,6 @@ SCHEMA = {
         "--oracle-to": {"type": int, "default": 12},
         "--threshold": {
             "type": _rational,
-            "default": "1/1000",  # argparse reads a str default through type
             "help": "bound on 1 - r_to for the ratio check",
         },
         "--enum-limit": {"type": int},

@@ -264,8 +264,8 @@ def check_bijection_round_trip(
             # or more is >= 2 alpha > alpha, so dropping n and shifting down
             # by alpha keeps characteristic-vector order. Equal lists then
             # mean that each half maps one family onto the other, whose
-            # members _passes checked as they were enumerated, and that the
-            # halves are inverses.
+            # members the walk judged on every clause as it enumerated them,
+            # and that the halves are inverses.
             down = [_image(drop_max_shift_down, s, n, alpha, beta) for s in with_max]
             up = [_image(shift_up_adjoin_max, t, n, alpha, beta) for t in shrunken]
             mismatches = sum(map(ne, down, shrunken)) + sum(map(ne, up, with_max))

@@ -7,11 +7,11 @@ enumeration order is deterministic.
 The exhaustive search is the ground truth that every closed form and
 recurrence in the rest of the package is tested against. It walks the
 subsets of {1..n} from the top element down and skips only branches that
-provably hold no match, so it costs O(n) per subset that passes every
-clause except min_size instead of scanning all 2**n subsets; every subset
-it yields still passes the membership test, _passes. Both read a gap
-clause (beta, gap_parity) one way: the gaps it allows are its least gap
-plus a multiple of its stride (Condition.least_gap, Condition.gap_step).
+provably hold no match, so it visits the subsets that pass every clause
+except min_size, plus the top elements below alpha, at O(1) interpreted
+steps and one tuple copy each, not all 2**n subsets. The walk and the
+membership test, _passes, read a gap clause (beta, gap_parity) by one
+rule, _gap_allowed: its least gap plus a multiple of its stride.
 """
 
 from __future__ import annotations
@@ -127,8 +127,13 @@ class Condition(_Value):
         object.__setattr__(self, "gap_step", q)
 
 
+def _gap_allowed(g: int, cond: Condition) -> bool:
+    # The gap clause's one stride rule: it allows least_gap + gap_step * t, t >= 0.
+    return g >= cond.least_gap and (g - cond.least_gap) % cond.gap_step == 0
+
+
 def _passes(elems: tuple, cond: Condition) -> bool:
-    # Hot path shared by count and enumerate; elems must be sorted.
+    # The membership test of a sorted tuple; the walk judges its nodes itself.
     k = len(elems)
     if k < cond.min_size:
         return False
@@ -136,15 +141,11 @@ def _passes(elems: tuple, cond: Condition) -> bool:
         return False
     if cond.alpha is not None and k > 0 and elems[0] < cond.alpha * k:
         return False
-    # The gap clause allows the gaps least + step * t, t >= 0: at (1, 1)
-    # every gap of a strictly increasing tuple, so then none is read.
+    # With least gap and stride 1 the rule allows every gap of a strictly
+    # increasing tuple, so then none is read.
     if k >= 2 and (cond.least_gap > 1 or cond.gap_step > 1):
-        least, step = cond.least_gap, cond.gap_step
-        prev = elems[0]
-        for e in elems[1:]:
-            g = e - prev
-            prev = e
-            if g < least or (g - least) % step:
+        for low, high in zip(elems, elems[1:]):
+            if not _gap_allowed(high - low, cond):
                 return False
     return True
 
@@ -176,29 +177,38 @@ def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
     # with minimum m and size k is only extended by an e that keeps them:
     # m - e = least_gap + gap_step * t for some t >= 0 (the stride is the
     # gap clause's), and e >= alpha * (k + 1); the top element must be
-    # forced_max when one is given. min_size is not pruned on. Every tuple
-    # still goes through _passes, so what is yielded is matched by
-    # definition; the cost is O(n) per subset that passes every clause
-    # except min_size.
-    alpha = cond.alpha or 0
-    step = cond.gap_step
-    gap = cond.least_gap
+    # forced_max when one is given. min_size is not pruned on.
+    #
+    # Each node is still judged on every clause as it is visited. Its
+    # verdict on forced_max and the gaps goes on the stack with it: a
+    # child's is its parent's and the one new gap, read from a table of
+    # _gap_allowed. Size and alpha on the new minimum are compared. The
+    # frame being walked (node, extensions, verdict, and size, which is its
+    # children's) is held in locals. A node costs O(1) interpreted steps
+    # and a copy of its tuple; the nodes are the subsets that pass every
+    # clause except min_size, and the top elements below alpha.
+    alpha, min_size, forced = cond.alpha or 0, cond.min_size, cond.forced_max
+    gap, step = cond.least_gap, cond.gap_step
+    allowed = [_gap_allowed(g, cond) for g in range(n + 1)]
     if _passes((), cond):
         yield ()
-    tops = range(1, n + 1) if cond.forced_max is None else (cond.forced_max,)
-    stack = [((), iter(tops))]
-    while stack:
-        node, extensions = stack[-1]
+    node, extensions, ok, size = (), iter(range(1, n + 1) if forced is None else (forced,)), True, 1
+    stack = []
+    while True:
         for e in extensions:
             child = (e,) + node
-            if _passes(child, cond):
+            good = ok and (allowed[node[0] - e] if node else forced in (None, e))
+            if good and e >= alpha * size and size >= min_size:
                 yield child
-            floor = alpha * (len(child) + 1) or 1
+            floor = alpha * (size + 1) or 1
             if e - gap >= floor:
-                stack.append((child, reversed(range(e - gap, floor - 1, -step))))
+                stack.append((node, extensions, ok, size))
+                node, extensions, ok, size = child, reversed(range(e - gap, floor - 1, -step)), good, size + 1
                 break
         else:
-            stack.pop()
+            if not stack:
+                return
+            node, extensions, ok, size = stack.pop()
 
 
 def _counts_upto(n_max: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> list[BigCount]:
@@ -224,7 +234,7 @@ def count_subsets(n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> B
     """Exact number of subsets of {1..n} satisfying cond, by exhaustive search.
 
     Counts what `enumerate_subsets` would yield; refuses n > limit because
-    the work can reach O(2**n * n).
+    the walk can visit 2**n nodes, at O(1) steps and a tuple copy each.
     """
     return _counts_upto(n, cond, limit)[-1]
 

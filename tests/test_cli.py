@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -436,12 +437,6 @@ class TestEntryPoints:
         proc.stderr.close()
         assert (proc.wait(timeout=60), len(head), err) == (0, 10, b"")
 
-    def test_threshold_default_is_exact(self):
-        from fractions import Fraction
-
-        args = build_parser().parse_args(["verify", "--id", "ratio"])
-        assert type(args.threshold) is Fraction and args.threshold == Fraction(1, 1000)
-
 
 class TestSeq:
     def test_bfile_golden(self, capsys):
@@ -799,6 +794,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--id", "ratio", "--to", str(to), "--threshold", "1")
         assert code == 0
         assert out.splitlines()[-1] == f"  1 - r_{to} = {ratio_report(to).final_gap}  (threshold 1)"
+
+    def test_default_threshold_is_one_in_a_thousand(self, capsys, tmp_path):
+        # 1 - r_to is 0 at --to 1 and 2, then drops below 1/1000 for good at
+        # --to first. There the check passes, and at the --to before it
+        # fails: with no --threshold, with a config null, and with
+        # --threshold 1/1000 alike, row for row.
+        gaps = [1 - sample.value for sample in ratio_report(60).samples]
+        first = 1 + max(to for to, gap in enumerate(gaps, 1) if gap >= Fraction(1, 1000))
+        assert first <= 60 and gaps[first - 1] < Fraction(1, 1000)
+        cfg = tmp_path / "cfg.json"
+        for to, verdict in ((first - 1, 1), (first, 0)):
+            cfg.write_text(json.dumps({"identity": "ratio", "to": to, "threshold": None}))
+            explicit = run_cli(capsys, "verify", "--id", "ratio", "--to", str(to), "--threshold", "1/1000")
+            assert explicit[0] == verdict and explicit[1].endswith("  (threshold 0.001)\n"), explicit
+            assert run_cli(capsys, "verify", "--id", "ratio", "--to", str(to)) == explicit
+            assert run_cli(capsys, "verify", "--config", str(cfg)) == explicit
 
     @pytest.mark.parametrize("to", [0, -3])
     def test_ratio_below_one_is_usage_error(self, capsys, to):

@@ -142,10 +142,11 @@ def test_value_classes_behave_as_frozen_dataclasses(cls, args, kwargs, changed, 
 
 # Modules a fresh `count` never needs: dataclasses alone pulls in inspect,
 # ast, dis and tokenize; only JSON output and --config read json; decimal
-# serves only a wide count or a window; fasteval serves only a power, and
-# identities and discovery only `verify` and `discover`.
+# serves only a wide count or a window; fractions, which imports decimal,
+# only an exact rational; fasteval serves only a power, and identities and
+# discovery only `verify` and `discover`.
 LAZY = ("seqforge.fasteval", "seqforge.identities", "seqforge.discovery")
-COLD_START_UNUSED = ("dataclasses", "inspect", "json", "typing", "decimal", *LAZY)
+COLD_START_UNUSED = ("dataclasses", "inspect", "json", "typing", "decimal", "fractions", *LAZY)
 COUNT_LOADS = ["seqforge", "seqforge.cli", "seqforge.formats", "seqforge.recurrences", "seqforge.subsets"]
 
 
@@ -190,6 +191,14 @@ def test_each_command_imports_only_what_it_runs(argv, loads):
     code, out, modules = loaded_after(argv)
     assert (code, [m for m in LAZY if m in modules]) == (0, loads)
     assert out
+
+
+@pytest.mark.parametrize("identity", ["fib-h", "bijection"])
+def test_verify_reads_no_rational_unless_it_checks_one(identity):
+    # --threshold is read only when given: its default is not parsed.
+    code, out, modules = loaded_after(["verify", "--id", identity])
+    assert (code, [m for m in ("fractions", "decimal") if m in modules]) == (0, [])
+    assert identity in out
 
 
 def test_the_surface_holds_in_a_fresh_interpreter():

@@ -318,6 +318,37 @@ class TestSearch:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
+    def test_walk_yields_what_passes_accepts(self, data):
+        # The walk judges each node from its parent; _passes judges a whole
+        # tuple. Both must take the same subsets, in the same order.
+        n = data.draw(st.integers(0, 12))
+        cond = Condition(
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.none() | st.integers(1, 5)),
+            data.draw(st.sampled_from(PARITIES)),
+            data.draw(st.integers(0, 6)),
+            data.draw(st.none() if n == 0 else st.none() | st.integers(1, n)),
+        )
+        assert list(subsets._search(n, cond)) == [t for t in iter_subsets_raw(n) if _passes(t, cond)]
+
+    def test_walk_calls_passes_only_for_the_empty_tuple(self, monkeypatch):
+        # Each node is judged in the walk itself, not by a whole-tuple test.
+        conds = [Condition(), Condition(2, 2, GAP_ALL_ODD, 2), Condition(None, 3, GAP_ALL_EVEN, 0, 9)]
+        expected = [list(subsets._search(10, cond)) for cond in conds]
+        seen = []
+
+        def spy(elems, cond):
+            seen.append(elems)
+            return _passes(elems, cond)
+
+        monkeypatch.setattr(subsets, "_passes", spy)
+        for cond, found in zip(conds, expected):
+            seen.clear()
+            assert list(subsets._search(10, cond)) == found
+            assert seen in ([], [()]), cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
     def test_random_conditions_up_to_fourteen(self, data):
         n = data.draw(st.integers(0, 14))
         self.check(
