@@ -316,9 +316,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     family, to = _require(args, "family"), _require(args, "to")
-    # family_spec refuses a family it does not know.
-    bounds = FAMILIES[family].bounds if family in FAMILIES else ()
-    params = {dest: _require(args, dest) for dest, _ in bounds}
+    # family_spec refuses a family it does not know, and a flag it does not take.
+    for dest, _ in FAMILIES[family].bounds if family in FAMILIES else ():
+        _require(args, dest)
+    flags = {dest: getattr(args, dest) for dest in ("alpha", "beta", "n", "k")}
+    params = {dest: value for dest, value in flags.items() if value is not None}
     name, offset, gf = family_spec(family, **params)
     _need_int("--to", to, offset, sys.maxsize)  # islice stops at sys.maxsize
     if args.start is not None:

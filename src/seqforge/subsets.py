@@ -6,12 +6,11 @@ elements, counts are plain Python ints (arbitrary precision), and
 enumeration order is deterministic.
 The exhaustive search is the ground truth that every closed form and
 recurrence in the rest of the package is tested against. It walks the
-subsets of {1..n} from the top element down and skips only branches that
-provably hold no match, so it visits the subsets that pass every clause
-except min_size, plus the top elements below alpha, at O(1) interpreted
-steps and one tuple copy each, not all 2**n subsets. The walk and the
-membership test, _passes, read a gap clause (beta, gap_parity) by one
-rule, _gap_allowed: its least gap plus a multiple of its stride.
+subsets of {1..n} from the top element down, extending a node only by
+elements that keep every clause but min_size; that pruning is its only
+verdict. So it visits exactly the nonempty subsets that meet every clause
+except min_size, at O(1) interpreted steps and one tuple copy each, not
+all 2**n subsets.
 """
 
 from __future__ import annotations
@@ -127,13 +126,8 @@ class Condition(_Value):
         object.__setattr__(self, "gap_step", q)
 
 
-def _gap_allowed(g: int, cond: Condition) -> bool:
-    # The gap clause's one stride rule: it allows least_gap + gap_step * t, t >= 0.
-    return g >= cond.least_gap and (g - cond.least_gap) % cond.gap_step == 0
-
-
 def _passes(elems: tuple, cond: Condition) -> bool:
-    # The membership test of a sorted tuple; the walk judges its nodes itself.
+    # The membership test of a sorted tuple; the walk needs none.
     k = len(elems)
     if k < cond.min_size:
         return False
@@ -141,11 +135,11 @@ def _passes(elems: tuple, cond: Condition) -> bool:
         return False
     if cond.alpha is not None and k > 0 and elems[0] < cond.alpha * k:
         return False
-    # With least gap and stride 1 the rule allows every gap of a strictly
-    # increasing tuple, so then none is read.
+    # The allowed gaps are least_gap + gap_step * t, t >= 0: every gap of a
+    # strictly increasing tuple when both are 1, so then none is read.
     if k >= 2 and (cond.least_gap > 1 or cond.gap_step > 1):
         for low, high in zip(elems, elems[1:]):
-            if not _gap_allowed(high - low, cond):
+            if high - low < cond.least_gap or (high - low - cond.least_gap) % cond.gap_step:
                 return False
     return True
 
@@ -176,39 +170,36 @@ def _search(n: int, cond: Condition) -> Iterator[tuple[int, ...]]:
     # fails one of those clauses has no matching descendant. Hence a node
     # with minimum m and size k is only extended by an e that keeps them:
     # m - e = least_gap + gap_step * t for some t >= 0 (the stride is the
-    # gap clause's), and e >= alpha * (k + 1); the top element must be
-    # forced_max when one is given. min_size is not pruned on.
+    # gap clause's), and e >= alpha * (k + 1); the top element is at least
+    # alpha, and is forced_max when one is given.
     #
-    # Each node is still judged on every clause as it is visited. Its
-    # verdict on forced_max and the gaps goes on the stack with it: a
-    # child's is its parent's and the one new gap, read from a table of
-    # _gap_allowed. Size and alpha on the new minimum are compared. The
-    # frame being walked (node, extensions, verdict, and size, which is its
-    # children's) is held in locals. A node costs O(1) interpreted steps
-    # and a copy of its tuple; the nodes are the subsets that pass every
-    # clause except min_size, and the top elements below alpha.
+    # The extension rule is each clause's only check, so the nodes are
+    # exactly the nonempty subsets that meet every clause but min_size,
+    # which is not pruned on: a node is yielded when it has at least
+    # min_size elements. The frame being walked (node, extensions, and
+    # size, which is its children's) is held in locals. A node costs O(1)
+    # interpreted steps and a copy of its tuple.
     alpha, min_size, forced = cond.alpha or 0, cond.min_size, cond.forced_max
     gap, step = cond.least_gap, cond.gap_step
-    allowed = [_gap_allowed(g, cond) for g in range(n + 1)]
-    if _passes((), cond):
+    if min_size == 0 and forced is None:
         yield ()
-    node, extensions, ok, size = (), iter(range(1, n + 1) if forced is None else (forced,)), True, 1
+    low, high = (1, n) if forced is None else (forced, forced)
+    node, extensions, size = (), iter(range(max(alpha, low), high + 1)), 1
     stack = []
     while True:
         for e in extensions:
             child = (e,) + node
-            good = ok and (allowed[node[0] - e] if node else forced in (None, e))
-            if good and e >= alpha * size and size >= min_size:
+            if size >= min_size:
                 yield child
             floor = alpha * (size + 1) or 1
             if e - gap >= floor:
-                stack.append((node, extensions, ok, size))
-                node, extensions, ok, size = child, reversed(range(e - gap, floor - 1, -step)), good, size + 1
+                stack.append((node, extensions, size))
+                node, extensions, size = child, reversed(range(e - gap, floor - 1, -step)), size + 1
                 break
         else:
             if not stack:
                 return
-            node, extensions, ok, size = stack.pop()
+            node, extensions, size = stack.pop()
 
 
 def _counts_upto(n_max: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> list[BigCount]:
@@ -234,7 +225,8 @@ def count_subsets(n: int, cond: Condition, limit: int = DEFAULT_ENUM_LIMIT) -> B
     """Exact number of subsets of {1..n} satisfying cond, by exhaustive search.
 
     Counts what `enumerate_subsets` would yield; refuses n > limit because
-    the walk can visit 2**n nodes, at O(1) steps and a tuple copy each.
+    the walk visits each nonempty subset that meets every clause but
+    min_size, up to 2**n - 1, at O(1) steps and a tuple copy each.
     """
     return _counts_upto(n, cond, limit)[-1]
 

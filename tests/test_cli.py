@@ -521,8 +521,13 @@ class TestSeq:
         start = data.draw(st.none() | st.integers(-2, to + 2), label="from")
         fmt = data.draw(st.sampled_from(["table", "csv", "json", "bfile"]), label="format")
         argv = ["seq", "--family", family, "--to", str(to), "--format", fmt]
+        takes = {name for name, _ in cli.FAMILIES[family].bounds} if family in cli.FAMILIES else set()
         params = {}
         for dest in ("alpha", "beta", "n", "k"):
+            # A flag the family does not take is a usage error, so it is
+            # drawn for one argv in sixteen, each, and most argv reach the window.
+            if dest not in takes and data.draw(st.integers(0, 15), label=f"{dest} drawn") > 0:
+                continue
             value = data.draw(st.none() | st.integers(-1, 12), label=dest)
             if value is not None:
                 params[dest] = value
@@ -537,6 +542,7 @@ class TestSeq:
         assert "Traceback" not in errors, argv
         assert (code == 0) == (errors == ""), argv
         assert code == 0 or (errors.startswith("error: ") and errors.count("\n") == 1), argv
+        assert code == 2 or params.keys() <= takes, argv
         if code == 0:
             bfile = io.StringIO()
             with contextlib.redirect_stdout(bfile):
@@ -553,6 +559,21 @@ class TestSeq:
     def test_missing_required_parameter(self, capsys):
         code, _, err = run_cli(capsys, "seq", "--family", "genfib", "--to", "5")
         assert code == 2 and "--n" in err
+
+    @pytest.mark.parametrize(
+        "family, flags, name",
+        [
+            ("fib", ["--alpha", "3"], "alpha"),
+            ("H", ["--n", "3"], "n"),
+            ("genfib", ["--n", "3", "--k", "2"], "k"),
+            ("schreier-zeckendorf", ["--alpha", "1", "--beta", "1", "--n", "4"], "n"),
+            ("minsize-oddgap", ["--k", "2", "--beta", "1"], "beta"),
+        ],
+    )
+    def test_a_flag_the_family_does_not_take_is_usage_error(self, capsys, family, flags, name):
+        # As family_spec refuses the same parameter in the library.
+        code, out, err = run_cli(capsys, "seq", "--family", family, *flags, "--to", "5")
+        assert (code, out, err) == (2, "", f"error: family {family!r} has no parameter {name!r}\n")
 
     def test_terms_beyond_interpreter_str_cap_render(self, capsys):
         # Fibonacci near index 21000 tops 4300 digits, the interpreter's

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from seqforge import subsets
 from seqforge.identities import drop_max_shift_down, shift_up_adjoin_max
+from seqforge.recurrences import condition_count
 from seqforge.subsets import (
     GAP_ALL_EVEN,
     GAP_ALL_ODD,
@@ -319,7 +320,7 @@ class TestSearch:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_walk_yields_what_passes_accepts(self, data):
-        # The walk judges each node from its parent; _passes judges a whole
+        # The walk judges by its extension rule; _passes judges a whole
         # tuple. Both must take the same subsets, in the same order.
         n = data.draw(st.integers(0, 12))
         cond = Condition(
@@ -331,21 +332,49 @@ class TestSearch:
         )
         assert list(subsets._search(n, cond)) == [t for t in iter_subsets_raw(n) if _passes(t, cond)]
 
-    def test_walk_calls_passes_only_for_the_empty_tuple(self, monkeypatch):
-        # Each node is judged in the walk itself, not by a whole-tuple test.
+    def test_walk_never_calls_passes(self, monkeypatch):
+        # The walk's extension rule is its only verdict, not a whole-tuple test.
         conds = [Condition(), Condition(2, 2, GAP_ALL_ODD, 2), Condition(None, 3, GAP_ALL_EVEN, 0, 9)]
         expected = [list(subsets._search(10, cond)) for cond in conds]
-        seen = []
 
-        def spy(elems, cond):
-            seen.append(elems)
-            return _passes(elems, cond)
+        def refuse(elems, cond):
+            raise AssertionError(f"_passes{elems!r} called")
 
-        monkeypatch.setattr(subsets, "_passes", spy)
+        monkeypatch.setattr(subsets, "_passes", refuse)
         for cond, found in zip(conds, expected):
-            seen.clear()
             assert list(subsets._search(10, cond)) == found
-            assert seen in ([], [()]), cond
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_walk_visits_exactly_the_min_size_free_family(self, data):
+        # Every node the walk reaches is an item of one of its extension
+        # iterators, which it makes with the module-level names iter and
+        # reversed; counting their items counts its nodes. They are the
+        # nonempty subsets that meet every clause but min_size, so a pruning
+        # fault that only costs time still fails here.
+        n = data.draw(st.integers(0, 16))
+        alpha = data.draw(st.none() | st.integers(1, 3))
+        beta = data.draw(st.none() | st.integers(1, 4))
+        parity = data.draw(st.sampled_from(PARITIES))
+        forced_max = data.draw(st.none() if n == 0 else st.none() | st.integers(1, n))
+        cond = Condition(alpha, beta, parity, data.draw(st.integers(0, 3)), forced_max)
+        visited = 0
+
+        def counted(make):
+            def items(iterable):
+                nonlocal visited
+                for item in make(iterable):
+                    visited += 1
+                    yield item
+
+            return items
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subsets, "iter", counted(iter), raising=False)
+            patch.setattr(subsets, "reversed", counted(reversed), raising=False)
+            list(subsets._search(n, cond))
+        free = condition_count(n, Condition(alpha, beta, parity, 0, forced_max))
+        assert visited == free - (forced_max is None), cond
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
